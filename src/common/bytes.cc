@@ -37,7 +37,10 @@ Bytes PadTo(std::span<const uint8_t> b, size_t n) {
 }
 
 bool AllZero(std::span<const uint8_t> b) {
-  return std::all_of(b.begin(), b.end(), [](uint8_t x) { return x == 0; });
+  // OR-reduce without an early exit, so the loop vectorizes.
+  uint8_t acc = 0;
+  for (uint8_t x : b) acc |= x;
+  return acc == 0;
 }
 
 }  // namespace lhrs

@@ -31,9 +31,10 @@ struct ReconstructionRequest {
   uint32_t existing_slots = 0;
   std::vector<ColumnDump> survivors;
   std::vector<uint32_t> missing_columns;
-  /// Decode each record group through the code's incremental decoder,
-  /// consuming survivor columns in arrival order and stopping as soon as
-  /// the rank suffices (instead of the one-shot all-columns decode).
+  /// Plan the decode through the code's incremental decoder, consuming
+  /// survivor columns in arrival order (`survivors` order) and stopping as
+  /// soon as the rank suffices, instead of handing every column to
+  /// PlanDecode.
   bool progressive = false;
 };
 
@@ -45,7 +46,9 @@ struct ReconstructedColumn {
 };
 
 /// Rebuilds every requested column of one bucket group from the surviving
-/// columns, rank by rank (each record group decodes independently).
+/// columns. Every record group shares the erasure pattern, so one decode
+/// plan serves them all; rebuilt data records are views of one arena
+/// buffer per column, in ascending rank order.
 ///
 /// Requirements checked: enough columns for an MDS decode (survivors +
 /// known-zero slots >= m) and, when data columns are missing, at least one

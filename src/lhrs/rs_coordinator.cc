@@ -470,7 +470,7 @@ void RsCoordinatorNode::TryDecodeAndInstall(RecoveryTask& task) {
   req.k = info.k;
   req.coder = &lhrs_ctx_->coders->ForK(info.k);
   req.existing_slots = ExistingSlots(task.group);
-  req.survivors = task.dumps;
+  req.survivors = std::move(task.dumps);
   req.missing_columns = task.missing_columns;
   req.progressive = task.progressive;
 

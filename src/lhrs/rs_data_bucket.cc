@@ -1,7 +1,9 @@
 #include "lhrs/rs_data_bucket.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "net/network.h"
@@ -336,19 +338,24 @@ void RsDataBucketNode::InstallDataColumn(const InstallDataColumnMsg& install) {
   store::BucketStore records;
   key_rank_.clear();
   rank_key_.clear();
-  while (!free_ranks_.empty()) free_ranks_.pop();
-  Rank max_rank = 0;
+  records.Reserve(install.records.size());
+  key_rank_.reserve(install.records.size());
   for (const auto& rec : install.records) {
     // Adopt the install message's views — the reconstructed column lands
     // without a per-record copy.
     records.InsertShared(rec.key, rec.value);
     BindRank(rec.key, rec.rank);
-    max_rank = std::max(max_rank, rec.rank);
   }
-  next_rank_ = max_rank + 1;
-  for (Rank r = 1; r < next_rank_; ++r) {
-    if (!rank_key_.contains(r)) free_ranks_.push(r);
+  // The free ranks are the gaps below the highest installed rank: one
+  // ordered pass over the installed ranks, then one heapify.
+  std::vector<Rank> gaps;
+  Rank next = 1;
+  for (const auto& [rank, key] : rank_key_) {
+    for (; next < rank; ++next) gaps.push_back(next);
+    next = rank + 1;
   }
+  next_rank_ = next;
+  free_ranks_ = decltype(free_ranks_)(std::greater<Rank>(), std::move(gaps));
   InstallRecoveredState(std::move(records), install.level);
 }
 

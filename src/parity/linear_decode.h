@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,17 +17,60 @@
 
 namespace lhrs::parity {
 
+/// DecodePlan over a concrete field: one row of coefficients per wanted
+/// column, row-major over the inputs.
+template <GaloisField F>
+class DecodePlanT final : public DecodePlan {
+ public:
+  using Symbol = typename F::Symbol;
+
+  /// `coeffs` holds wanted.size() rows of inputs.size() coefficients.
+  DecodePlanT(std::vector<uint32_t> inputs, std::vector<uint32_t> wanted,
+              std::vector<Symbol> coeffs)
+      : DecodePlan(std::move(inputs), std::move(wanted), F::kSymbolBytes),
+        coeffs_(std::move(coeffs)) {
+    LHRS_CHECK_EQ(coeffs_.size(),
+                  this->inputs().size() * this->wanted().size());
+  }
+
+  void MulAddRow(size_t w, const uint8_t* const* srcs, size_t len,
+                 uint8_t* dst) const override {
+    LHRS_CHECK_LT(w, wanted().size());
+    const size_t n = inputs().size();
+    const Symbol* row = coeffs_.data() + w * n;
+    if (std::find(srcs, srcs + n, nullptr) == srcs + n) {
+      F::MulAddRow(dst, srcs, row, n, len);
+      return;
+    }
+    // Zero columns: mask their coefficients so the kernel skips them.
+    constexpr size_t kInline = 32;
+    Symbol inline_row[kInline];
+    std::vector<Symbol> heap_row;
+    Symbol* masked = inline_row;
+    if (n > kInline) {
+      heap_row.resize(n);
+      masked = heap_row.data();
+    }
+    for (size_t t = 0; t < n; ++t) masked[t] = srcs[t] == nullptr ? 0 : row[t];
+    F::MulAddRow(dst, srcs, masked, n, len);
+  }
+
+ private:
+  std::vector<Symbol> coeffs_;
+};
+
 /// Incremental Gauss-Jordan elimination over the m data unknowns of a
-/// linear parity code, shared by the progressive decoder and the
-/// feasibility/plan checks.
+/// linear parity code, shared by the progressive decoder, the non-MDS
+/// decode planner and the feasibility/plan checks. It works on column
+/// identities only; payload bytes never enter it.
 ///
 /// Every codeword column contributes one equation over the data unknowns
-/// x_0..x_{m-1}: a data column i is the unit equation x_i = payload(i)
-/// (known-zero slots are unit equations with an empty payload), and parity
-/// column m+j is sum_i P[i][j] * x_i = payload(m+j). Equations are kept in
+/// x_0..x_{m-1}: a data column i is the unit equation x_i = value(i)
+/// (known-zero slots are unit equations with a zero value), and parity
+/// column m+j is sum_i P[i][j] * x_i = value(m+j). Equations are kept in
 /// reduced row-echelon form; each row also carries the combination of
-/// absorbed payloads that produced it, so solving for a column is a single
-/// pass of MulAdd kernels at Decode() time.
+/// absorbed columns that produced it, which is exactly a decode plan's
+/// coefficient row once the row is solved.
 template <GaloisField F>
 class IncrementalSolver {
  public:
@@ -34,13 +79,18 @@ class IncrementalSolver {
   /// `pmat` is the m x k parity-coefficient matrix; it must outlive the
   /// solver.
   IncrementalSolver(const Matrix<F>* pmat, uint32_t m, uint32_t k)
-      : pmat_(pmat), m_(m), k_(k), pivot_row_(m, kNoRow) {}
+      : pmat_(pmat), m_(m), k_(k), pivot_row_(m, kNoRow) {
+    // The rank never exceeds m: size the row tables once.
+    rows_.reserve(m);
+    combs_.reserve(m);
+    columns_.reserve(m);
+  }
 
   uint32_t m() const { return m_; }
 
-  /// Absorbs one codeword column. Returns true when it raised the rank
-  /// (the payload view is retained for Decode), false when redundant.
-  bool AddColumn(uint32_t column, BufferView payload) {
+  /// Absorbs one codeword column. Returns true when it raised the rank,
+  /// false when it was redundant.
+  bool AddColumn(uint32_t column) {
     LHRS_CHECK_LT(column, m_ + k_);
     std::vector<Symbol> row(m_, 0);
     if (column < m_) {
@@ -50,9 +100,9 @@ class IncrementalSolver {
         row[i] = pmat_->At(i, column - m_);
       }
     }
-    // New equation's payload combination: the unit vector on the payload
-    // slot it would occupy.
-    std::vector<Symbol> comb(payloads_.size() + 1, 0);
+    // New equation's column combination: the unit vector on the slot the
+    // column would occupy.
+    std::vector<Symbol> comb(columns_.size() + 1, 0);
     comb.back() = 1;
 
     // Reduce against the existing pivot rows.
@@ -86,7 +136,7 @@ class IncrementalSolver {
     pivot_row_[pivot] = rows_.size();
     rows_.push_back(std::move(row));
     combs_.push_back(std::move(comb));
-    payloads_.push_back(std::move(payload));
+    columns_.push_back(column);
     return true;
   }
 
@@ -104,39 +154,36 @@ class IncrementalSolver {
     return true;
   }
 
-  /// Solves data column `col` from the absorbed payloads, padded to a
-  /// whole number of field symbols. Requires Solved(col).
-  Bytes Solve(uint32_t col) const {
-    LHRS_CHECK(Solved(col));
-    const auto& comb = combs_[pivot_row_[col]];
-    size_t len = 0;
-    for (size_t i = 0; i < comb.size(); ++i) {
-      if (comb[i] != 0) len = std::max(len, payloads_[i].size());
-    }
-    len = (len + F::kSymbolBytes - 1) / F::kSymbolBytes * F::kSymbolBytes;
-    Bytes out(len, 0);
-    if (len == 0) return out;
-    // Gather the contributing payloads (padding short ones once; full-length
-    // ones are shared views fed to the kernel in place), then fold them all
-    // into `out` with one fused row pass instead of one MulAdd per payload.
-    std::vector<Bytes> padded_storage;
-    std::vector<const uint8_t*> srcs;
-    std::vector<Symbol> coeffs;
-    for (size_t i = 0; i < comb.size(); ++i) {
-      if (comb[i] == 0 || payloads_[i].empty()) continue;
-      const BufferView& p = payloads_[i];
-      if (p.size() == len) {
-        srcs.push_back(p.data());
-      } else {
-        Bytes padded(len, 0);
-        std::copy(p.data(), p.data() + p.size(), padded.begin());
-        padded_storage.push_back(std::move(padded));
-        srcs.push_back(padded_storage.back().data());
+  /// The plan that rebuilds `wanted` from the absorbed columns. Its inputs
+  /// are the absorbed columns some wanted row actually weighs, in
+  /// absorption order. Requires Solved(w) for every wanted column.
+  std::unique_ptr<const DecodePlan> Plan(
+      const std::vector<uint32_t>& wanted) const {
+    std::vector<bool> read(columns_.size(), false);
+    for (uint32_t w : wanted) {
+      LHRS_CHECK(Solved(w));
+      const auto& comb = combs_[pivot_row_[w]];
+      for (size_t i = 0; i < comb.size(); ++i) {
+        read[i] = read[i] || comb[i] != 0;
       }
-      coeffs.push_back(comb[i]);
     }
-    F::MulAddRow(out.data(), srcs.data(), coeffs.data(), srcs.size(), len);
-    return out;
+    std::vector<uint32_t> inputs;
+    std::vector<size_t> positions;
+    for (size_t i = 0; i < columns_.size(); ++i) {
+      if (!read[i]) continue;
+      inputs.push_back(columns_[i]);
+      positions.push_back(i);
+    }
+    std::vector<Symbol> coeffs;
+    coeffs.reserve(wanted.size() * inputs.size());
+    for (uint32_t w : wanted) {
+      const auto& comb = combs_[pivot_row_[w]];
+      for (size_t i : positions) {
+        coeffs.push_back(i < comb.size() ? comb[i] : 0);
+      }
+    }
+    return std::make_unique<DecodePlanT<F>>(std::move(inputs), wanted,
+                                            std::move(coeffs));
   }
 
  private:
@@ -160,8 +207,8 @@ class IncrementalSolver {
   uint32_t k_;
   std::vector<size_t> pivot_row_;           // data column -> row, or kNoRow.
   std::vector<std::vector<Symbol>> rows_;   // RREF coefficient rows.
-  std::vector<std::vector<Symbol>> combs_;  // payload combination per row.
-  std::vector<BufferView> payloads_;        // shared survivor payloads.
+  std::vector<std::vector<Symbol>> combs_;  // column combination per row.
+  std::vector<uint32_t> columns_;           // absorbed columns, in order.
 };
 
 /// ProgressiveDecoder over a concrete field and parity matrix.
@@ -173,14 +220,12 @@ class ProgressiveDecoderT final : public ProgressiveDecoder {
                       std::vector<uint32_t> known_zero_data)
       : solver_(pmat, m, k), wanted_(std::move(wanted_data)) {
     for (uint32_t col : wanted_) LHRS_CHECK_LT(col, m);
-    for (uint32_t col : known_zero_data) {
-      solver_.AddColumn(col, BufferView());
-    }
+    for (uint32_t col : known_zero_data) solver_.AddColumn(col);
   }
 
   bool AddColumn(uint32_t column, BufferView payload) override {
-    if (!solver_.AddColumn(column, std::move(payload))) return false;
-    ++columns_used_;
+    if (!solver_.AddColumn(column)) return false;
+    payloads_.emplace_back(column, std::move(payload));
     return true;
   }
 
@@ -189,55 +234,63 @@ class ProgressiveDecoderT final : public ProgressiveDecoder {
                        [&](uint32_t col) { return solver_.Solved(col); });
   }
 
-  size_t columns_used() const override { return columns_used_; }
+  size_t columns_used() const override { return payloads_.size(); }
 
-  Result<std::vector<Bytes>> Decode() const override {
+  Result<std::unique_ptr<const DecodePlan>> Plan() const override {
     if (!Ready()) {
       return Status::DataLoss(
           "progressive decode: absorbed columns do not determine every "
           "wanted column");
     }
-    std::vector<Bytes> out;
-    out.reserve(wanted_.size());
-    for (uint32_t col : wanted_) out.push_back(solver_.Solve(col));
-    return out;
+    return solver_.Plan(wanted_);
+  }
+
+  Result<std::vector<Bytes>> Decode() const override {
+    auto plan = Plan();
+    if (!plan.ok()) return plan.status();
+    // Pre-seeded known-zero columns hold no payload: zero columns.
+    std::vector<const BufferView*> inputs;
+    for (uint32_t col : (*plan)->inputs()) {
+      auto it = std::find_if(payloads_.begin(), payloads_.end(),
+                             [&](const auto& p) { return p.first == col; });
+      inputs.push_back(it == payloads_.end() ? nullptr : &it->second);
+    }
+    return (*plan)->Decode(inputs);
   }
 
  private:
   IncrementalSolver<F> solver_;
   std::vector<uint32_t> wanted_;
-  size_t columns_used_ = 0;
+  /// Useful survivor columns with their shared payloads, in arrival order.
+  std::vector<std::pair<uint32_t, BufferView>> payloads_;
 };
 
-/// One-shot generalized decode for non-MDS linear codes: feeds the
-/// available columns (data first, so survivor payloads are preferred over
-/// parity recombination) into a solver and solves the wanted columns.
+/// Decode planner for non-MDS linear codes: absorbs the columns into a
+/// solver (data first, so survivor values are preferred over parity
+/// recombination) and plans the wanted columns.
 template <GaloisField F>
-Result<std::vector<Bytes>> DecodeLinear(
+Result<std::unique_ptr<const DecodePlan>> PlanLinearDecode(
     const Matrix<F>& pmat, uint32_t m, uint32_t k,
-    const std::vector<std::pair<size_t, BufferView>>& available,
-    const std::vector<size_t>& missing_data) {
-  for (size_t col : missing_data) {
+    const std::vector<uint32_t>& columns,
+    const std::vector<uint32_t>& wanted_data) {
+  for (uint32_t col : wanted_data) {
     LHRS_CHECK_LT(col, m) << "only data columns can be requested";
   }
   IncrementalSolver<F> solver(&pmat, m, k);
-  for (const auto& [col, payload] : available) {
-    if (col < m) solver.AddColumn(static_cast<uint32_t>(col), payload);
+  for (uint32_t col : columns) {
+    if (col < m) solver.AddColumn(col);
   }
-  for (const auto& [col, payload] : available) {
-    if (col >= m) solver.AddColumn(static_cast<uint32_t>(col), payload);
+  for (uint32_t col : columns) {
+    if (col >= m) solver.AddColumn(col);
   }
-  std::vector<Bytes> out;
-  out.reserve(missing_data.size());
-  for (size_t col : missing_data) {
-    if (!solver.Solved(static_cast<uint32_t>(col))) {
+  for (uint32_t col : wanted_data) {
+    if (!solver.Solved(col)) {
       return Status::DataLoss(
           "unrecoverable record group: available columns do not determine "
           "data column " + std::to_string(col));
     }
-    out.push_back(solver.Solve(static_cast<uint32_t>(col)));
   }
-  return out;
+  return solver.Plan(wanted_data);
 }
 
 }  // namespace lhrs::parity

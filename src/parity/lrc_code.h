@@ -92,18 +92,18 @@ class LrcCodeT final : public ParityCode {
     return impl_.Encode(data);
   }
 
-  Result<std::vector<Bytes>> DecodeData(
-      const std::vector<std::pair<size_t, BufferView>>& available,
-      const std::vector<size_t>& missing_data) const override {
-    return DecodeLinear<F>(impl_.parity_matrix(), m(), k(), available,
-                           missing_data);
+  Result<std::unique_ptr<const DecodePlan>> PlanDecode(
+      const std::vector<uint32_t>& columns,
+      const std::vector<uint32_t>& wanted_data) const override {
+    return PlanLinearDecode<F>(impl_.parity_matrix(), m(), k(), columns,
+                               wanted_data);
   }
 
   bool CanDecodeFrom(
       const std::vector<uint32_t>& columns,
       const std::vector<uint32_t>& wanted_data) const override {
     IncrementalSolver<F> solver(&impl_.parity_matrix(), m(), k());
-    for (uint32_t col : columns) solver.AddColumn(col, BufferView());
+    for (uint32_t col : columns) solver.AddColumn(col);
     return std::all_of(wanted_data.begin(), wanted_data.end(),
                        [&](uint32_t w) { return solver.Solved(w); });
   }

@@ -1,13 +1,67 @@
 #include "parity/parity_code.h"
 
+#include <algorithm>
 #include <string>
 
+#include "common/logging.h"
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
 #include "parity/lrc_code.h"
 #include "parity/rs_code.h"
 
 namespace lhrs::parity {
+
+std::vector<Bytes> DecodePlan::Decode(
+    std::span<const BufferView* const> payloads) const {
+  LHRS_CHECK_EQ(payloads.size(), inputs_.size());
+  size_t len = 0;
+  for (const BufferView* p : payloads) {
+    if (p != nullptr) len = std::max(len, p->size());
+  }
+  len = PaddedLength(len);
+  // Pad short inputs once; full-length ones feed the kernel in place.
+  std::vector<Bytes> padded_storage;
+  std::vector<const uint8_t*> srcs(payloads.size(), nullptr);
+  for (size_t t = 0; t < payloads.size(); ++t) {
+    const BufferView* p = payloads[t];
+    if (p == nullptr || p->empty()) continue;
+    if (p->size() == len) {
+      srcs[t] = p->data();
+    } else {
+      padded_storage.push_back(PadTo(*p, len));
+      srcs[t] = padded_storage.back().data();
+    }
+  }
+  std::vector<Bytes> out;
+  out.reserve(wanted_.size());
+  for (size_t w = 0; w < wanted_.size(); ++w) {
+    Bytes rec(len, 0);
+    if (len != 0) MulAddRow(w, srcs.data(), len, rec.data());
+    out.push_back(std::move(rec));
+  }
+  return out;
+}
+
+Result<std::vector<Bytes>> ParityCode::DecodeData(
+    const std::vector<std::pair<size_t, BufferView>>& available,
+    const std::vector<size_t>& missing_data) const {
+  std::vector<uint32_t> columns;
+  columns.reserve(available.size());
+  for (const auto& [col, payload] : available) {
+    columns.push_back(static_cast<uint32_t>(col));
+  }
+  auto plan = PlanDecode(
+      columns, std::vector<uint32_t>(missing_data.begin(), missing_data.end()));
+  if (!plan.ok()) return plan.status();
+  std::vector<const BufferView*> payloads;
+  payloads.reserve((*plan)->inputs().size());
+  for (uint32_t col : (*plan)->inputs()) {
+    auto it = std::find_if(available.begin(), available.end(),
+                           [&](const auto& a) { return a.first == col; });
+    payloads.push_back(&it->second);
+  }
+  return (*plan)->Decode(payloads);
+}
 
 std::string CodeSpec::Name() const {
   std::string name = kind == CodeKind::kRs

@@ -68,6 +68,50 @@ struct RepairPlan {
   bool progressive = false;
 };
 
+/// An immutable decode plan for one erasure pattern: the columns it reads
+/// and, per wanted data column, one coefficient row that rebuilds it from
+/// them. Built once (one matrix inversion or solver run) and applied to
+/// every record group that shares the pattern; safe to share across
+/// threads.
+class DecodePlan {
+ public:
+  virtual ~DecodePlan() = default;
+
+  /// Codeword columns the plan reads, in coefficient order.
+  const std::vector<uint32_t>& inputs() const { return inputs_; }
+  /// Data columns the plan rebuilds, in request order.
+  const std::vector<uint32_t>& wanted() const { return wanted_; }
+
+  /// Rounds a payload length up to a whole number of field symbols.
+  size_t PaddedLength(size_t n) const {
+    return (n + symbol_bytes_ - 1) / symbol_bytes_ * symbol_bytes_;
+  }
+
+  /// dst[0, len) += sum_t coeff(w, t) * srcs[t][0, len): folds every
+  /// input into wanted()[w] with one fused kernel pass. `srcs` has one
+  /// entry per input; nullptr is an all-zero column, anything else holds
+  /// at least `len` bytes. `len` must be a whole number of symbols.
+  virtual void MulAddRow(size_t w, const uint8_t* const* srcs, size_t len,
+                         uint8_t* dst) const = 0;
+
+  /// Rebuilds every wanted column of one record group. `payloads[t]` is
+  /// the value of inputs()[t] (nullptr or empty: zero column). Results are
+  /// padded to the inputs' common symbol-padded length.
+  std::vector<Bytes> Decode(std::span<const BufferView* const> payloads) const;
+
+ protected:
+  DecodePlan(std::vector<uint32_t> inputs, std::vector<uint32_t> wanted,
+             size_t symbol_bytes)
+      : inputs_(std::move(inputs)),
+        wanted_(std::move(wanted)),
+        symbol_bytes_(symbol_bytes) {}
+
+ private:
+  std::vector<uint32_t> inputs_;
+  std::vector<uint32_t> wanted_;
+  size_t symbol_bytes_;
+};
+
 /// Incremental decoder: accepts survivor columns one at a time and reports
 /// when the accumulated coefficient rank suffices to solve the wanted data
 /// columns. Payload views are shared (zero-copy); all byte work is
@@ -91,8 +135,13 @@ class ProgressiveDecoder {
   /// do not count).
   virtual size_t columns_used() const = 0;
 
-  /// Solves for the wanted data columns (order of construction). Fails
-  /// with DataLoss while !Ready().
+  /// The plan that rebuilds the wanted data columns (order of
+  /// construction) from the useful columns absorbed so far. Fails with
+  /// DataLoss while !Ready().
+  virtual Result<std::unique_ptr<const DecodePlan>> Plan() const = 0;
+
+  /// Solves for the wanted data columns: Plan() applied to the absorbed
+  /// payloads. Fails with DataLoss while !Ready().
   virtual Result<std::vector<Bytes>> Decode() const = 0;
 };
 
@@ -122,14 +171,24 @@ class ParityCode {
   virtual std::vector<Bytes> Encode(
       std::span<const Bytes* const> data) const = 0;
 
-  /// Reconstructs the requested data columns from the available columns
-  /// (shared views of the survivors' dumps; no payload copies). Absent-
-  /// but-known-zero data slots should be passed as available columns with
-  /// an empty payload. Fails with DataLoss when the available columns do
-  /// not determine the wanted ones.
-  virtual Result<std::vector<Bytes>> DecodeData(
+  /// Plans the reconstruction of `wanted_data` from the codeword columns
+  /// in `columns` (values in hand, including known-zero data columns).
+  /// The plan depends only on column identities, so one plan serves every
+  /// record group with the same erasure pattern. Fails with DataLoss when
+  /// the columns do not determine the wanted ones.
+  virtual Result<std::unique_ptr<const DecodePlan>> PlanDecode(
+      const std::vector<uint32_t>& columns,
+      const std::vector<uint32_t>& wanted_data) const = 0;
+
+  /// Reconstructs the requested data columns of one record group from the
+  /// available columns (shared views of the survivors' dumps; no payload
+  /// copies): PlanDecode plus one plan application. Absent-but-known-zero
+  /// data slots should be passed as available columns with an empty
+  /// payload. Fails with DataLoss when the available columns do not
+  /// determine the wanted ones.
+  Result<std::vector<Bytes>> DecodeData(
       const std::vector<std::pair<size_t, BufferView>>& available,
-      const std::vector<size_t>& missing_data) const = 0;
+      const std::vector<size_t>& missing_data) const;
 
   /// True when the codeword columns in `columns` (values in hand,
   /// including known-zero data columns) determine every column in

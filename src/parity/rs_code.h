@@ -14,9 +14,9 @@
 namespace lhrs::parity {
 
 /// The paper's generalized Reed-Solomon code behind the ParityCode
-/// interface. Every byte-level operation delegates to rs::GroupCoder, so
-/// behavior is identical to the pre-interface code path (the refactor
-/// oracle); only the planning surface is new.
+/// interface. Encode and delta maintenance delegate to rs::GroupCoder, and
+/// decode plans come from its decode matrix, so behavior is identical to
+/// the pre-interface code path (the refactor oracle).
 template <GaloisField F>
 class RsCodeT final : public ParityCode {
  public:
@@ -42,10 +42,27 @@ class RsCodeT final : public ParityCode {
     return impl_.Encode(data);
   }
 
-  Result<std::vector<Bytes>> DecodeData(
-      const std::vector<std::pair<size_t, BufferView>>& available,
-      const std::vector<size_t>& missing_data) const override {
-    return impl_.DecodeData(available, missing_data);
+  /// One inversion of the m x m decode matrix; the plan's rows are the
+  /// inverse's columns for the wanted slots.
+  Result<std::unique_ptr<const DecodePlan>> PlanDecode(
+      const std::vector<uint32_t>& columns,
+      const std::vector<uint32_t>& wanted_data) const override {
+    auto system = impl_.DecodeMatrix(columns);
+    if (!system.ok()) return system.status();
+    const auto& [use, inv] = *system;
+    std::vector<uint32_t> inputs;
+    inputs.reserve(use.size());
+    for (size_t pos : use) inputs.push_back(columns[pos]);
+    std::vector<typename F::Symbol> coeffs;
+    coeffs.reserve(wanted_data.size() * use.size());
+    for (uint32_t want : wanted_data) {
+      LHRS_CHECK_LT(want, m()) << "only data columns can be requested";
+      for (size_t t = 0; t < use.size(); ++t) {
+        coeffs.push_back(inv.At(t, want));
+      }
+    }
+    return std::unique_ptr<const DecodePlan>(std::make_unique<DecodePlanT<F>>(
+        std::move(inputs), wanted_data, std::move(coeffs)));
   }
 
   bool CanDecodeFrom(

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -172,51 +173,21 @@ class GroupCoder {
   Result<std::vector<Bytes>> DecodeData(
       const std::vector<std::pair<size_t, BufferView>>& available,
       const std::vector<size_t>& missing_data) const {
-    if (available.size() < m_) {
-      return Status::DataLoss(
-          "unrecoverable record group: " + std::to_string(available.size()) +
-          " of " + std::to_string(m_) + " required columns available");
+    std::vector<uint32_t> columns;
+    columns.reserve(available.size());
+    for (const auto& [col, payload] : available) {
+      columns.push_back(static_cast<uint32_t>(col));
     }
+    auto system = DecodeMatrix(columns);
+    if (!system.ok()) return system.status();
     for (size_t col : missing_data) {
       LHRS_CHECK_LT(col, m_) << "only data columns can be requested";
     }
-    // Use exactly m of the available columns, preferring data columns (they
-    // carry identity rows, keeping the decode matrix mostly trivial).
-    std::vector<std::pair<size_t, const BufferView*>> use;
-    use.reserve(m_);
-    for (const auto& [col, payload] : available) {
-      if (col < m_ && use.size() < m_) use.emplace_back(col, &payload);
-    }
-    for (const auto& [col, payload] : available) {
-      if (col >= m_ && use.size() < m_) use.emplace_back(col, &payload);
-    }
-    LHRS_CHECK_EQ(use.size(), m_);
+    const auto& [use, inv] = *system;
 
     size_t len = 0;
-    for (const auto& [col, payload] : use) {
-      len = std::max(len, payload->size());
-    }
+    for (size_t pos : use) len = std::max(len, available[pos].second.size());
     len = PaddedLength(len);
-
-    // Codeword relation: value(col) = sum_i d_i * G[i][col] with
-    // G = [I | P]. Stack the m used columns into A (m x m):
-    // A[i][t] = G[i][use[t].col]; then d = values * A^{-1}.
-    Matrix<F> a(m_, m_);
-    for (size_t t = 0; t < m_; ++t) {
-      const size_t col = use[t].first;
-      for (size_t i = 0; i < m_; ++i) {
-        if (col < m_) {
-          a.Set(i, t, i == col ? 1 : 0);
-        } else {
-          a.Set(i, t, Coefficient(i, col - m_));
-        }
-      }
-    }
-    auto inv = a.Inverted();
-    if (!inv.ok()) {
-      return Status::Internal("decode matrix singular — MDS violation: " +
-                              inv.status().message());
-    }
 
     // Pad each survivor once (full-length survivors are shared views fed to
     // the kernel in place), then reconstruct each wanted column with one
@@ -227,7 +198,7 @@ class GroupCoder {
     std::vector<const uint8_t*> srcs(m_, nullptr);
     std::vector<bool> known_zero(m_, false);
     for (size_t t = 0; t < m_; ++t) {
-      const BufferView& col = *use[t].second;
+      const BufferView& col = available[use[t]].second;
       if (col.empty() || len == 0) {
         known_zero[t] = true;
       } else if (col.size() == len) {
@@ -243,7 +214,7 @@ class GroupCoder {
     for (size_t want : missing_data) {
       Bytes rec(len, 0);
       for (size_t t = 0; t < m_; ++t) {
-        coeffs[t] = known_zero[t] ? 0 : inv->At(t, want);
+        coeffs[t] = known_zero[t] ? 0 : inv.At(t, want);
       }
       if (len != 0) {
         F::MulAddRow(rec.data(), srcs.data(), coeffs.data(), m_, len);
@@ -251,6 +222,51 @@ class GroupCoder {
       out.push_back(std::move(rec));
     }
     return out;
+  }
+
+  /// The decode system of an erasure pattern: picks exactly m of
+  /// `columns` (data columns first — their identity rows keep the matrix
+  /// mostly trivial) and inverts their generator submatrix. Returns the
+  /// picked positions in `columns` and the inverse, whose entry (t, i)
+  /// weighs picked column t in data column i. Fails with DataLoss when
+  /// fewer than m columns are given.
+  Result<std::pair<std::vector<size_t>, Matrix<F>>> DecodeMatrix(
+      const std::vector<uint32_t>& columns) const {
+    if (columns.size() < m_) {
+      return Status::DataLoss(
+          "unrecoverable record group: " + std::to_string(columns.size()) +
+          " of " + std::to_string(m_) + " required columns available");
+    }
+    std::vector<size_t> use;
+    use.reserve(m_);
+    for (size_t pos = 0; pos < columns.size(); ++pos) {
+      if (columns[pos] < m_ && use.size() < m_) use.push_back(pos);
+    }
+    for (size_t pos = 0; pos < columns.size(); ++pos) {
+      if (columns[pos] >= m_ && use.size() < m_) use.push_back(pos);
+    }
+    LHRS_CHECK_EQ(use.size(), m_);
+
+    // Codeword relation: value(col) = sum_i d_i * G[i][col] with
+    // G = [I | P]. Stack the m used columns into A (m x m):
+    // A[i][t] = G[i][use[t].col]; then d = values * A^{-1}.
+    Matrix<F> a(m_, m_);
+    for (size_t t = 0; t < m_; ++t) {
+      const size_t col = columns[use[t]];
+      for (size_t i = 0; i < m_; ++i) {
+        if (col < m_) {
+          a.Set(i, t, i == col ? 1 : 0);
+        } else {
+          a.Set(i, t, Coefficient(i, col - m_));
+        }
+      }
+    }
+    auto inv = a.Inverted();
+    if (!inv.ok()) {
+      return Status::Internal("decode matrix singular — MDS violation: " +
+                              inv.status().message());
+    }
+    return std::make_pair(std::move(use), std::move(inv).value());
   }
 
   /// Rounds a payload length up to a whole number of field symbols.

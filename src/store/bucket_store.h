@@ -61,6 +61,9 @@ class BucketStore {
   /// columns). Compaction localizes it into the arena later.
   bool InsertShared(uint64_t key, BufferView value);
 
+  /// Pre-sizes the index for `records` keys (bulk installs).
+  void Reserve(size_t records) { index_.reserve(records); }
+
   /// Upsert: like InsertShared but overwrites (tombstoning the old
   /// payload) when the key exists.
   void Put(uint64_t key, BufferView value);

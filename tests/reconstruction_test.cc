@@ -4,38 +4,44 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
+#include <utility>
+
 #include "common/rng.h"
 #include "lhrs/recovery.h"
 
 namespace lhrs {
 namespace {
 
-/// Builds a consistent group of `members` records over `m` slots (slot i
-/// gets a record iff i < members), returns the data dumps and parity dumps
-/// a recovery would read.
+/// Builds a consistent group over `m` slots, `existing` of which exist,
+/// with one record group per entry of `ranks` (slot `slot` has no member
+/// at rank r when slot + r is even), and returns the data dumps and parity
+/// dumps a recovery would read.
 struct Fixture {
   uint32_t m, k;
   CoderCache coders;
-  std::vector<Bytes> values;           // Per slot ("" = absent).
   std::vector<ColumnDump> data_dumps;  // One per existing slot.
   std::vector<ColumnDump> parity_dumps;
 
   Fixture(uint32_t m_in, uint32_t k_in, uint32_t existing, uint64_t seed,
-          FieldChoice field = FieldChoice::kGf256)
+          FieldChoice field = FieldChoice::kGf256,
+          std::vector<Rank> ranks = {1, 2, 3})
       : m(m_in), k(k_in), coders(m_in, field) {
     Rng rng(seed);
-    values.resize(m);
     const ErasureCoder& coder = coders.ForK(k);
-    // Three record groups (ranks 1..3) with varying occupancy.
-    std::vector<std::vector<Bytes>> per_rank(3,
+    std::vector<std::vector<Bytes>> per_rank(ranks.size(),
                                              std::vector<Bytes>(m));
     for (uint32_t slot = 0; slot < existing; ++slot) {
       ColumnDump dump;
       dump.column = slot;
-      for (Rank r = 1; r <= 3; ++r) {
-        if (slot + r % 2 == 0) continue;  // Some holes.
+      for (size_t i = 0; i < ranks.size(); ++i) {
+        const Rank r = ranks[i];
+        if ((slot + r) % 2 == 0) continue;  // Some holes.
         Bytes v = rng.RandomBytes(1 + rng.Uniform(40));
-        per_rank[r - 1][slot] = v;
+        per_rank[i][slot] = v;
         dump.records.push_back(RankedRecord{r, 1000 * r + slot, v});
       }
       data_dumps.push_back(std::move(dump));
@@ -43,14 +49,15 @@ struct Fixture {
     for (uint32_t j = 0; j < k; ++j) {
       ColumnDump dump;
       dump.column = m + j;
-      for (Rank r = 1; r <= 3; ++r) {
+      for (size_t i = 0; i < ranks.size(); ++i) {
+        const Rank r = ranks[i];
         WireParityRecord pr;
         pr.rank = r;
         pr.keys.resize(m);
         pr.lengths.resize(m, 0);
         bool any = false;
         for (uint32_t slot = 0; slot < m; ++slot) {
-          const Bytes& v = per_rank[r - 1][slot];
+          const Bytes& v = per_rank[i][slot];
           if (v.empty()) continue;
           any = true;
           pr.keys[slot] = 1000 * r + slot;
@@ -187,6 +194,408 @@ TEST(ReconstructionTest, ParityOnlyRebuildNeedsNoParitySurvivor) {
       EXPECT_EQ(PadTo(a, n), PadTo(b, n)) << "column " << col.column;
     }
   }
+}
+
+TEST(ReconstructionTest, GappedRanksRebuildInRankOrder) {
+  // Sparse record groups: the rank table has gaps (ranks freed by deletes
+  // and never reused), which the dense collation must not assume away.
+  Fixture fx(4, 2, 4, 6, FieldChoice::kGf256, {1, 2, 7, 300});
+  ReconstructionRequest req;
+  req.m = 4;
+  req.k = 2;
+  req.coder = &fx.coders.ForK(2);
+  req.existing_slots = 4;
+  req.survivors = {fx.data_dumps[3], fx.parity_dumps[0], fx.data_dumps[0],
+                   fx.data_dumps[1]};
+  req.missing_columns = {2, 5};
+  auto result = ReconstructColumns(req);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->size(), 2u);
+  for (const auto& col : *result) {
+    if (col.column < 4) {
+      const auto& expected = fx.data_dumps[col.column].records;
+      ASSERT_EQ(col.records.size(), expected.size()) << col.column;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(col.records[i].rank, expected[i].rank);
+        EXPECT_EQ(col.records[i].key, expected[i].key);
+        EXPECT_EQ(col.records[i].value, expected[i].value);
+      }
+    } else {
+      const auto& expected = fx.parity_dumps[1].parity_records;
+      ASSERT_EQ(col.parity_records.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(col.parity_records[i].rank, expected[i].rank);
+        EXPECT_EQ(col.parity_records[i].keys, expected[i].keys);
+        EXPECT_EQ(col.parity_records[i].parity, expected[i].parity);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test against the per-rank algorithm.
+
+/// The per-rank reconstruction ReconstructColumns replaced, kept as the
+/// oracle: collate survivors into one map entry per rank, then call
+/// DecodeData (one decode matrix per rank) and re-encode parity rank by
+/// rank.
+Result<std::vector<ReconstructedColumn>> PerRankOracle(
+    const ReconstructionRequest& req) {
+  const uint32_t m = req.m;
+  std::vector<uint32_t> missing_data;
+  std::vector<uint32_t> missing_parity;
+  for (uint32_t col : req.missing_columns) {
+    (col < m ? missing_data : missing_parity).push_back(col);
+  }
+  std::vector<uint32_t> have;
+  bool have_parity_survivor = false;
+  for (const auto& s : req.survivors) {
+    have.push_back(s.column);
+    have_parity_survivor |= s.is_parity(m);
+  }
+  for (uint32_t slot = req.existing_slots; slot < m; ++slot) {
+    have.push_back(slot);
+  }
+  if (!req.coder->CanDecodeFrom(have, missing_data) ||
+      (!missing_data.empty() && !have_parity_survivor)) {
+    return Status::DataLoss("unrecoverable");
+  }
+
+  struct RankState {
+    std::vector<std::optional<Key>> keys;
+    std::vector<uint32_t> lengths;
+    std::map<uint32_t, BufferView> data;
+    std::map<uint32_t, BufferView> parity;
+    bool have_meta = false;
+  };
+  std::map<Rank, RankState> table;
+  auto state = [&](Rank r) -> RankState& {
+    RankState& st = table[r];
+    if (st.keys.empty()) {
+      st.keys.resize(m);
+      st.lengths.resize(m, 0);
+    }
+    return st;
+  };
+  for (const auto& s : req.survivors) {
+    for (const auto& pr : s.parity_records) {
+      RankState& st = state(pr.rank);
+      st.parity[s.column] = pr.parity;
+      if (!st.have_meta) {
+        st.keys = pr.keys;
+        st.lengths = pr.lengths;
+        st.have_meta = true;
+      }
+    }
+    for (const auto& rec : s.records) {
+      state(rec.rank).data[s.column] = rec.value;
+    }
+  }
+  for (const auto& s : req.survivors) {
+    for (const auto& rec : s.records) {
+      RankState& st = table.at(rec.rank);
+      if (!st.have_meta) {
+        st.keys[s.column] = rec.key;
+        st.lengths[s.column] = static_cast<uint32_t>(rec.value.size());
+      }
+    }
+  }
+
+  std::vector<ReconstructedColumn> out;
+  for (uint32_t col : req.missing_columns) {
+    out.push_back(ReconstructedColumn{col, {}, {}});
+  }
+  auto out_col = [&](uint32_t col) -> ReconstructedColumn& {
+    return *std::find_if(out.begin(), out.end(),
+                         [&](const auto& c) { return c.column == col; });
+  };
+  const BufferView kEmpty;
+  for (auto& [rank, st] : table) {
+    std::vector<size_t> wanted;
+    for (uint32_t col : missing_data) {
+      if (st.keys[col].has_value()) wanted.push_back(col);
+    }
+    std::map<uint32_t, BufferView> values = st.data;
+    if (!wanted.empty()) {
+      std::vector<std::pair<size_t, BufferView>> available;
+      for (const auto& s : req.survivors) {
+        if (s.is_parity(m)) continue;
+        auto it = st.data.find(s.column);
+        available.emplace_back(s.column,
+                               it == st.data.end() ? kEmpty : it->second);
+      }
+      for (uint32_t slot = req.existing_slots; slot < m; ++slot) {
+        available.emplace_back(slot, kEmpty);
+      }
+      for (const auto& s : req.survivors) {
+        if (!s.is_parity(m)) continue;
+        auto it = st.parity.find(s.column);
+        available.emplace_back(s.column,
+                               it == st.parity.end() ? kEmpty : it->second);
+      }
+      auto decoded = req.coder->DecodeData(available, wanted);
+      if (!decoded.ok()) return decoded.status();
+      for (size_t i = 0; i < wanted.size(); ++i) {
+        Bytes v = (*decoded)[i];
+        v.resize(st.lengths[wanted[i]]);
+        values[static_cast<uint32_t>(wanted[i])] = BufferView(v);
+        out_col(static_cast<uint32_t>(wanted[i]))
+            .records.push_back(RankedRecord{rank, *st.keys[wanted[i]], v});
+      }
+    }
+    bool any_member = false;
+    for (uint32_t slot = 0; slot < req.existing_slots; ++slot) {
+      any_member |= st.keys[slot].has_value();
+    }
+    if (!any_member) continue;
+    for (uint32_t col : missing_parity) {
+      BufferView parity;
+      for (uint32_t slot = 0; slot < req.existing_slots; ++slot) {
+        if (!st.keys[slot].has_value() || values[slot].empty()) continue;
+        req.coder->ApplyDelta(slot, values[slot], col - m, &parity);
+      }
+      WireParityRecord pr;
+      pr.rank = rank;
+      pr.keys = st.keys;
+      pr.lengths = st.lengths;
+      pr.parity = std::move(parity);
+      out_col(col).parity_records.push_back(std::move(pr));
+    }
+  }
+  return out;
+}
+
+struct CodeCase {
+  const char* code;
+  FieldChoice field;
+};
+
+class ReconstructionOracleTest : public ::testing::TestWithParam<CodeCase> {};
+
+/// One random group: sparse ranks, members of odd lengths (GF(2^16)
+/// pads them) from a few bytes to several KiB (so a rebuild spans more
+/// than one decode batch), a partial last group, and every parity column
+/// encoded.
+struct RandomGroup {
+  std::vector<ColumnDump> columns;  // Data slots < existing, then parity.
+  uint32_t existing = 0;
+};
+
+RandomGroup MakeRandomGroup(const ErasureCoder& coder, uint32_t existing,
+                            Rng& rng) {
+  const uint32_t m = coder.m();
+  RandomGroup g;
+  g.existing = existing;
+  std::vector<Rank> ranks;
+  for (Rank r = 1; ranks.size() < 64; r += 1 + rng.Uniform(40)) {
+    ranks.push_back(r);
+  }
+  std::vector<ColumnDump> data(existing);
+  std::vector<ColumnDump> parity(coder.k());
+  for (uint32_t slot = 0; slot < existing; ++slot) data[slot].column = slot;
+  for (uint32_t j = 0; j < coder.k(); ++j) parity[j].column = m + j;
+  for (Rank r : ranks) {
+    WireParityRecord proto;
+    proto.rank = r;
+    proto.keys.resize(m);
+    proto.lengths.resize(m, 0);
+    std::vector<Bytes> values(m);
+    bool any = false;
+    for (uint32_t slot = 0; slot < existing; ++slot) {
+      if (rng.Uniform(10) < 3) continue;  // ~30% holes.
+      const size_t max_len = rng.Uniform(3) == 0 ? 8191 : 61;
+      values[slot] = rng.RandomBytes(1 + rng.Uniform(max_len));
+      const Key key = 100000 * static_cast<Key>(r) + slot;
+      data[slot].records.push_back(RankedRecord{r, key, values[slot]});
+      proto.keys[slot] = key;
+      proto.lengths[slot] = static_cast<uint32_t>(values[slot].size());
+      any = true;
+    }
+    if (!any) continue;
+    for (uint32_t j = 0; j < coder.k(); ++j) {
+      WireParityRecord pr = proto;
+      for (uint32_t slot = 0; slot < existing; ++slot) {
+        if (!values[slot].empty()) {
+          coder.ApplyDelta(slot, values[slot], j, &pr.parity);
+        }
+      }
+      parity[j].parity_records.push_back(std::move(pr));
+    }
+  }
+  g.columns = std::move(data);
+  for (auto& p : parity) g.columns.push_back(std::move(p));
+  return g;
+}
+
+void ExpectSameColumns(const std::vector<ReconstructedColumn>& got,
+                       const std::vector<ReconstructedColumn>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t c = 0; c < want.size(); ++c) {
+    ASSERT_EQ(got[c].column, want[c].column) << where;
+    ASSERT_EQ(got[c].records.size(), want[c].records.size()) << where;
+    for (size_t i = 0; i < want[c].records.size(); ++i) {
+      EXPECT_EQ(got[c].records[i].rank, want[c].records[i].rank) << where;
+      EXPECT_EQ(got[c].records[i].key, want[c].records[i].key) << where;
+      EXPECT_EQ(got[c].records[i].value, want[c].records[i].value) << where;
+    }
+    ASSERT_EQ(got[c].parity_records.size(), want[c].parity_records.size())
+        << where;
+    for (size_t i = 0; i < want[c].parity_records.size(); ++i) {
+      const auto& a = got[c].parity_records[i];
+      const auto& b = want[c].parity_records[i];
+      EXPECT_EQ(a.rank, b.rank) << where;
+      EXPECT_EQ(a.keys, b.keys) << where;
+      EXPECT_EQ(a.lengths, b.lengths) << where;
+      EXPECT_EQ(a.parity, b.parity) << where;
+    }
+  }
+}
+
+TEST_P(ReconstructionOracleTest, MatchesPerRankDecodeByteForByte) {
+  const auto [code_name, field] = GetParam();
+  auto spec = parity::CodeSpec::Parse(code_name);
+  ASSERT_TRUE(spec.ok());
+  constexpr uint32_t kM = 4;
+  size_t rebuilt = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed * 7919);
+    // LRC with locality 2 over m = 4 needs k >= 2 (one XOR per group).
+    const uint32_t k =
+        (spec->kind == parity::CodeKind::kLrc ? 2 : 1) + rng.Uniform(2);
+    CoderCache coders(kM, field, *spec);
+    const ErasureCoder& coder = coders.ForK(k);
+    const uint32_t existing = 1 + static_cast<uint32_t>(rng.Uniform(kM));
+    RandomGroup g = MakeRandomGroup(coder, existing, rng);
+
+    // Erase up to k columns, data and parity mixed; survivors arrive in
+    // a seeded order.
+    std::vector<ColumnDump> pool = g.columns;
+    for (size_t i = pool.size(); i > 1; --i) {
+      std::swap(pool[i - 1], pool[rng.Uniform(i)]);
+    }
+    const size_t erase = 1 + rng.Uniform(k);
+    ReconstructionRequest req;
+    req.m = kM;
+    req.k = k;
+    req.coder = &coder;
+    req.existing_slots = existing;
+    req.progressive = spec->progressive;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (i < erase) {
+        req.missing_columns.push_back(pool[i].column);
+      } else {
+        req.survivors.push_back(pool[i]);
+      }
+    }
+
+    const std::string where = std::string(code_name) + " seed " +
+                              std::to_string(seed) + " k " +
+                              std::to_string(k);
+    auto got = ReconstructColumns(req);
+    auto want = PerRankOracle(req);
+    ASSERT_EQ(got.ok(), want.ok()) << where << ": " << got.status() << " vs "
+                                   << want.status();
+    if (!got.ok()) {
+      EXPECT_TRUE(got.status().IsDataLoss()) << where;
+      continue;
+    }
+    ExpectSameColumns(*got, *want, where);
+    // And against the ground truth: every lost column comes back whole.
+    for (const auto& col : *got) {
+      const ColumnDump& truth = *std::find_if(
+          g.columns.begin(), g.columns.end(),
+          [&](const auto& d) { return d.column == col.column; });
+      if (col.column < kM) {
+        ASSERT_EQ(col.records.size(), truth.records.size()) << where;
+        for (size_t i = 0; i < truth.records.size(); ++i) {
+          EXPECT_EQ(col.records[i].value, truth.records[i].value) << where;
+        }
+      } else {
+        ASSERT_EQ(col.parity_records.size(), truth.parity_records.size())
+            << where;
+        for (size_t i = 0; i < truth.parity_records.size(); ++i) {
+          EXPECT_EQ(col.parity_records[i].parity,
+                    truth.parity_records[i].parity)
+              << where;
+        }
+      }
+    }
+    ++rebuilt;
+  }
+  EXPECT_GT(rebuilt, 30u) << "too few decodable patterns to mean much";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Codes, ReconstructionOracleTest,
+    ::testing::Values(CodeCase{"rs", FieldChoice::kGf256},
+                      CodeCase{"rs", FieldChoice::kGf65536},
+                      CodeCase{"rs+prog", FieldChoice::kGf256},
+                      CodeCase{"rs+prog", FieldChoice::kGf65536},
+                      CodeCase{"lrc2", FieldChoice::kGf256},
+                      CodeCase{"lrc2", FieldChoice::kGf65536},
+                      CodeCase{"lrc2+prog", FieldChoice::kGf256},
+                      CodeCase{"lrc2+prog", FieldChoice::kGf65536}),
+    [](const auto& info) {
+      std::string name = info.param.code;
+      for (char& c : name) {
+        if (c == '+') c = '_';
+      }
+      return name + (info.param.field == FieldChoice::kGf256 ? "_gf8"
+                                                            : "_gf16");
+    });
+
+// ---------------------------------------------------------------------------
+// Loud failures: a corrupted survivor must stop the rebuild, not install
+// garbage.
+
+TEST(ReconstructionDeathTest, CorruptSurvivorTripsPaddingCheck) {
+  CoderCache coders(4);
+  const ErasureCoder& coder = coders.ForK(2);
+  const Bytes short_value(5, 0x11);  // Slot 0: 5 bytes.
+  const Bytes long_value(40, 0x22);  // Slot 1: 40 bytes.
+  ColumnDump d1;
+  d1.column = 1;
+  d1.records.push_back(RankedRecord{1, 101, long_value});
+  ColumnDump p0;
+  p0.column = 4;
+  WireParityRecord pr;
+  pr.rank = 1;
+  pr.keys = {Key{100}, Key{101}, std::nullopt, std::nullopt};
+  pr.lengths = {5, 40, 0, 0};
+  Bytes parity;
+  coder.ApplyDelta(0, short_value, 0, &parity);
+  coder.ApplyDelta(1, long_value, 0, &parity);
+  parity[20] ^= 0x5a;  // Beyond slot 0's 5 recorded bytes.
+  pr.parity = parity;
+  p0.parity_records.push_back(pr);
+
+  ReconstructionRequest req;
+  req.m = 4;
+  req.k = 2;
+  req.coder = &coder;
+  req.existing_slots = 2;
+  req.survivors = {d1, p0};
+  req.missing_columns = {0};
+  EXPECT_DEATH((void)ReconstructColumns(req), "non-zero padding");
+}
+
+TEST(ReconstructionDeathTest, ParityMetadataMismatchIsFatal) {
+  Fixture fx(4, 1, 4, 7);
+  ReconstructionRequest req;
+  req.m = 4;
+  req.k = 1;
+  req.coder = &fx.coders.ForK(1);
+  req.existing_slots = 4;
+  ColumnDump parity = fx.parity_dumps[0];
+  // Rank 1's member at slot 2 is listed under a key slot 2 never held.
+  ASSERT_TRUE(parity.parity_records[0].keys[2].has_value());
+  parity.parity_records[0].keys[2] = 424242;
+  req.survivors = {fx.data_dumps[1], fx.data_dumps[2], fx.data_dumps[3],
+                   parity};
+  req.missing_columns = {0};
+  EXPECT_DEATH((void)ReconstructColumns(req),
+               "parity metadata disagrees with data column 2");
 }
 
 }  // namespace

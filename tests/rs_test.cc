@@ -375,6 +375,67 @@ TYPED_TEST(GroupCoderTest, AnyMSubsetReconstructsRandomGeometry) {
   }
 }
 
+TYPED_TEST(GroupCoderTest, PlanDecodeMatchesDecodeDataOnEveryColumnSet) {
+  // Every subset of the m + k columns: decodable sets yield a plan whose
+  // application equals DecodeData (and the original data); undecodable
+  // sets fail with DataLoss on both paths. Odd lengths exercise the
+  // GF(2^16) symbol padding.
+  const uint32_t m = 4, k = 3;
+  for (const char* name : {"rs", "lrc2"}) {
+    auto code = MakeCode(name, m, k, FieldChoiceOf<TypeParam>());
+    Rng rng(877);
+    std::vector<Bytes> data(m);
+    std::vector<const Bytes*> ptrs(m);
+    for (uint32_t i = 0; i < m; ++i) {
+      data[i] = rng.RandomBytes(1 + 2 * rng.Uniform(20));
+      ptrs[i] = &data[i];
+    }
+    const std::vector<Bytes> parity = code->Encode(ptrs);
+    size_t decodable = 0;
+    for (uint32_t mask = 0; mask < (1u << (m + k)); ++mask) {
+      std::vector<uint32_t> columns;
+      std::vector<std::pair<size_t, Bytes>> available;
+      std::vector<uint32_t> wanted;
+      for (uint32_t col = 0; col < m + k; ++col) {
+        if (mask & (1u << col)) {
+          columns.push_back(col);
+          available.emplace_back(col, col < m ? data[col] : parity[col - m]);
+        } else if (col < m) {
+          wanted.push_back(col);
+        }
+      }
+      if (wanted.empty()) continue;
+      const std::vector<size_t> wanted_sz(wanted.begin(), wanted.end());
+      const bool can = code->CanDecodeFrom(columns, wanted);
+      auto plan = code->PlanDecode(columns, wanted);
+      auto decoded = code->DecodeData(available, wanted_sz);
+      ASSERT_EQ(plan.ok(), can) << name << " mask " << mask;
+      ASSERT_EQ(decoded.ok(), can) << name << " mask " << mask;
+      if (!can) {
+        EXPECT_TRUE(plan.status().IsDataLoss()) << name << " mask " << mask;
+        EXPECT_TRUE(decoded.status().IsDataLoss()) << name << " mask " << mask;
+        continue;
+      }
+      ++decodable;
+      EXPECT_EQ((*plan)->wanted(), wanted);
+      std::vector<BufferView> views;
+      for (uint32_t col : (*plan)->inputs()) {
+        ASSERT_TRUE(mask & (1u << col)) << "plan reads a column not given";
+        views.emplace_back(col < m ? data[col] : parity[col - m]);
+      }
+      std::vector<const BufferView*> payloads;
+      for (const BufferView& v : views) payloads.push_back(&v);
+      const std::vector<Bytes> applied = (*plan)->Decode(payloads);
+      EXPECT_EQ(applied, *decoded) << name << " mask " << mask;
+      for (size_t i = 0; i < wanted.size(); ++i) {
+        EXPECT_EQ(applied[i], PadTo(data[wanted[i]], applied[i].size()))
+            << name << " mask " << mask << " slot " << wanted[i];
+      }
+    }
+    EXPECT_GT(decodable, 0u) << name;
+  }
+}
+
 TYPED_TEST(GroupCoderTest, ProgressiveDecoderFinishesEarly) {
   const uint32_t m = 4, k = 2;
   auto code = MakeCode("rs+prog", m, k, FieldChoiceOf<TypeParam>());
