@@ -7,6 +7,7 @@
 //      (the design axis on which LH*RS sits at the far end).
 
 #include <cstdio>
+#include <optional>
 
 #include "baselines/lhg/lhg_file.h"
 #include "bench/bench_util.h"
@@ -45,8 +46,9 @@ void RankReuseAblation(BenchReport& r) {
     for (uint32_t g = 0; g < file.group_count(); ++g) {
       const auto* p = file.parity_bucket(g, 0);
       parity_records += p->parity_record_count();
-      for (const auto& [rank, rec] : p->parity_records()) {
-        for (const auto& key : rec.keys) members += key.has_value() ? 1 : 0;
+      for (const Rank rank : p->ParityRanks()) {
+        const std::optional<ParityRecord> rec = p->FindParityRecord(rank);
+        for (const auto& key : rec->keys) members += key.has_value() ? 1 : 0;
       }
     }
     const StorageStats stats = file.GetStorageStats();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -217,22 +218,23 @@ Status LhrsFile::VerifyParityInvariants() const {
     const ErasureCoder& coder = lhrs_ctx_->coders->ForK(info.k);
     for (uint32_t j = 0; j < info.k; ++j) {
       const ParityBucketNode* parity = parity_bucket(g, j);
-      const auto& records = parity->parity_records();
       // Every ground-truth rank must have a parity record, and vice versa.
-      if (records.size() != truth.size()) {
+      const size_t parity_records = parity->ParityRanks().size();
+      if (parity_records != truth.size()) {
         return Status::Internal(
             "group " + std::to_string(g) + " parity " + std::to_string(j) +
-            ": " + std::to_string(records.size()) + " parity records vs " +
+            ": " + std::to_string(parity_records) + " parity records vs " +
             std::to_string(truth.size()) + " record groups");
       }
       for (const auto& [rank, t] : truth) {
-        auto it = records.find(rank);
-        if (it == records.end()) {
+        const std::optional<ParityRecord> found =
+            parity->FindParityRecord(rank);
+        if (!found.has_value()) {
           return Status::Internal("group " + std::to_string(g) +
                                   ": missing parity record for rank " +
                                   std::to_string(rank));
         }
-        const ParityRecord& pr = it->second;
+        const ParityRecord& pr = *found;
         for (uint32_t slot = 0; slot < m; ++slot) {
           if (pr.keys[slot] != t.keys[slot]) {
             return Status::Internal(

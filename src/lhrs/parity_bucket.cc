@@ -44,14 +44,102 @@ ParityBucketNode::ParityBucketNode(std::shared_ptr<LhrsContext> ctx,
       group_(group),
       parity_index_(parity_index),
       k_(k),
-      initialized_(pre_initialized) {
+      initialized_(pre_initialized),
+      m_(ctx_->m) {
   LHRS_CHECK_LT(parity_index_, k_);
 }
 
 size_t ParityBucketNode::StorageBytes() const {
-  size_t n = 0;
-  for (const auto& [rank, rec] : records_) n += rec.StorageBytes();
+  // Per parity record: m member slots of key + length, plus the parity.
+  size_t n = live_ranks_ * m_ * 12;
+  for (const BufferView& parity : parity_) n += parity.size();
   return n;
+}
+
+std::optional<size_t> ParityBucketNode::RowOf(Rank rank) const {
+  if (rank == 0 || rank > member_count_.size() ||
+      member_count_[rank - 1] == 0) {
+    return std::nullopt;
+  }
+  return rank - 1;
+}
+
+std::vector<Rank> ParityBucketNode::ParityRanks() const {
+  std::vector<Rank> ranks;
+  ranks.reserve(live_ranks_);
+  for (size_t row = 0; row < member_count_.size(); ++row) {
+    if (member_count_[row] != 0) ranks.push_back(static_cast<Rank>(row + 1));
+  }
+  return ranks;
+}
+
+std::optional<ParityRecord> ParityBucketNode::FindParityRecord(
+    Rank rank) const {
+  const std::optional<size_t> row = RowOf(rank);
+  if (!row.has_value()) return std::nullopt;
+  return Materialize(*row);
+}
+
+bool ParityBucketNode::FlipParityByteForTest(Rank rank, size_t offset,
+                                             uint8_t mask) {
+  const std::optional<size_t> row = RowOf(rank);
+  if (!row.has_value() || offset >= parity_[*row].size()) return false;
+  parity_[*row].MutableData()[offset] ^= mask;
+  return true;
+}
+
+bool ParityBucketNode::SetLengthForTest(Rank rank, uint32_t slot,
+                                        uint32_t length) {
+  const std::optional<size_t> row = RowOf(rank);
+  if (!row.has_value() || slot >= m_) return false;
+  lengths_[Cell(*row, slot)] = length;
+  return true;
+}
+
+bool ParityBucketNode::SetKeyForTest(Rank rank, uint32_t slot, Key key) {
+  const std::optional<size_t> row = RowOf(rank);
+  if (!row.has_value() || slot >= m_ || !HasMember(Cell(*row, slot))) {
+    return false;
+  }
+  keys_[Cell(*row, slot)] = key;
+  return true;
+}
+
+void ParityBucketNode::GrowTo(Rank rank) {
+  if (rank <= member_count_.size()) return;
+  member_count_.resize(rank, 0);
+  parity_.resize(rank);
+  keys_.resize(size_t{rank} * m_, 0);
+  lengths_.resize(size_t{rank} * m_, 0);
+  members_bits_.resize((size_t{rank} * m_ + 63) / 64, 0);
+}
+
+void ParityBucketNode::AddMember(size_t row, uint32_t slot, Key key,
+                                 Rank rank) {
+  const size_t cell = Cell(row, slot);
+  keys_[cell] = key;
+  members_bits_[cell / 64] |= uint64_t{1} << (cell % 64);
+  if (member_count_[row]++ == 0) ++live_ranks_;
+  key_index_[key] = rank;
+}
+
+void ParityBucketNode::DropRow(size_t row) {
+  parity_[row] = BufferView{};
+  for (uint32_t slot = 0; slot < m_; ++slot) lengths_[Cell(row, slot)] = 0;
+  --live_ranks_;
+}
+
+ParityRecord ParityBucketNode::Materialize(size_t row) const {
+  ParityRecord rec;
+  rec.keys.resize(m_);
+  rec.lengths.resize(m_);
+  for (uint32_t slot = 0; slot < m_; ++slot) {
+    const size_t cell = Cell(row, slot);
+    if (HasMember(cell)) rec.keys[slot] = keys_[cell];
+    rec.lengths[slot] = lengths_[cell];
+  }
+  rec.parity = parity_[row];
+  return rec;
 }
 
 void ParityBucketNode::HandleMessage(const Message& msg) {
@@ -139,13 +227,14 @@ void ParityBucketNode::Dispatch(const Message& msg) {
       reply->task_id = req.task_id;
       reply->parity_index = parity_index_;
       auto it = key_index_.find(req.key);
-      if (it != key_index_.end()) {
-        const ParityRecord& rec = records_.at(it->second);
+      if (it != key_index_.end() && req.slot < m_) {
+        const size_t row = it->second - 1;
+        const size_t cell = Cell(row, req.slot);
         // The key must sit at the requested slot: keys are unique file-wide
         // and the slot is derived from the key's correct bucket.
-        if (rec.keys[req.slot] == req.key) {
+        if (HasMember(cell) && keys_[cell] == req.key) {
           reply->found = true;
-          reply->record = ToWire(it->second, rec);
+          reply->record = ToWire(row);
         }
       }
       Send(msg.from, std::move(reply));
@@ -157,10 +246,9 @@ void ParityBucketNode::Dispatch(const Message& msg) {
       auto reply = std::make_unique<ParityRecordReplyMsg>();
       reply->task_id = req.task_id;
       reply->column = ctx_->m + parity_index_;
-      auto it = records_.find(req.rank);
-      if (it != records_.end()) {
+      if (const std::optional<size_t> row = RowOf(req.rank)) {
         reply->found = true;
-        reply->record = ToWire(it->first, it->second);
+        reply->record = ToWire(*row);
       }
       Send(msg.from, std::move(reply));
       return;
@@ -171,9 +259,9 @@ void ParityBucketNode::Dispatch(const Message& msg) {
       auto reply = std::make_unique<ColumnReadReplyMsg>();
       reply->task_id = req.task_id;
       reply->column = ctx_->m + parity_index_;
-      reply->parity_records.reserve(records_.size());
-      for (const auto& [rank, rec] : records_) {
-        reply->parity_records.push_back(ToWire(rank, rec));
+      reply->parity_records.reserve(live_ranks_);
+      for (const Rank rank : ParityRanks()) {
+        reply->parity_records.push_back(ToWire(rank - 1));
       }
       Send(msg.from, std::move(reply));
       return;
@@ -233,8 +321,11 @@ void ParityBucketNode::ApplyDelta(const ParityDelta& delta) {
 }
 
 bool ParityBucketNode::TryApplyDelta(const ParityDelta& delta) {
-  const uint32_t m = ctx_->m;
-  LHRS_CHECK_LT(delta.slot, m);
+  LHRS_CHECK_LT(delta.slot, m_);
+  LHRS_CHECK_GE(delta.rank, 1u);
+  const size_t row = delta.rank - 1;
+  const size_t cell = Cell(row, delta.slot);
+  const bool has_member = row < member_count_.size() && HasMember(cell);
 
   // Precondition check before touching any state: kSet may not overwrite a
   // different live key, kNone needs a registered member, and kClear must
@@ -243,57 +334,44 @@ bool ParityBucketNode::TryApplyDelta(const ParityDelta& delta) {
   // clear(old key) can arrive after set(new key) for the same (rank, slot)
   // — applied blindly it would remove the new member and let the buffered
   // old set resurrect a deleted key in the parity metadata.
-  auto existing = records_.find(delta.rank);
-  const std::optional<Key>* cur =
-      existing == records_.end() ? nullptr
-                                 : &existing->second.keys[delta.slot];
   switch (delta.key_op) {
     case ParityDelta::KeyOp::kSet:
-      if (cur != nullptr && cur->has_value() && **cur != delta.key) {
-        return false;
-      }
+      if (has_member && keys_[cell] != delta.key) return false;
       break;
     case ParityDelta::KeyOp::kNone:
-      if (cur == nullptr || !cur->has_value()) return false;
+      if (!has_member) return false;
       break;
     case ParityDelta::KeyOp::kClear:
-      if (cur == nullptr || !cur->has_value() || **cur != delta.key) {
-        return false;
-      }
+      if (!has_member || keys_[cell] != delta.key) return false;
       break;
   }
 
-  auto [it, created] = records_.try_emplace(delta.rank, ParityRecord(m));
-  ParityRecord& rec = it->second;
-
+  GrowTo(delta.rank);
+  BufferView& parity = parity_[row];
   const ErasureCoder& coder = ctx_->coders->ForK(k_);
-  coder.ApplyDelta(delta.slot, delta.delta, parity_index_, &rec.parity);
+  coder.ApplyDelta(delta.slot, delta.delta, parity_index_, &parity);
 
   switch (delta.key_op) {
     case ParityDelta::KeyOp::kNone:
-      rec.lengths[delta.slot] = delta.new_length;
+      lengths_[cell] = delta.new_length;
       break;
     case ParityDelta::KeyOp::kSet:
-      if (!rec.keys[delta.slot].has_value()) {
-        rec.keys[delta.slot] = delta.key;
-        key_index_[delta.key] = delta.rank;
-      }
-      rec.lengths[delta.slot] = delta.new_length;
+      if (!has_member) AddMember(row, delta.slot, delta.key, delta.rank);
+      lengths_[cell] = delta.new_length;
       break;
     case ParityDelta::KeyOp::kClear:
-      key_index_.erase(*rec.keys[delta.slot]);
-      rec.keys[delta.slot].reset();
-      rec.lengths[delta.slot] = 0;
+      key_index_.erase(keys_[cell]);
+      members_bits_[cell / 64] &= ~(uint64_t{1} << (cell % 64));
+      lengths_[cell] = 0;
+      if (--member_count_[row] == 0) {
+        // The last member left: the parity of an empty group must be zero
+        // — a cheap, powerful integrity check of the whole delta pipeline.
+        LHRS_CHECK(AllZero(parity))
+            << "non-zero parity for empty record group (g=" << group_
+            << ", r=" << delta.rank << ")";
+        DropRow(row);
+      }
       break;
-  }
-
-  if (!rec.HasAnyMember()) {
-    // The last member left: the parity of an empty group must be zero —
-    // a cheap, powerful integrity check of the whole delta pipeline.
-    LHRS_CHECK(AllZero(rec.parity))
-        << "non-zero parity for empty record group (g=" << group_
-        << ", r=" << delta.rank << ")";
-    records_.erase(it);
   }
   return true;
 }
@@ -318,31 +396,40 @@ void ParityBucketNode::DrainPendingDeltas(Rank rank, uint32_t slot) {
   if (it->second.empty()) pending_deltas_.erase(it);
 }
 
-WireParityRecord ParityBucketNode::ToWire(Rank rank,
-                                          const ParityRecord& rec) const {
-  WireParityRecord out;
-  out.rank = rank;
-  out.keys = rec.keys;
-  out.lengths = rec.lengths;
-  out.parity = rec.parity;
-  return out;
+WireParityRecord ParityBucketNode::ToWire(size_t row) const {
+  ParityRecord rec = Materialize(row);
+  return {static_cast<Rank>(row + 1), std::move(rec.keys),
+          std::move(rec.lengths), std::move(rec.parity)};
 }
 
 void ParityBucketNode::InstallColumn(const InstallParityColumnMsg& install) {
   LHRS_CHECK_EQ(install.group, group_);
   LHRS_CHECK_EQ(install.parity_index, parity_index_);
-  records_.clear();
+  keys_.clear();
+  lengths_.clear();
+  members_bits_.clear();
+  member_count_.clear();
+  parity_.clear();
+  live_ranks_ = 0;
   key_index_.clear();
   pending_deltas_.clear();  // An install supersedes anything buffered.
   for (const auto& wire : install.parity_records) {
-    ParityRecord rec(ctx_->m);
-    rec.keys = wire.keys;
-    rec.lengths = wire.lengths;
-    rec.parity = wire.parity;
-    for (uint32_t slot = 0; slot < ctx_->m; ++slot) {
-      if (rec.keys[slot].has_value()) key_index_[*rec.keys[slot]] = wire.rank;
+    LHRS_CHECK_GE(wire.rank, 1u);
+    LHRS_CHECK(RowOf(wire.rank) == std::nullopt)
+        << "parity rank " << wire.rank << " installed twice";
+    LHRS_CHECK_EQ(wire.keys.size(), m_);
+    LHRS_CHECK_EQ(wire.lengths.size(), m_);
+    GrowTo(wire.rank);
+    const size_t row = wire.rank - 1;
+    for (uint32_t slot = 0; slot < m_; ++slot) {
+      if (wire.keys[slot].has_value()) {
+        AddMember(row, slot, *wire.keys[slot], wire.rank);
+      }
+      lengths_[Cell(row, slot)] = wire.lengths[slot];
     }
-    records_.emplace(wire.rank, std::move(rec));
+    LHRS_CHECK_GT(member_count_[row], 0u)
+        << "parity rank " << wire.rank << " installed without members";
+    parity_[row] = wire.parity;
   }
   initialized_ = true;
 }

@@ -17,27 +17,15 @@
 
 namespace lhrs {
 
-/// In-memory parity record of record group (g, rank) at one parity bucket:
-/// the member keys and lengths per data slot, and this parity column's
-/// Reed-Solomon parity bytes.
+/// Parity record of record group (g, rank) at one parity bucket,
+/// materialized from the bucket's rank-indexed columns: the member keys
+/// and lengths per data slot, and this parity column's Reed-Solomon
+/// parity bytes. A value type for wire dumps, invariant checks and tests;
+/// the bucket itself never stores one.
 struct ParityRecord {
   std::vector<std::optional<Key>> keys;  ///< size m.
   std::vector<uint32_t> lengths;         ///< size m; 0 when no member.
-  /// Copy-on-write view: delta application mutates in place while this
-  /// record is the sole owner, and detaches automatically when a ToWire
-  /// snapshot still shares the buffer (DESIGN.md section 10).
   BufferView parity;
-
-  explicit ParityRecord(uint32_t m) : keys(m), lengths(m, 0) {}
-
-  bool HasAnyMember() const {
-    for (const auto& k : keys) {
-      if (k.has_value()) return true;
-    }
-    return false;
-  }
-
-  size_t StorageBytes() const { return keys.size() * 12 + parity.size(); }
 };
 
 /// A server carrying one parity bucket: parity column `parity_index` of
@@ -60,20 +48,20 @@ class ParityBucketNode : public Node {
   uint32_t group() const { return group_; }
   uint32_t parity_index() const { return parity_index_; }
   uint32_t k() const { return k_; }
-  size_t parity_record_count() const { return records_.size(); }
+  /// Record groups with at least one member.
+  size_t parity_record_count() const { return live_ranks_; }
 
-  /// Local inspection for tests / invariant verification.
-  const std::map<Rank, ParityRecord>& parity_records() const {
-    return records_;
-  }
+  /// The ranks that have a parity record, ascending, and one record
+  /// materialized (column dumps, invariant checks, tests).
+  std::vector<Rank> ParityRanks() const;
+  std::optional<ParityRecord> FindParityRecord(Rank rank) const;
 
-  /// Test-only hook: mutable access to a parity record, used to inject
-  /// silent corruption that scrubbing must detect. Returns nullptr when
-  /// the rank has no record.
-  ParityRecord* MutableParityRecordForTest(Rank rank) {
-    auto it = records_.find(rank);
-    return it == records_.end() ? nullptr : &it->second;
-  }
+  /// Test-only hooks injecting silent corruption that scrubbing must
+  /// detect. Each returns false (and changes nothing) when the rank has no
+  /// parity record; SetKeyForTest also when the slot has no member.
+  bool FlipParityByteForTest(Rank rank, size_t offset, uint8_t mask);
+  bool SetLengthForTest(Rank rank, uint32_t slot, uint32_t length);
+  bool SetKeyForTest(Rank rank, uint32_t slot, Key key);
 
   size_t StorageBytes() const;
 
@@ -91,7 +79,21 @@ class ParityBucketNode : public Node {
   /// Telemetry for one applied delta round (a kParityDelta message or one
   /// kParityDeltaBatch of `deltas` updates).
   void RecordUpdateRound(size_t deltas);
-  WireParityRecord ToWire(Rank rank, const ParityRecord& rec) const;
+  /// Index of `rank` in the rank-indexed columns when it has a parity
+  /// record.
+  std::optional<size_t> RowOf(Rank rank) const;
+  size_t Cell(size_t row, uint32_t slot) const { return row * m_ + slot; }
+  bool HasMember(size_t cell) const {
+    return (members_bits_[cell / 64] >> (cell % 64)) & 1;
+  }
+  /// Grows the columns so `rank` has a row.
+  void GrowTo(Rank rank);
+  /// Registers `key` as the member at (row, slot).
+  void AddMember(size_t row, uint32_t slot, Key key, Rank rank);
+  /// Retires a record group whose last member left.
+  void DropRow(size_t row);
+  ParityRecord Materialize(size_t row) const;
+  WireParityRecord ToWire(size_t row) const;
   void InstallColumn(const InstallParityColumnMsg& install);
 
   std::shared_ptr<LhrsContext> ctx_;
@@ -102,7 +104,18 @@ class ParityBucketNode : public Node {
   uint32_t parity_index_;
   uint32_t k_;
   bool initialized_;
-  std::map<Rank, ParityRecord> records_;
+  uint32_t m_;  ///< Group size: data slots per record group.
+  // Parity records as dense columns indexed by row = rank - 1; a row with
+  // no member is free (no parity record). No per-record heap allocation.
+  std::vector<Key> keys_;         ///< [row * m + slot]; valid where a member.
+  std::vector<uint32_t> lengths_;  ///< [row * m + slot]; 0 when no member.
+  std::vector<uint64_t> members_bits_;  ///< Bitmap over [row * m + slot].
+  std::vector<uint32_t> member_count_;  ///< [row]: members per group.
+  /// [row]: copy-on-write parity view. Delta application mutates in place
+  /// while the column is the sole owner, and detaches automatically when a
+  /// ToWire snapshot still shares the buffer (DESIGN.md section 10).
+  std::vector<BufferView> parity_;
+  size_t live_ranks_ = 0;  ///< Rows with at least one member.
   /// Degraded-read index: key -> rank (keys are unique across the group).
   std::unordered_map<Key, Rank> key_index_;
   std::vector<std::shared_ptr<Message>> queued_;  // Pre-install traffic.

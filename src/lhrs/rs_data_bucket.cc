@@ -1,7 +1,6 @@
 #include "lhrs/rs_data_bucket.h"
 
-#include <algorithm>
-#include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -14,39 +13,23 @@ RsDataBucketNode::RsDataBucketNode(std::shared_ptr<LhrsContext> lhrs_ctx,
                                    BucketNo bucket_no, Level level,
                                    bool pre_initialized)
     : DataBucketNode(lhrs_ctx->base, bucket_no, level, pre_initialized),
-      lhrs_ctx_(std::move(lhrs_ctx)) {}
+      lhrs_ctx_(std::move(lhrs_ctx)) {
+  records_.set_reuse_slots(lhrs_ctx_->reuse_ranks);
+}
 
 Rank RsDataBucketNode::RankOf(Key key) const {
-  auto it = key_rank_.find(key);
-  LHRS_CHECK(it != key_rank_.end()) << "no rank for key " << key;
-  return it->second;
+  const std::optional<size_t> slot = records_.SlotOf(key);
+  LHRS_CHECK(slot.has_value()) << "no rank for key " << key;
+  return static_cast<Rank>(*slot + 1);
 }
 
 std::vector<RankedRecord> RsDataBucketNode::RankedRecords() const {
   std::vector<RankedRecord> out;
-  out.reserve(rank_key_.size());
-  for (const auto& [rank, key] : rank_key_) {
-    out.push_back(RankedRecord{rank, key, *records_.Find(key)});
-  }
+  out.reserve(records_.size());
+  records_.ForEachSlot([&](size_t slot, Key key, const BufferView& value) {
+    out.push_back(RankedRecord{static_cast<Rank>(slot + 1), key, value});
+  });
   return out;
-}
-
-Rank RsDataBucketNode::AllocRank() {
-  if (lhrs_ctx_->reuse_ranks && !free_ranks_.empty()) {
-    const Rank r = free_ranks_.top();
-    free_ranks_.pop();
-    return r;
-  }
-  return next_rank_++;
-}
-
-void RsDataBucketNode::FreeRank(Rank r) { free_ranks_.push(r); }
-
-void RsDataBucketNode::BindRank(Key key, Rank r) {
-  key_rank_[key] = r;
-  const auto [it, inserted] = rank_key_.emplace(r, key);
-  LHRS_CHECK(inserted) << "rank " << r << " already bound";
-  (void)it;
 }
 
 void RsDataBucketNode::ParkDelta(ParityDelta delta) {
@@ -81,10 +64,8 @@ void RsDataBucketNode::SendDelta(ParityDelta delta) {
 }
 
 void RsDataBucketNode::OnInsertCommitted(Key key, const BufferView& value) {
-  const Rank r = AllocRank();
-  BindRank(key, r);
   ParityDelta d;
-  d.rank = r;
+  d.rank = RankOf(key);
   d.slot = slot();
   d.key_op = ParityDelta::KeyOp::kSet;
   d.key = key;
@@ -111,12 +92,8 @@ void RsDataBucketNode::OnUpdateCommitted(Key key,
 
 void RsDataBucketNode::OnDeleteCommitted(Key key,
                                          const BufferView& old_value) {
-  const Rank r = RankOf(key);
-  key_rank_.erase(key);
-  rank_key_.erase(r);
-  FreeRank(r);
   ParityDelta d;
-  d.rank = r;
+  d.rank = RankOf(key);  // Freed by the store's erase right after.
   d.slot = slot();
   d.key_op = ParityDelta::KeyOp::kClear;
   d.key = key;  // The parity bucket refuses to clear any other key.
@@ -131,12 +108,8 @@ void RsDataBucketNode::OnRecordsMovedOut(std::vector<WireRecord>& moved) {
   std::vector<ParityDelta> deltas;
   deltas.reserve(moved.size());
   for (const auto& rec : moved) {
-    const Rank r = RankOf(rec.key);
-    key_rank_.erase(rec.key);
-    rank_key_.erase(r);
-    FreeRank(r);
     ParityDelta d;
-    d.rank = r;
+    d.rank = RankOf(rec.key);  // Freed when the mover is erased.
     d.slot = slot();
     d.key_op = ParityDelta::KeyOp::kClear;
     d.key = rec.key;
@@ -151,10 +124,8 @@ void RsDataBucketNode::OnRecordsMovedIn(const std::vector<WireRecord>& moved) {
   std::vector<ParityDelta> deltas;
   deltas.reserve(moved.size());
   for (const auto& rec : moved) {
-    const Rank r = AllocRank();
-    BindRank(rec.key, r);
     ParityDelta d;
-    d.rank = r;
+    d.rank = RankOf(rec.key);
     d.slot = slot();
     d.key_op = ParityDelta::KeyOp::kSet;
     d.key = rec.key;
@@ -190,13 +161,6 @@ void RsDataBucketNode::SendDeltaBatch(std::vector<ParityDelta> deltas) {
   }
 }
 
-void RsDataBucketNode::OnDecommissioned() {
-  key_rank_.clear();
-  rank_key_.clear();
-  next_rank_ = 1;
-  while (!free_ranks_.empty()) free_ranks_.pop();
-}
-
 void RsDataBucketNode::HandleSubclassMessage(const Message& msg) {
   switch (msg.body->kind()) {
     case LhrsMsg::kGroupConfig: {
@@ -217,12 +181,9 @@ void RsDataBucketNode::HandleSubclassMessage(const Message& msg) {
       reply->task_id = req.task_id;
       reply->column = slot();
       reply->level = level();
-      reply->records.reserve(rank_key_.size());
-      for (const auto& [rank, key] : rank_key_) {
-        // Views into the store's segments: the whole column dump ships
-        // without copying a single payload byte.
-        reply->records.push_back(RankedRecord{rank, key, *records_.Find(key)});
-      }
+      // Views into the store's segments, in rank order: the whole column
+      // dump ships without copying a single payload byte.
+      reply->records = RankedRecords();
       Send(msg.from, std::move(reply));
       return;
     }
@@ -231,11 +192,11 @@ void RsDataBucketNode::HandleSubclassMessage(const Message& msg) {
       auto reply = std::make_unique<RecordReadReplyMsg>();
       reply->task_id = req.task_id;
       reply->column = slot();
-      auto it = rank_key_.find(req.rank);
-      if (it != rank_key_.end()) {
+      const store::BucketStore::Entry* rec =
+          req.rank == 0 ? nullptr : records_.At(req.rank - 1);
+      if (rec != nullptr) {
         reply->found = true;
-        reply->record =
-            RankedRecord{req.rank, it->second, *records_.Find(it->second)};
+        reply->record = RankedRecord{req.rank, rec->key, rec->value};
       }
       Send(msg.from, std::move(reply));
       return;
@@ -336,26 +297,16 @@ void RsDataBucketNode::HandleSubclassDeliveryFailure(const Message& msg) {
 void RsDataBucketNode::InstallDataColumn(const InstallDataColumnMsg& install) {
   LHRS_CHECK_EQ(install.bucket, bucket_no());
   store::BucketStore records;
-  key_rank_.clear();
-  rank_key_.clear();
+  records.set_reuse_slots(lhrs_ctx_->reuse_ranks);
   records.Reserve(install.records.size());
-  key_rank_.reserve(install.records.size());
   for (const auto& rec : install.records) {
     // Adopt the install message's views — the reconstructed column lands
-    // without a per-record copy.
-    records.InsertShared(rec.key, rec.value);
-    BindRank(rec.key, rec.rank);
+    // without a per-record copy. The rank fixes the slot; the gaps below
+    // the highest rank become the free ranks.
+    LHRS_CHECK(rec.rank >= 1 && records.InsertAt(rec.rank - 1, rec.key,
+                                                 rec.value))
+        << "rank " << rec.rank << " (key " << rec.key << ") already bound";
   }
-  // The free ranks are the gaps below the highest installed rank: one
-  // ordered pass over the installed ranks, then one heapify.
-  std::vector<Rank> gaps;
-  Rank next = 1;
-  for (const auto& [rank, key] : rank_key_) {
-    for (; next < rank; ++next) gaps.push_back(next);
-    next = rank + 1;
-  }
-  next_rank_ = next;
-  free_ranks_ = decltype(free_ranks_)(std::greater<Rank>(), std::move(gaps));
   InstallRecoveredState(std::move(records), install.level);
 }
 

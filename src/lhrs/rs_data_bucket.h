@@ -1,10 +1,7 @@
 #ifndef LHRS_LHRS_RS_DATA_BUCKET_H_
 #define LHRS_LHRS_RS_DATA_BUCKET_H_
 
-#include <map>
 #include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "lhrs/messages.h"
@@ -17,9 +14,12 @@ namespace lhrs {
 /// rank to every resident record and keeps the k parity buckets of its
 /// bucket group consistent through incremental XOR/Reed-Solomon deltas.
 ///
-/// Rank discipline: ranks are 1-based and unique within the bucket; ranks
-/// freed by deletes and split moves are reused smallest-first so record
-/// groups stay dense (the paper's counter-reuse enhancement, section 4.3).
+/// Rank discipline: a record's rank is its store slot plus one, so ranks
+/// are 1-based, unique within the bucket and need no index of their own.
+/// Ranks freed by deletes and split moves are reused smallest-first (the
+/// store's slot policy) so record groups stay dense — the paper's
+/// counter-reuse enhancement, section 4.3. `LhrsContext::reuse_ranks`
+/// selects the store's monotone policy instead (ablation).
 class RsDataBucketNode : public DataBucketNode {
  public:
   RsDataBucketNode(std::shared_ptr<LhrsContext> lhrs_ctx, BucketNo bucket_no,
@@ -29,9 +29,8 @@ class RsDataBucketNode : public DataBucketNode {
   uint32_t slot() const { return SlotOf(bucket_no(), lhrs_ctx_->m); }
   bool has_group_config() const { return !parity_nodes_.empty(); }
 
-  /// Rank of a resident key (tests / invariant checks).
+  /// Rank of a resident key.
   Rank RankOf(Key key) const;
-  Rank next_rank() const { return next_rank_; }
 
   /// All resident records with their ranks, in rank order (tests /
   /// invariant verification; the protocol path is ColumnReadRequest).
@@ -44,7 +43,6 @@ class RsDataBucketNode : public DataBucketNode {
   void OnDeleteCommitted(Key key, const BufferView& old_value) override;
   void OnRecordsMovedOut(std::vector<WireRecord>& moved) override;
   void OnRecordsMovedIn(const std::vector<WireRecord>& moved) override;
-  void OnDecommissioned() override;
   /// Group commit for bulk loads: deltas generated between Begin and End
   /// are buffered and flushed as one ParityDeltaBatchMsg per parity bucket
   /// instead of one ParityDeltaMsg per record — k messages per sub-batch.
@@ -55,9 +53,6 @@ class RsDataBucketNode : public DataBucketNode {
   void HandleSubclassDeliveryFailure(const Message& msg) override;
 
  private:
-  Rank AllocRank();
-  void FreeRank(Rank r);
-  void BindRank(Key key, Rank r);
   /// Sends one delta to all k parity buckets of this bucket's group.
   void SendDelta(ParityDelta delta);
   /// Holds a delta generated before GroupConfig arrived (only possible on
@@ -80,12 +75,6 @@ class RsDataBucketNode : public DataBucketNode {
   /// of sending (see OnBatchCommitBegin/End).
   bool batching_deltas_ = false;
   std::vector<ParityDelta> batch_deltas_;
-
-  Rank next_rank_ = 1;
-  std::priority_queue<Rank, std::vector<Rank>, std::greater<Rank>>
-      free_ranks_;
-  std::unordered_map<Key, Rank> key_rank_;
-  std::map<Rank, Key> rank_key_;  ///< Ordered for deterministic dumps.
 };
 
 }  // namespace lhrs

@@ -85,7 +85,8 @@ struct LhrsContext {
   bool auto_recover = true;
   /// Ablation switch (DESIGN.md section 6): reuse ranks freed by deletes
   /// and split moves (keeps record groups dense) vs monotone ranks (group
-  /// occupancy decays, inflating parity storage).
+  /// occupancy decays, inflating parity storage). Ranks are store slots,
+  /// so this is the data buckets' store slot policy.
   bool reuse_ranks = true;
 };
 

@@ -1,5 +1,6 @@
 #include "lhstar/data_bucket.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -281,10 +282,11 @@ void DataBucketNode::ExecuteLocalOp(const OpRequestMsg& req) {
         ReplyToClient(req, StatusCode::kNotFound, "no such key", {});
         return;
       }
-      const BufferView old_value = *found;  // Shares; survives the erase.
+      // The hook runs before the erase, so a layer can still resolve the
+      // record's slot (the LH*RS rank).
+      OnDeleteCommitted(req.key, *found);
       records_.Erase(req.key);
       if (ctx_->total_records > 0) --ctx_->total_records;
-      OnDeleteCommitted(req.key, old_value);
       ReplyToClient(req, StatusCode::kOk, {}, {});
       if (ctx_->config.enable_merge &&
           records_.size() * 4 < ctx_->config.bucket_capacity) {
@@ -338,16 +340,23 @@ void DataBucketNode::HandleSplitOrder(const SplitOrderMsg& order) {
   LHRS_CHECK(order.new_level == level_ + 1 || order.new_level == level_);
   level_ = order.new_level;
 
+  // One walk over the slots picks the movers; only they are sorted, into
+  // the ascending key order the move message ships in.
   std::vector<WireRecord> moved;
-  records_.ForEachOrdered([&](uint64_t key, const BufferView& value) {
+  records_.ForEachSlot([&](size_t, uint64_t key, const BufferView& value) {
     if (HashL(key, level_, ctx_->config.initial_buckets) != bucket_no_) {
       // The wire record shares the stored segment bytes; the erase below
-      // only tombstones the slot, the view keeps the payload alive.
+      // only tombstones the payload, the view keeps it alive.
       moved.push_back(WireRecord{key, 0, value});
     }
   });
-  for (const auto& rec : moved) records_.Erase(rec.key);
+  std::sort(moved.begin(), moved.end(),
+            [](const WireRecord& a, const WireRecord& b) {
+              return a.key < b.key;
+            });
+  // The hook runs before the erase (slots still resolvable).
   OnRecordsMovedOut(moved);
+  for (const auto& rec : moved) records_.Erase(rec.key);
 
   auto move = std::make_unique<MoveRecordsMsg>();
   move->bucket = order.new_bucket;
@@ -417,8 +426,8 @@ void DataBucketNode::HandleMergeOut(const MergeOutMsg& order) {
   records_.ForEachOrdered([&](uint64_t key, const BufferView& value) {
     moved.push_back(WireRecord{key, 0, value});
   });
-  records_.Clear();
   OnRecordsMovedOut(moved);
+  records_.Clear();
 
   auto merge = std::make_unique<MergeRecordsMsg>();
   merge->parent_bucket = order.parent_bucket;

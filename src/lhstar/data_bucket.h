@@ -67,11 +67,12 @@ class DataBucketNode : public Node {
   /// An existing record's value changed (update path).
   virtual void OnUpdateCommitted(Key key, const BufferView& old_value,
                                  const BufferView& new_value);
-  /// A record was removed (delete path).
+  /// A record is being removed (delete path). Called just before the
+  /// erase, so the record is still in `records_`.
   virtual void OnDeleteCommitted(Key key, const BufferView& old_value);
-  /// Records are about to leave this bucket because of a split. The
-  /// vector is mutable so layers can attach per-record tags that must
-  /// travel with the move.
+  /// Records are about to leave this bucket because of a split or merge;
+  /// they are still in `records_` during the call. The vector is mutable
+  /// so layers can attach per-record tags that must travel with the move.
   virtual void OnRecordsMovedOut(std::vector<WireRecord>& moved);
   /// Records arrived from a splitting bucket.
   virtual void OnRecordsMovedIn(const std::vector<WireRecord>& moved);
@@ -112,7 +113,8 @@ class DataBucketNode : public Node {
   void ReportOverflowIfNeeded();
 
   /// Record storage: payloads packed in arena segments, handles O(1),
-  /// iteration in ascending key order (deterministic split movement).
+  /// one slot per record (LH*RS uses it as the rank), deterministic
+  /// iteration by slot or by ascending key.
   store::BucketStore records_;
 
  private:

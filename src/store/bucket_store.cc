@@ -1,5 +1,6 @@
 #include "store/bucket_store.h"
 
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -7,12 +8,12 @@ namespace lhrs::store {
 
 namespace {
 
-/// Slots are 8-byte aligned inside a segment so word-wise kernels start on
-/// a word boundary.
-constexpr size_t kSlotAlign = 8;
+/// Payloads are 8-byte aligned inside a segment so word-wise kernels
+/// start on a word boundary.
+constexpr size_t kPayloadAlign = 8;
 
-size_t AlignSlot(size_t n) {
-  return (n + kSlotAlign - 1) & ~(kSlotAlign - 1);
+size_t AlignPayload(size_t n) {
+  return (n + kPayloadAlign - 1) & ~(kPayloadAlign - 1);
 }
 
 /// Compact once tombstones exceed this fraction of the touched bytes (and
@@ -35,7 +36,7 @@ BufferView BucketStore::Intern(std::span<const uint8_t> value) {
     segments_.push_back(std::move(seg));
     return view;
   }
-  const size_t need = AlignSlot(value.size());
+  const size_t need = AlignPayload(value.size());
   if (segments_.empty() || head_used_ + need > segments_.back()->capacity()) {
     segments_.push_back(Buffer::Allocate(segment_capacity_));
     head_used_ = 0;
@@ -47,39 +48,77 @@ BufferView BucketStore::Intern(std::span<const uint8_t> value) {
   return view;
 }
 
+size_t BucketStore::AllocSlot() {
+  if (!reuse_slots_) return slots_.size();
+  // Lowest zero bit of the bitmap, read as if it extended with zeros past
+  // the last slot: a full bitmap yields slots_.size(), i.e. append.
+  while (free_hint_ < live_.size() && live_[free_hint_] == ~uint64_t{0}) {
+    ++free_hint_;
+  }
+  if (free_hint_ == live_.size()) return slots_.size();
+  return free_hint_ * 64 + std::countr_one(live_[free_hint_]);
+}
+
+void BucketStore::Occupy(size_t slot, uint64_t key, BufferView value) {
+  if (slot >= slots_.size()) {
+    slots_.resize(slot + 1);
+    live_.resize(slot / 64 + 1, 0);
+  }
+  live_[slot / 64] |= uint64_t{1} << (slot % 64);
+  live_bytes_ += value.size();
+  slots_[slot] = Entry{key, std::move(value)};
+}
+
 bool BucketStore::Insert(uint64_t key, std::span<const uint8_t> value) {
-  if (index_.contains(key)) return false;
-  BufferView view = Intern(value);
-  live_bytes_ += view.size();
-  index_.emplace(key, std::move(view));
+  const size_t slot = AllocSlot();
+  if (!index_.try_emplace(key, static_cast<uint32_t>(slot)).second) {
+    return false;
+  }
+  Occupy(slot, key, Intern(value));
   return true;
 }
 
 bool BucketStore::InsertShared(uint64_t key, BufferView value) {
-  if (index_.contains(key)) return false;
-  live_bytes_ += value.size();
-  index_.emplace(key, std::move(value));
+  const size_t slot = AllocSlot();
+  if (!index_.try_emplace(key, static_cast<uint32_t>(slot)).second) {
+    return false;
+  }
+  Occupy(slot, key, std::move(value));
+  return true;
+}
+
+bool BucketStore::InsertAt(size_t slot, uint64_t key, BufferView value) {
+  if (IsLive(slot) ||
+      !index_.try_emplace(key, static_cast<uint32_t>(slot)).second) {
+    return false;
+  }
+  Occupy(slot, key, std::move(value));
   return true;
 }
 
 void BucketStore::Put(uint64_t key, BufferView value) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    live_bytes_ += value.size();
-    index_.emplace(key, std::move(value));
+  const auto [it, inserted] =
+      index_.try_emplace(key, static_cast<uint32_t>(AllocSlot()));
+  if (inserted) {
+    Occupy(it->second, key, std::move(value));
     return;
   }
-  NoteDead(it->second.size());
+  BufferView& stored = slots_[it->second].value;
+  NoteDead(stored.size());
   live_bytes_ += value.size();
-  it->second = std::move(value);
+  stored = std::move(value);
   MaybeCompact();
 }
 
 bool BucketStore::Erase(uint64_t key) {
   auto it = index_.find(key);
   if (it == index_.end()) return false;
-  NoteDead(it->second.size());
+  const size_t slot = it->second;
   index_.erase(it);
+  NoteDead(slots_[slot].value.size());
+  slots_[slot].value = BufferView{};
+  live_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+  free_hint_ = std::min(free_hint_, slot / 64);
   MaybeCompact();
   return true;
 }
@@ -103,14 +142,13 @@ void BucketStore::Compact() {
   old_segments.swap(segments_);
   head_used_ = 0;
   live_bytes_ = 0;
-  // Ascending key order: the packed layout (and therefore any future
-  // whole-segment stream) is deterministic.
-  for (uint64_t key : SortedKeys()) {
-    auto it = index_.find(key);
-    BufferView packed = Intern(it->second.span());
-    live_bytes_ += packed.size();
-    it->second = std::move(packed);
-  }
+  // Ascending slot order: the packed layout is deterministic, and no key
+  // is sorted or re-indexed.
+  ForEachSlot([&](size_t slot, uint64_t, const BufferView&) {
+    BufferView& value = slots_[slot].value;
+    value = Intern(value.span());
+    live_bytes_ += value.size();
+  });
   // old_segments dies here unless outstanding views still pin entries.
   dead_bytes_ = 0;
   ++compactions_;
@@ -129,6 +167,9 @@ BucketStore::Stats BucketStore::GetStats() const {
 
 void BucketStore::Clear() {
   index_.clear();
+  slots_.clear();
+  live_.clear();
+  free_hint_ = 0;
   segments_.clear();
   head_used_ = 0;
   live_bytes_ = 0;
@@ -138,7 +179,9 @@ void BucketStore::Clear() {
 std::vector<uint64_t> BucketStore::SortedKeys() const {
   std::vector<uint64_t> keys;
   keys.reserve(index_.size());
-  for (const auto& [key, view] : index_) keys.push_back(key);
+  ForEachSlot([&](size_t, uint64_t key, const BufferView&) {
+    keys.push_back(key);
+  });
   std::sort(keys.begin(), keys.end());
   return keys;
 }

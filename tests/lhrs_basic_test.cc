@@ -2,6 +2,9 @@
 // deletes and splits, the parity buckets must hold exactly the
 // Reed-Solomon parity of the data buckets, group by group, rank by rank.
 
+#include <algorithm>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -37,12 +40,14 @@ TEST(LhrsBasicTest, ParityOfSingleRecordIsItsValue) {
   // With one member, the XOR parity column equals the record's payload.
   LhrsFile file(SmallOptions());
   ASSERT_TRUE(file.Insert(7, Val("solo")).ok());
-  const auto& records = file.parity_bucket(0, 0)->parity_records();
-  ASSERT_EQ(records.size(), 1u);
-  const ParityRecord& pr = records.begin()->second;
-  EXPECT_EQ(pr.parity, Val("solo"));
-  EXPECT_EQ(pr.keys[0], Key{7});
-  EXPECT_EQ(pr.lengths[0], 4u);
+  const ParityBucketNode* pb = file.parity_bucket(0, 0);
+  ASSERT_EQ(pb->ParityRanks().size(), 1u);
+  const std::optional<ParityRecord> pr =
+      pb->FindParityRecord(pb->ParityRanks().front());
+  ASSERT_TRUE(pr.has_value());
+  EXPECT_EQ(pr->parity, Val("solo"));
+  EXPECT_EQ(pr->keys[0], Key{7});
+  EXPECT_EQ(pr->lengths[0], 4u);
 }
 
 TEST(LhrsBasicTest, UpdateMaintainsParity) {
@@ -237,14 +242,135 @@ TEST(LhrsBasicTest, ReorderedClearOnlyRemovesItsOwnKey) {
   deliver(ParityDelta::KeyOp::kClear, 111, "AAAA");  // Stale: buffers.
   deliver(ParityDelta::KeyOp::kSet, 111, "AAAA");    // Stale: buffers.
   {
-    const auto& records = pb->parity_records();
-    ASSERT_TRUE(records.contains(rank));
-    EXPECT_EQ(records.at(rank).keys[2], Key{222});
-    EXPECT_EQ(records.at(rank).parity, Val("BBBB"));
+    const std::optional<ParityRecord> pr = pb->FindParityRecord(rank);
+    ASSERT_TRUE(pr.has_value());
+    EXPECT_EQ(pr->keys[2], Key{222});
+    EXPECT_EQ(pr->parity, Val("BBBB"));
   }
   deliver(ParityDelta::KeyOp::kClear, 222, "BBBB");
-  EXPECT_FALSE(pb->parity_records().contains(rank))
+  EXPECT_FALSE(pb->FindParityRecord(rank).has_value())
       << "the buffered stale set/clear pair must cancel to empty";
+}
+
+/// Receives what a bucket sends back to a test driver.
+class ReplySink : public Node {
+ public:
+  void HandleMessage(const Message& msg) override {
+    if (msg.body->kind() == LhrsMsg::kColumnReadReply) {
+      dumps.push_back(static_cast<const ColumnReadReplyMsg&>(*msg.body));
+    }
+  }
+  std::vector<ColumnReadReplyMsg> dumps;
+};
+
+/// Delivers `body` to `to` from `from` and runs the network dry.
+void DeliverFrom(LhrsFile& file, NodeId from, Node* to,
+                 std::unique_ptr<MessageBody> body) {
+  Message msg;
+  msg.from = from;
+  msg.to = to->id();
+  msg.body = std::move(body);
+  to->HandleMessage(msg);
+  file.network().RunUntilIdle();
+}
+
+/// The ranks of a parity bucket's column dump.
+std::vector<Rank> DumpRanks(LhrsFile& file, ReplySink* sink, NodeId sink_id,
+                            ParityBucketNode* pb) {
+  auto req = std::make_unique<ColumnReadRequestMsg>();
+  req->group = pb->group();
+  DeliverFrom(file, sink_id, pb, std::move(req));
+  std::vector<Rank> ranks;
+  for (const auto& pr : sink->dumps.back().parity_records) {
+    ranks.push_back(pr.rank);
+  }
+  return ranks;
+}
+
+TEST(LhrsBasicTest, EmptyGroupVanishesFromRanksAndDumps) {
+  LhrsFile file(SmallOptions());
+  auto owned = std::make_unique<ReplySink>();
+  ReplySink* sink = owned.get();
+  const NodeId sink_id = file.network().AddNode(std::move(owned));
+  for (Key k : {10, 20, 30}) ASSERT_TRUE(file.Insert(k, Val("v")).ok());
+  ParityBucketNode* pb = file.parity_bucket(0, 0);
+  EXPECT_EQ(pb->ParityRanks(), (std::vector<Rank>{1, 2, 3}));
+  const Rank gone = file.rs_bucket(0)->RankOf(20);
+  ASSERT_TRUE(file.Delete(20).ok());
+  std::vector<Rank> want = {1, 2, 3};
+  want.erase(std::find(want.begin(), want.end(), gone));
+  EXPECT_EQ(pb->ParityRanks(), want);
+  EXPECT_EQ(pb->parity_record_count(), 2u);
+  EXPECT_FALSE(pb->FindParityRecord(gone).has_value());
+  EXPECT_EQ(DumpRanks(file, sink, sink_id, pb), want);
+  // The freed rank is taken again: the group comes back with a fresh,
+  // single-member parity record.
+  ASSERT_TRUE(file.Insert(40, Val("new")).ok());
+  EXPECT_EQ(file.rs_bucket(0)->RankOf(40), gone);
+  const std::optional<ParityRecord> back = pb->FindParityRecord(gone);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->keys[0], Key{40});
+  EXPECT_EQ(back->lengths[0], 3u);
+  EXPECT_EQ(back->parity, Val("new"));
+  EXPECT_TRUE(file.VerifyParityInvariants().ok());
+}
+
+TEST(LhrsBasicTest, GappedRankParityInstallRoundTrips) {
+  LhrsFile file(SmallOptions());
+  auto owned = std::make_unique<ReplySink>();
+  ReplySink* sink = owned.get();
+  const NodeId sink_id = file.network().AddNode(std::move(owned));
+  ParityBucketNode* pb = file.parity_bucket(0, 0);
+
+  auto install = std::make_unique<InstallParityColumnMsg>();
+  install->group = 0;
+  install->parity_index = 0;
+  std::vector<WireParityRecord> want;
+  for (Rank rank : {1u, 2u, 7u, 300u}) {
+    WireParityRecord pr;
+    pr.rank = rank;
+    pr.keys.resize(4);
+    pr.lengths.assign(4, 0);
+    // Rank 7 has one member; the others two, at rank-dependent slots.
+    pr.keys[rank % 4] = Key{rank * 1000};
+    pr.lengths[rank % 4] = rank % 5 + 1;
+    if (rank != 7) {
+      pr.keys[(rank + 1) % 4] = Key{rank * 1000 + 1};
+      pr.lengths[(rank + 1) % 4] = 3;
+    }
+    pr.parity = BufferView::FromString("parity-" + std::to_string(rank));
+    want.push_back(pr);
+  }
+  install->parity_records = want;
+  DeliverFrom(file, sink_id, pb, std::move(install));
+
+  EXPECT_EQ(pb->ParityRanks(), (std::vector<Rank>{1, 2, 7, 300}));
+  EXPECT_FALSE(pb->FindParityRecord(3).has_value());
+  EXPECT_FALSE(pb->FindParityRecord(301).has_value());
+  EXPECT_EQ(pb->StorageBytes(), 4 * 4 * 12 + 3 * 8 + 10);  // m=4 slots each.
+  auto req = std::make_unique<ColumnReadRequestMsg>();
+  DeliverFrom(file, sink_id, pb, std::move(req));
+  const auto& dumped = sink->dumps.back().parity_records;
+  ASSERT_EQ(dumped.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(dumped[i].rank, want[i].rank);
+    EXPECT_EQ(dumped[i].keys, want[i].keys) << "rank " << want[i].rank;
+    EXPECT_EQ(dumped[i].lengths, want[i].lengths) << "rank " << want[i].rank;
+    EXPECT_EQ(dumped[i].parity, want[i].parity) << "rank " << want[i].rank;
+  }
+
+  // Clearing rank 7's only member folds its parity to zero: the group
+  // leaves the column.
+  auto clear = std::make_unique<ParityDeltaMsg>();
+  clear->delta.rank = 7;
+  clear->delta.slot = 7 % 4;
+  clear->delta.key_op = ParityDelta::KeyOp::kClear;
+  clear->delta.key = 7000;
+  clear->delta.delta = BufferView::FromString("parity-7");
+  DeliverFrom(file, sink_id, pb, std::move(clear));
+  EXPECT_EQ(DumpRanks(file, sink, sink_id, pb),
+            (std::vector<Rank>{1, 2, 300}));
+  EXPECT_EQ(pb->parity_record_count(), 3u);
 }
 
 TEST(LhrsBasicTest, SearchTouchesNoParityBuckets) {

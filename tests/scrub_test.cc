@@ -3,6 +3,7 @@
 // columns. The whole suite is parameterized over the parity code (RS and
 // LRC): scrubbing is scheme-agnostic and must behave identically.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,11 +52,8 @@ TEST_P(ScrubTest, DetectsFlippedParityBits) {
   // Silent bit rot in one parity record of group 0, column 1.
   auto* bucket = file.parity_bucket(0, 1);
   ASSERT_GT(bucket->parity_record_count(), 0u);
-  const Rank rank = bucket->parity_records().begin()->first;
-  ParityRecord* record = bucket->MutableParityRecordForTest(rank);
-  ASSERT_NE(record, nullptr);
-  ASSERT_FALSE(record->parity.empty());
-  record->parity.MutableData()[0] ^= 0xFF;
+  const Rank rank = bucket->ParityRanks().front();
+  ASSERT_TRUE(bucket->FlipParityByteForTest(rank, 0, 0xFF));
 
   const auto report = file.Scrub(/*repair=*/false);
   EXPECT_EQ(report.mismatched_parity_records, 1u);
@@ -67,10 +65,11 @@ TEST_P(ScrubTest, DetectsCorruptedMetadata) {
   LhrsFile file(Opts());
   Populate(file, 150, 63);
   auto* bucket = file.parity_bucket(0, 0);
-  const Rank rank = bucket->parity_records().begin()->first;
-  ParityRecord* record = bucket->MutableParityRecordForTest(rank);
-  ASSERT_NE(record, nullptr);
-  record->lengths[0] += 7;  // Length drift.
+  const Rank rank = bucket->ParityRanks().front();
+  const std::optional<ParityRecord> record = bucket->FindParityRecord(rank);
+  ASSERT_TRUE(record.has_value());
+  // Length drift.
+  ASSERT_TRUE(bucket->SetLengthForTest(rank, 0, record->lengths[0] + 7));
   const auto report = file.Scrub();
   EXPECT_GE(report.mismatched_parity_records, 1u);
 }
@@ -82,10 +81,10 @@ TEST_P(ScrubTest, RepairRestoresCorruptedColumns) {
   for (uint32_t j : {0u, 1u}) {
     auto* bucket = file.parity_bucket(0, j);
     int corrupted = 0;
-    for (const auto& [rank, unused] : bucket->parity_records()) {
-      ParityRecord* record = bucket->MutableParityRecordForTest(rank);
-      if (!record->parity.empty()) {
-        record->parity.MutableData()[record->parity.size() - 1] ^= 0x5A;
+    for (const Rank rank : bucket->ParityRanks()) {
+      const size_t size = bucket->FindParityRecord(rank)->parity.size();
+      if (size != 0) {
+        ASSERT_TRUE(bucket->FlipParityByteForTest(rank, size - 1, 0x5A));
         if (++corrupted == 3) break;
       }
     }
@@ -110,10 +109,13 @@ TEST_P(ScrubTest, DetectsDroppedParityRecord) {
   // Simulate a lost record: blank one out via the test hook by zeroing its
   // content is not enough (keys remain); instead corrupt all its keys'
   // metadata so the audit flags it.
-  const Rank rank = bucket->parity_records().rbegin()->first;
-  ParityRecord* record = bucket->MutableParityRecordForTest(rank);
-  for (auto& key : record->keys) {
-    if (key.has_value()) *key ^= 1;  // Wrong member keys.
+  const Rank rank = bucket->ParityRanks().back();
+  const std::optional<ParityRecord> record = bucket->FindParityRecord(rank);
+  for (uint32_t slot = 0; slot < record->keys.size(); ++slot) {
+    const std::optional<Key>& key = record->keys[slot];
+    if (key.has_value()) {
+      ASSERT_TRUE(bucket->SetKeyForTest(rank, slot, *key ^ 1));  // Wrong keys.
+    }
   }
   const auto report = file.Scrub(/*repair=*/true);
   EXPECT_GE(report.mismatched_parity_records, 1u);
@@ -129,8 +131,8 @@ TEST_P(ScrubTest, RepairedFileStillRecoversFromFailures) {
     if (file.Insert(k, rng.RandomBytes(24)).ok()) keys.push_back(k);
   }
   auto* bucket = file.parity_bucket(0, 0);
-  const Rank rank = bucket->parity_records().begin()->first;
-  bucket->MutableParityRecordForTest(rank)->parity.MutableData()[0] ^= 0x42;
+  ASSERT_TRUE(bucket->FlipParityByteForTest(bucket->ParityRanks().front(), 0,
+                                            0x42));
   (void)file.Scrub(/*repair=*/true);
 
   // Buckets 0 and 2 sit in distinct lrc2 local groups, so the double

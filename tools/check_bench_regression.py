@@ -10,7 +10,8 @@ when the fresh value exceeds the baseline by more than the tolerance —
 all simulated-cost tables report costs (messages, bytes, milliseconds),
 so higher is worse.
 
-Tables whose header contains rate columns ("ops/s", "bytes/s") are
+Tables whose header contains rate columns ("ops/s", "bytes/s": a "/s"
+not followed by a letter, so "msgs/search" or "KB/split" are costs) are
 measured wall-clock throughput, where higher is better and run-to-run
 noise is expected; those are checked in the opposite direction with a
 doubled tolerance, and only warn (throughput on shared CI runners is too
@@ -51,8 +52,17 @@ def parse_cell(cell):
     return None
 
 
+# A per-second rate unit: "/s" as a whole unit ("ops/s", "B/s",
+# "ops/s (sim)"), not the start of a word ("msgs/search", "KB/split").
+RATE_UNIT_RE = re.compile(r"/s(?![A-Za-z])")
+
+
+def is_rate_header(header_cell):
+    return RATE_UNIT_RE.search(header_cell) is not None
+
+
 def is_throughput_table(table):
-    return any("/s" in h for h in table.get("header", []))
+    return any(is_rate_header(h) for h in table.get("header", []))
 
 
 def is_sim_table(table):
@@ -110,7 +120,7 @@ def check_tables(baseline, fresh, tolerance):
                 f = parse_cell(f_cell)
                 if b is None or f is None or b <= 0:
                     continue
-                if sim and col < len(header) and "/s" in header[col]:
+                if sim and col < len(header) and is_rate_header(header[col]):
                     if f < b * (1 - tol):
                         failures.append(
                             f"{title!r} row {key} col {col}: sim throughput "
