@@ -294,12 +294,6 @@ bool RunCluster(BenchReport& r) {
   using transport::ClusterServer;
   using transport::ControlListener;
 
-  // Pre-register the global registries single-threaded; the member
-  // threads' own registration calls then find everything in place.
-  RegisterLhStarMessageNames();
-  RegisterLhrsMessageNames();
-  transport::RegisterAllWireCodecs();
-
   ClusterLayout layout;  // 3 servers + 2 clients, as in examples/cluster.
   layout.file.initial_buckets = 4;
   layout.file.bucket_capacity = 32;

@@ -27,7 +27,6 @@ LhgFile::LhgFile(Options options)
     : LhStarFile(ToBaseOptions(options), DeferInit{}),
       group_size_(options.group_size) {
   const bool g1 = options.reassign_group_keys_on_split;
-  RegisterLhgMessageNames();
 
   f2_ctx_ = std::make_shared<SystemContext>();
   f2_ctx_->config = ctx_->config;

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "net/stats.h"
 
 namespace lhrs::lhg {
 
@@ -80,22 +79,6 @@ void ParityRecordG::SetLength(Key c, uint32_t length) {
   const int i = FindMember(c);
   LHRS_CHECK_GE(i, 0);
   lengths[i] = length;
-}
-
-void RegisterLhgMessageNames() {
-  RegisterMessageKindName(LhgMsg::kParityUpdate, "lhg.ParityUpdate");
-  RegisterMessageKindName(LhgMsg::kParityIam, "lhg.ParityIam");
-  RegisterMessageKindName(LhgMsg::kCollectForData, "lhg.CollectForData");
-  RegisterMessageKindName(LhgMsg::kCollectForDataReply,
-                          "lhg.CollectForDataReply");
-  RegisterMessageKindName(LhgMsg::kCollectForParity, "lhg.CollectForParity");
-  RegisterMessageKindName(LhgMsg::kCollectForParityReply,
-                          "lhg.CollectForParityReply");
-  RegisterMessageKindName(LhgMsg::kInstallParity, "lhg.InstallParity");
-  RegisterMessageKindName(LhgMsg::kInstallData, "lhg.InstallData");
-  RegisterMessageKindName(LhgMsg::kInstallAck, "lhg.InstallAck");
-  RegisterMessageKindName(LhgMsg::kFindParity, "lhg.FindParity");
-  RegisterMessageKindName(LhgMsg::kFindParityReply, "lhg.FindParityReply");
 }
 
 }  // namespace lhrs::lhg

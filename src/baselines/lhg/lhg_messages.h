@@ -10,6 +10,7 @@
 #include "common/bytes.h"
 #include "lh/lh_math.h"
 #include "lhstar/messages.h"
+#include "net/fields.h"
 #include "net/message.h"
 
 namespace lhrs::lhg {
@@ -73,11 +74,12 @@ struct LhgMsg {
   static constexpr int kFindParityReply = MessageKindRange::kLhgBase + 10;
 };
 
-void RegisterLhgMessageNames();
-
 /// F1 data bucket (acting as an LH* client of F2) -> F2 parity bucket:
 /// maintain parity record `gkey`. Forwarded between parity buckets per A2.
-struct ParityUpdateMsg : MessageBody {
+struct ParityUpdateMsg : WireMessage<ParityUpdateMsg> {
+  static constexpr int kKind = LhgMsg::kParityUpdate;
+  static constexpr char kName[] = "lhg.ParityUpdate";
+
   uint64_t gkey = 0;
   enum class Op : uint8_t { kAddMember, kRemoveMember, kValueUpdate };
   Op op = Op::kAddMember;
@@ -88,53 +90,86 @@ struct ParityUpdateMsg : MessageBody {
   BucketNo intended_bucket = 0;
   int hops = 0;
 
-  int kind() const override { return LhgMsg::kParityUpdate; }
-  size_t ByteSize() const override { return 40 + delta.size(); }
+  template <class V>
+  void Fields(V& v) {
+    v(gkey);
+    v.Enum(op, Op::kValueUpdate);
+    v.Pad(3);
+    v(member);
+    v(new_length);
+    v(reply_to);
+    v(intended_bucket);
+    v(hops);
+    v(delta);
+  }
 };
 
 /// F2 parity bucket -> F1 data bucket: image adjustment for the data
 /// bucket's client image of F2 (sent when a parity update was forwarded).
-struct ParityIamMsg : MessageBody {
+struct ParityIamMsg : WireMessage<ParityIamMsg> {
+  static constexpr int kKind = LhgMsg::kParityIam;
+  static constexpr char kName[] = "lhg.ParityIam";
+
   BucketNo bucket = 0;
   Level level = 0;
 
-  int kind() const override { return LhgMsg::kParityIam; }
-  size_t ByteSize() const override { return 12; }
+  template <class V>
+  void Fields(V& v) {
+    v(bucket);
+    v(level);
+    v.Pad(4);
+  }
 };
 
 /// Coordinator -> every F2 bucket (A4 step 1): send the parity records
 /// relevant to recovering F1 bucket `bucket`, i.e. records with bucket
 /// group g = bucket / k containing some member whose address chain passes
 /// through `bucket` under file level `file_level`.
-struct CollectForDataMsg : MessageBody {
+struct CollectForDataMsg : WireMessage<CollectForDataMsg> {
+  static constexpr int kKind = LhgMsg::kCollectForData;
+  static constexpr char kName[] = "lhg.CollectForData";
+
   uint64_t task_id = 0;
   BucketNo bucket = 0;
   Level file_level = 0;
   uint32_t group_size = 0;      ///< k (bucket-group size).
   uint32_t initial_buckets = 0;  ///< N of F1.
 
-  int kind() const override { return LhgMsg::kCollectForData; }
-  size_t ByteSize() const override { return 24; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(bucket);
+    v(file_level);
+    v(group_size);
+    v(initial_buckets);
+  }
 };
 
 struct SerializedParityRecord {
   uint64_t gkey = 0;
   BufferView data;  ///< ParityRecordG::Serialize form.
 
-  /// gkey + length prefix + payload, matching the transport codec.
-  size_t ByteSize() const { return 12 + data.size(); }
+  template <class V>
+  void Fields(V& v) {
+    v(gkey);
+    v(data);
+  }
 };
 
-struct CollectForDataReplyMsg : MessageBody {
+struct CollectForDataReplyMsg : WireMessage<CollectForDataReplyMsg> {
+  static constexpr int kKind = LhgMsg::kCollectForDataReply;
+  static constexpr char kName[] = "lhg.CollectForDataReply";
+
   uint64_t task_id = 0;
   BucketNo from_bucket = 0;
   std::vector<SerializedParityRecord> records;
 
-  int kind() const override { return LhgMsg::kCollectForDataReply; }
-  size_t ByteSize() const override {
-    size_t n = 16;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(from_bucket);
+    v.Count(records);
+    for (SerializedParityRecord& r : records) v(r);
   }
 };
 
@@ -144,7 +179,10 @@ struct CollectForDataReplyMsg : MessageBody {
 /// died between an F2 split order and its execution, `also_bucket` names
 /// the (still empty) split target whose records also belong in the
 /// rebuilt victim.
-struct CollectForParityMsg : MessageBody {
+struct CollectForParityMsg : WireMessage<CollectForParityMsg> {
+  static constexpr int kKind = LhgMsg::kCollectForParity;
+  static constexpr char kName[] = "lhg.CollectForParity";
+
   uint64_t task_id = 0;
   BucketNo parity_bucket = 0;
   BucketNo also_bucket = ~BucketNo{0};
@@ -152,8 +190,16 @@ struct CollectForParityMsg : MessageBody {
   BucketNo n2 = 0;
   uint32_t f2_initial_buckets = 1;
 
-  int kind() const override { return LhgMsg::kCollectForParity; }
-  size_t ByteSize() const override { return 32; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(parity_bucket);
+    v(also_bucket);
+    v(i2);
+    v(n2);
+    v(f2_initial_buckets);
+    v.Pad(4);
+  }
 };
 
 struct TaggedRecord {
@@ -161,82 +207,132 @@ struct TaggedRecord {
   Key key = 0;
   BufferView value;
 
-  /// gkey + key + length prefix + payload, matching the transport codec.
-  size_t ByteSize() const { return 20 + value.size(); }
+  template <class V>
+  void Fields(V& v) {
+    v(gkey);
+    v(key);
+    v(value);
+  }
 };
 
-struct CollectForParityReplyMsg : MessageBody {
+struct CollectForParityReplyMsg : WireMessage<CollectForParityReplyMsg> {
+  static constexpr int kKind = LhgMsg::kCollectForParityReply;
+  static constexpr char kName[] = "lhg.CollectForParityReply";
+
   uint64_t task_id = 0;
   BucketNo from_bucket = 0;
   std::vector<TaggedRecord> records;
 
-  int kind() const override { return LhgMsg::kCollectForParityReply; }
-  size_t ByteSize() const override {
-    size_t n = 16;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(from_bucket);
+    v.Count(records);
+    for (TaggedRecord& r : records) v(r);
   }
 };
 
 /// Coordinator -> spare: install a rebuilt F2 parity bucket.
-struct InstallParityMsg : MessageBody {
+struct InstallParityMsg : WireMessage<InstallParityMsg> {
+  static constexpr int kKind = LhgMsg::kInstallParity;
+  static constexpr char kName[] = "lhg.InstallParity";
+
   uint64_t task_id = 0;
   BucketNo bucket = 0;
   Level level = 0;
   std::vector<SerializedParityRecord> records;
 
-  int kind() const override { return LhgMsg::kInstallParity; }
-  size_t ByteSize() const override {
-    size_t n = 24;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(bucket);
+    v(level);
+    v.Count(records);
+    v.Pad(4);
+    for (SerializedParityRecord& r : records) v(r);
   }
 };
 
 /// Coordinator -> spare: install a rebuilt F1 data bucket (records carry
 /// their immutable group keys; `counter` restores the insert counter r).
-struct InstallDataMsg : MessageBody {
+struct InstallDataMsg : WireMessage<InstallDataMsg> {
+  static constexpr int kKind = LhgMsg::kInstallData;
+  static constexpr char kName[] = "lhg.InstallData";
+
   uint64_t task_id = 0;
   BucketNo bucket = 0;
   Level level = 0;
   uint32_t counter = 0;
   std::vector<TaggedRecord> records;
 
-  int kind() const override { return LhgMsg::kInstallData; }
-  size_t ByteSize() const override {
-    size_t n = 28;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(bucket);
+    v(level);
+    v(counter);
+    v.Count(records);
+    v.Pad(4);
+    for (TaggedRecord& r : records) v(r);
   }
 };
 
-struct InstallAckMsg : MessageBody {
+struct InstallAckMsg : WireMessage<InstallAckMsg> {
+  static constexpr int kKind = LhgMsg::kInstallAck;
+  static constexpr char kName[] = "lhg.InstallAck";
+
   uint64_t task_id = 0;
 
-  int kind() const override { return LhgMsg::kInstallAck; }
-  size_t ByteSize() const override { return 8; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+  }
 };
 
 /// Coordinator -> every F2 bucket (A7 step 1): does any of your parity
 /// records contain member key `key`?
-struct FindParityMsg : MessageBody {
+struct FindParityMsg : WireMessage<FindParityMsg> {
+  static constexpr int kKind = LhgMsg::kFindParity;
+  static constexpr char kName[] = "lhg.FindParity";
+
   uint64_t task_id = 0;
   Key key = 0;
 
-  int kind() const override { return LhgMsg::kFindParity; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(key);
+  }
 };
 
-struct FindParityReplyMsg : MessageBody {
+struct FindParityReplyMsg : WireMessage<FindParityReplyMsg> {
+  static constexpr int kKind = LhgMsg::kFindParityReply;
+  static constexpr char kName[] = "lhg.FindParityReply";
+
   uint64_t task_id = 0;
   BucketNo from_bucket = 0;
   bool found = false;
   uint64_t gkey = 0;
   BufferView record;  ///< Serialized ParityRecordG when found.
 
-  int kind() const override { return LhgMsg::kFindParityReply; }
-  size_t ByteSize() const override { return 28 + record.size(); }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(from_bucket);
+    v(found);
+    v.Pad(3);
+    v(gkey);
+    v(record);
+  }
 };
+
+/// Every LH*g message, in kind order. LH*g runs only on the simulator, so
+/// no wire codec registry lists it; the wire tests iterate it.
+using LhgMessages =
+    MessageList<ParityUpdateMsg, ParityIamMsg, CollectForDataMsg,
+                CollectForDataReplyMsg, CollectForParityMsg,
+                CollectForParityReplyMsg, InstallParityMsg, InstallDataMsg,
+                InstallAckMsg, FindParityMsg, FindParityReplyMsg>;
 
 }  // namespace lhrs::lhg
 

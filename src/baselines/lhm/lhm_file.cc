@@ -4,20 +4,8 @@
 
 #include "common/logging.h"
 #include "exec/parallel_network.h"
-#include "net/stats.h"
 
 namespace lhrs::lhm {
-
-namespace {
-
-void RegisterNames() {
-  RegisterMessageKindName(LhmMsg::kMirrorRead, "lhm.MirrorRead");
-  RegisterMessageKindName(LhmMsg::kMirrorReadReply, "lhm.MirrorReadReply");
-  RegisterMessageKindName(LhmMsg::kMirrorInstall, "lhm.MirrorInstall");
-  RegisterMessageKindName(LhmMsg::kMirrorAck, "lhm.MirrorAck");
-}
-
-}  // namespace
 
 void LhmBucketNode::HandleSubclassMessage(const Message& msg) {
   switch (msg.body->kind()) {
@@ -232,8 +220,6 @@ void LhmCoordinatorNode::HandleSubclassMessage(const Message& msg) {
 // --- Facade ------------------------------------------------------------------
 
 LhmFile::LhmFile(Options options) : network_(exec::MakeNetwork(options.net)) {
-  RegisterLhStarMessageNames();
-  RegisterNames();
   for (int f = 0; f < 2; ++f) {
     replicas_[f].ctx = std::make_shared<SystemContext>();
     replicas_[f].ctx->config = options.file;

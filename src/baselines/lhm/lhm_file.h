@@ -10,6 +10,7 @@
 #include "lhstar/coordinator.h"
 #include "lhstar/data_bucket.h"
 #include "lhstar/lhstar_file.h"
+#include "net/fields.h"
 #include "net/network.h"
 
 namespace lhrs::lhm {
@@ -24,47 +25,74 @@ struct LhmMsg {
 
 /// Coordinator -> sibling-file bucket: dump your records (they are the
 /// mirror of the failed bucket's content).
-struct MirrorReadMsg : MessageBody {
+struct MirrorReadMsg : WireMessage<MirrorReadMsg> {
+  static constexpr int kKind = LhmMsg::kMirrorRead;
+  static constexpr char kName[] = "lhm.MirrorRead";
+
   uint64_t task_id = 0;
   BucketNo bucket = 0;
 
-  int kind() const override { return LhmMsg::kMirrorRead; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(bucket);
+    v.Pad(4);
+  }
 };
 
-struct MirrorReadReplyMsg : MessageBody {
+struct MirrorReadReplyMsg : WireMessage<MirrorReadReplyMsg> {
+  static constexpr int kKind = LhmMsg::kMirrorReadReply;
+  static constexpr char kName[] = "lhm.MirrorReadReply";
+
   uint64_t task_id = 0;
   Level level = 0;
   std::vector<WireRecord> records;
 
-  int kind() const override { return LhmMsg::kMirrorReadReply; }
-  size_t ByteSize() const override {
-    size_t n = 16;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(level);
+    v.Count(records);
+    for (WireRecord& r : records) v(r);
   }
 };
 
-struct MirrorInstallMsg : MessageBody {
+struct MirrorInstallMsg : WireMessage<MirrorInstallMsg> {
+  static constexpr int kKind = LhmMsg::kMirrorInstall;
+  static constexpr char kName[] = "lhm.MirrorInstall";
+
   uint64_t task_id = 0;
   BucketNo bucket = 0;
   Level level = 0;
   std::vector<WireRecord> records;
 
-  int kind() const override { return LhmMsg::kMirrorInstall; }
-  size_t ByteSize() const override {
-    size_t n = 24;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(bucket);
+    v(level);
+    v.Count(records);
+    v.Pad(4);
+    for (WireRecord& r : records) v(r);
   }
 };
 
-struct MirrorAckMsg : MessageBody {
+struct MirrorAckMsg : WireMessage<MirrorAckMsg> {
+  static constexpr int kKind = LhmMsg::kMirrorAck;
+  static constexpr char kName[] = "lhm.MirrorAck";
+
   uint64_t task_id = 0;
 
-  int kind() const override { return LhmMsg::kMirrorAck; }
-  size_t ByteSize() const override { return 8; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+  }
 };
+
+/// Every LH*m message, in kind order (simulator-only; the wire tests
+/// iterate it).
+using LhmMessages = MessageList<MirrorReadMsg, MirrorReadReplyMsg,
+                                MirrorInstallMsg, MirrorAckMsg>;
 
 /// A bucket of one LH*m replica: a plain LH* bucket plus the mirror-copy
 /// protocol for recovery.

@@ -12,13 +12,6 @@ namespace {
 
 constexpr size_t kLengthPrefix = 4;
 
-void RegisterLhsNames() {
-  RegisterMessageKindName(LhsMsg::kStripeRead, "lhs.StripeRead");
-  RegisterMessageKindName(LhsMsg::kStripeReadReply, "lhs.StripeReadReply");
-  RegisterMessageKindName(LhsMsg::kStripeInstall, "lhs.StripeInstall");
-  RegisterMessageKindName(LhsMsg::kStripeAck, "lhs.StripeAck");
-}
-
 void PutLength(Bytes& stripe, uint32_t len) {
   for (int i = 0; i < 4; ++i) {
     stripe.push_back(static_cast<uint8_t>(len >> (8 * i)));
@@ -93,8 +86,6 @@ Bytes LhsFile::ReconstructStripe(const std::vector<const Bytes*>& present,
 LhsFile::LhsFile(Options options)
     : network_(exec::MakeNetwork(options.net)),
       stripe_count_(options.stripe_count) {
-  RegisterLhStarMessageNames();
-  RegisterLhsNames();
   files_.resize(stripe_count_ + 1);
   std::vector<std::shared_ptr<SystemContext>> fleet;
   for (uint32_t f = 0; f <= stripe_count_; ++f) {

@@ -8,6 +8,7 @@
 #include "lhstar/coordinator.h"
 #include "lhstar/data_bucket.h"
 #include "lhstar/lhstar_file.h"
+#include "net/fields.h"
 #include "net/network.h"
 
 namespace lhrs::lhs {
@@ -22,15 +23,25 @@ struct LhsMsg {
 
 /// Coordinator -> same-numbered bucket of another stripe file: dump your
 /// records (for XOR reconstruction of a lost stripe bucket).
-struct StripeReadMsg : MessageBody {
+struct StripeReadMsg : WireMessage<StripeReadMsg> {
+  static constexpr int kKind = LhsMsg::kStripeRead;
+  static constexpr char kName[] = "lhs.StripeRead";
+
   uint64_t task_id = 0;
   BucketNo bucket = 0;
 
-  int kind() const override { return LhsMsg::kStripeRead; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(bucket);
+    v.Pad(4);
+  }
 };
 
-struct StripeReadReplyMsg : MessageBody {
+struct StripeReadReplyMsg : WireMessage<StripeReadReplyMsg> {
+  static constexpr int kKind = LhsMsg::kStripeReadReply;
+  static constexpr char kName[] = "lhs.StripeReadReply";
+
   uint64_t task_id = 0;
   uint32_t file_index = 0;
   Level level = 0;
@@ -39,34 +50,54 @@ struct StripeReadReplyMsg : MessageBody {
   bool failed = false;
   std::vector<WireRecord> records;
 
-  int kind() const override { return LhsMsg::kStripeReadReply; }
-  size_t ByteSize() const override {
-    size_t n = 24;  // task + file index + level + failed flag + count.
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(file_index);
+    v(level);
+    v(failed);
+    v.Pad(3);
+    v.Count(records);
+    for (WireRecord& r : records) v(r);
   }
 };
 
-struct StripeInstallMsg : MessageBody {
+struct StripeInstallMsg : WireMessage<StripeInstallMsg> {
+  static constexpr int kKind = LhsMsg::kStripeInstall;
+  static constexpr char kName[] = "lhs.StripeInstall";
+
   uint64_t task_id = 0;
   BucketNo bucket = 0;
   Level level = 0;
   std::vector<WireRecord> records;
 
-  int kind() const override { return LhsMsg::kStripeInstall; }
-  size_t ByteSize() const override {
-    size_t n = 24;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(bucket);
+    v(level);
+    v.Count(records);
+    v.Pad(4);
+    for (WireRecord& r : records) v(r);
   }
 };
 
-struct StripeAckMsg : MessageBody {
+struct StripeAckMsg : WireMessage<StripeAckMsg> {
+  static constexpr int kKind = LhsMsg::kStripeAck;
+  static constexpr char kName[] = "lhs.StripeAck";
+
   uint64_t task_id = 0;
 
-  int kind() const override { return LhsMsg::kStripeAck; }
-  size_t ByteSize() const override { return 8; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+  }
 };
+
+/// Every LH*s message, in kind order (simulator-only; the wire tests
+/// iterate it).
+using LhsMessages = MessageList<StripeReadMsg, StripeReadReplyMsg,
+                                StripeInstallMsg, StripeAckMsg>;
 
 /// A bucket of one LH*s stripe file: a plain LH* bucket plus the stripe
 /// dump/install protocol for recovery.

@@ -34,8 +34,6 @@ bool EqualModuloPadding(std::span<const uint8_t> a,
 
 LhrsFile::LhrsFile(Options options)
     : LhStarFile(ToBaseOptions(options), DeferInit{}) {
-  RegisterLhrsMessageNames();
-
   lhrs_ctx_ = std::make_shared<LhrsContext>();
   lhrs_ctx_->base = ctx_;
   lhrs_ctx_->m = options.group_size;
@@ -215,7 +213,7 @@ Status LhrsFile::VerifyParityInvariants() const {
         t.values[slot] = rec.value;
       }
     }
-    const ErasureCoder& coder = lhrs_ctx_->coders->ForK(info.k);
+    const parity::ParityCode& coder = lhrs_ctx_->coders->ForK(info.k);
     for (uint32_t j = 0; j < info.k; ++j) {
       const ParityBucketNode* parity = parity_bucket(g, j);
       // Every ground-truth rank must have a parity record, and vice versa.

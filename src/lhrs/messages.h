@@ -9,6 +9,7 @@
 #include "common/bytes.h"
 #include "lh/lh_math.h"
 #include "lhstar/messages.h"
+#include "net/fields.h"
 #include "net/message.h"
 
 namespace lhrs {
@@ -34,8 +35,6 @@ struct LhrsMsg {
   static constexpr int kPongReply = MessageKindRange::kLhrsBase + 15;
 };
 
-void RegisterLhrsMessageNames();
-
 /// Record rank within its bucket (1-based; the record group key is
 /// (bucket group g, rank r)).
 using Rank = uint32_t;
@@ -56,50 +55,77 @@ struct ParityDelta {
   /// fanning one delta out to k parity buckets copies no payload bytes.
   BufferView delta;
 
-  /// rank + slot + key_op (+pad) + key + new_length + length prefix +
-  /// payload, matching the transport codec byte for byte.
-  size_t ByteSize() const { return 28 + delta.size(); }
+  template <class V>
+  void Fields(V& v) {
+    v(rank);
+    v(slot);
+    v.Enum(key_op, KeyOp::kClear);
+    v.Pad(3);
+    v(key);
+    v(new_length);
+    v(delta);
+  }
 };
 
 /// Data bucket -> parity bucket: one record's parity maintenance.
-struct ParityDeltaMsg : MessageBody {
+struct ParityDeltaMsg : WireMessage<ParityDeltaMsg> {
+  static constexpr int kKind = LhrsMsg::kParityDelta;
+  static constexpr char kName[] = "lhrs.ParityDelta";
+
   uint32_t group = 0;
   /// Retransmission count (chaos hardening): a delivery failure under an
   /// active fault injector re-sends the delta a bounded number of times
   /// before falling back to the unavailable-report path. Not on the wire
-  /// (a real stack's transport header), so it does not count in ByteSize.
+  /// (a real stack's transport header), so Fields() leaves it out.
   uint32_t attempt = 0;
   ParityDelta delta;
 
-  int kind() const override { return LhrsMsg::kParityDelta; }
-  size_t ByteSize() const override { return 8 + delta.ByteSize(); }
+  template <class V>
+  void Fields(V& v) {
+    v(group);
+    v.Pad(4);
+    v(delta);
+  }
 };
 
 /// Data bucket -> parity bucket: bulk parity maintenance (splits batch
 /// all moved records into one transfer per parity bucket).
-struct ParityDeltaBatchMsg : MessageBody {
+struct ParityDeltaBatchMsg : WireMessage<ParityDeltaBatchMsg> {
+  static constexpr int kKind = LhrsMsg::kParityDeltaBatch;
+  static constexpr char kName[] = "lhrs.ParityDeltaBatch";
+
   uint32_t group = 0;
   uint32_t attempt = 0;  ///< See ParityDeltaMsg::attempt.
   std::vector<ParityDelta> deltas;
 
-  int kind() const override { return LhrsMsg::kParityDeltaBatch; }
-  size_t ByteSize() const override {
-    size_t n = 12;  // group + delta count (+ padding).
-    for (const auto& d : deltas) n += d.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(group);
+    v.Count(deltas);
+    v.Pad(4);
+    for (ParityDelta& d : deltas) v(d);
   }
 };
 
 /// Coordinator -> data bucket: the parity buckets serving your group (sent
 /// at bucket creation and whenever a parity bucket moves to a spare).
-struct GroupConfigMsg : MessageBody {
+struct GroupConfigMsg : WireMessage<GroupConfigMsg> {
+  static constexpr int kKind = LhrsMsg::kGroupConfig;
+  static constexpr char kName[] = "lhrs.GroupConfig";
+
   uint32_t group = 0;
   uint32_t k = 1;
   std::vector<NodeId> parity_nodes;  ///< size k.
-  uint32_t attempt = 0;  ///< Transport metadata (resends); not in ByteSize.
+  uint32_t attempt = 0;  ///< Transport metadata (resends); not in Fields().
 
-  int kind() const override { return LhrsMsg::kGroupConfig; }
-  size_t ByteSize() const override { return 16 + 4 * parity_nodes.size(); }
+  template <class V>
+  void Fields(V& v) {
+    v(group);
+    v(k);
+    v.Count(parity_nodes);
+    v.Pad(4);
+    for (NodeId& node : parity_nodes) v(node);
+  }
 };
 
 /// One data record with its rank, as shipped in recovery dumps.
@@ -108,7 +134,12 @@ struct RankedRecord {
   Key key = 0;
   BufferView value;  ///< Shares the dumping bucket's segment bytes.
 
-  size_t ByteSize() const { return 16 + value.size(); }
+  template <class V>
+  void Fields(V& v) {
+    v(rank);
+    v(key);
+    v(value);
+  }
 };
 
 /// Wire form of a parity record (the non-key part of parity record (g, r)).
@@ -117,164 +148,270 @@ struct WireParityRecord {
   /// Per data slot: the member's key, or nullopt when the slot has no
   /// member in this record group.
   std::vector<std::optional<Key>> keys;
-  std::vector<uint32_t> lengths;
+  std::vector<uint32_t> lengths;  ///< Parallel to `keys`.
   BufferView parity;  ///< Snapshot view of the column's parity bytes.
 
-  /// rank + slot count + per-slot (presence + key + length) + parity
-  /// length prefix + parity bytes, matching the transport codec.
-  size_t ByteSize() const {
-    return 12 + keys.size() * 13 + parity.size();
+  template <class V>
+  void Fields(V& v) {
+    v(rank);
+    v.Count(keys, lengths);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      v(keys[i]);
+      v(lengths[i]);
+    }
+    v(parity);
   }
 };
 
 /// Coordinator -> surviving column (data or parity bucket): send your full
 /// group-relevant content for recovery of group `group`.
-struct ColumnReadRequestMsg : MessageBody {
+struct ColumnReadRequestMsg : WireMessage<ColumnReadRequestMsg> {
+  static constexpr int kKind = LhrsMsg::kColumnReadRequest;
+  static constexpr char kName[] = "lhrs.ColumnReadRequest";
+
   uint64_t task_id = 0;
   uint32_t group = 0;
 
-  int kind() const override { return LhrsMsg::kColumnReadRequest; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(group);
+    v.Pad(4);
+  }
 };
 
 /// Survivor -> coordinator: full column dump. Exactly one of
 /// records/parity_records is populated, matching the sender's role.
-struct ColumnReadReplyMsg : MessageBody {
+struct ColumnReadReplyMsg : WireMessage<ColumnReadReplyMsg> {
+  static constexpr int kKind = LhrsMsg::kColumnReadReply;
+  static constexpr char kName[] = "lhrs.ColumnReadReply";
+
   uint64_t task_id = 0;
   uint32_t column = 0;  ///< 0..m-1 data slot, m..m+k-1 parity index + m.
   std::vector<RankedRecord> records;
   std::vector<WireParityRecord> parity_records;
   Level level = 0;  ///< Data columns: the bucket's level j.
 
-  uint32_t attempt = 0;  ///< Transport metadata (resends); not in ByteSize.
+  uint32_t attempt = 0;  ///< Transport metadata (resends); not in Fields().
 
-  int kind() const override { return LhrsMsg::kColumnReadReply; }
-  size_t ByteSize() const override {
-    size_t n = 24;
-    for (const auto& r : records) n += r.ByteSize();
-    for (const auto& p : parity_records) n += p.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(column);
+    v(level);
+    v.Count(records);
+    v.Count(parity_records);
+    for (RankedRecord& r : records) v(r);
+    for (WireParityRecord& p : parity_records) v(p);
   }
 };
 
 /// Coordinator -> spare: install a reconstructed data bucket.
-struct InstallDataColumnMsg : MessageBody {
+struct InstallDataColumnMsg : WireMessage<InstallDataColumnMsg> {
+  static constexpr int kKind = LhrsMsg::kInstallDataColumn;
+  static constexpr char kName[] = "lhrs.InstallDataColumn";
+
   uint64_t task_id = 0;
   BucketNo bucket = 0;
   Level level = 0;
   std::vector<RankedRecord> records;
 
-  int kind() const override { return LhrsMsg::kInstallDataColumn; }
-  size_t ByteSize() const override {
-    size_t n = 24;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(bucket);
+    v(level);
+    v.Count(records);
+    v.Pad(4);
+    for (RankedRecord& r : records) v(r);
   }
 };
 
 /// Coordinator -> spare: install a reconstructed parity bucket.
-struct InstallParityColumnMsg : MessageBody {
+struct InstallParityColumnMsg : WireMessage<InstallParityColumnMsg> {
+  static constexpr int kKind = LhrsMsg::kInstallParityColumn;
+  static constexpr char kName[] = "lhrs.InstallParityColumn";
+
   uint64_t task_id = 0;
   uint32_t group = 0;
   uint32_t parity_index = 0;
   std::vector<WireParityRecord> parity_records;
 
-  int kind() const override { return LhrsMsg::kInstallParityColumn; }
-  size_t ByteSize() const override {
-    size_t n = 24;
-    for (const auto& p : parity_records) n += p.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(group);
+    v(parity_index);
+    v.Count(parity_records);
+    v.Pad(4);
+    for (WireParityRecord& p : parity_records) v(p);
   }
 };
 
 /// Spare -> coordinator: installation finished; the bucket serves traffic.
-struct InstallDoneMsg : MessageBody {
+struct InstallDoneMsg : WireMessage<InstallDoneMsg> {
+  static constexpr int kKind = LhrsMsg::kInstallDone;
+  static constexpr char kName[] = "lhrs.InstallDone";
+
   uint64_t task_id = 0;
   uint32_t column = 0;
-  uint32_t attempt = 0;  ///< Transport metadata (resends); not in ByteSize.
+  uint32_t attempt = 0;  ///< Transport metadata (resends); not in Fields().
 
-  int kind() const override { return LhrsMsg::kInstallDone; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(column);
+    v.Pad(4);
+  }
 };
 
 /// Coordinator -> parity bucket: which record group holds key `key` at data
 /// slot `slot`? First step of degraded-mode record recovery: unlike LH*g,
 /// no scan of the parity file is needed — the group's parity bucket is
 /// known directly.
-struct FindRankRequestMsg : MessageBody {
+struct FindRankRequestMsg : WireMessage<FindRankRequestMsg> {
+  static constexpr int kKind = LhrsMsg::kFindRankRequest;
+  static constexpr char kName[] = "lhrs.FindRankRequest";
+
   uint64_t task_id = 0;
   Key key = 0;
   uint32_t slot = 0;
 
-  int kind() const override { return LhrsMsg::kFindRankRequest; }
-  size_t ByteSize() const override { return 24; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(key);
+    v(slot);
+    v.Pad(4);
+  }
 };
 
-struct FindRankReplyMsg : MessageBody {
+struct FindRankReplyMsg : WireMessage<FindRankReplyMsg> {
+  static constexpr int kKind = LhrsMsg::kFindRankReply;
+  static constexpr char kName[] = "lhrs.FindRankReply";
+
   uint64_t task_id = 0;
   bool found = false;
   uint32_t parity_index = 0;  ///< Which parity column answered.
   WireParityRecord record;    ///< Valid when found.
 
-  int kind() const override { return LhrsMsg::kFindRankReply; }
-  size_t ByteSize() const override { return 16 + record.ByteSize(); }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(found);
+    v.Pad(3);
+    v(parity_index);
+    v(record);
+  }
 };
 
 /// Coordinator -> data bucket: read the single record with rank `rank`.
-struct RecordReadRequestMsg : MessageBody {
+struct RecordReadRequestMsg : WireMessage<RecordReadRequestMsg> {
+  static constexpr int kKind = LhrsMsg::kRecordReadRequest;
+  static constexpr char kName[] = "lhrs.RecordReadRequest";
+
   uint64_t task_id = 0;
   Rank rank = 0;
   uint32_t column = 0;  ///< Requester-side bookkeeping (echoed in replies).
 
-  int kind() const override { return LhrsMsg::kRecordReadRequest; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(rank);
+    v(column);
+  }
 };
 
-struct RecordReadReplyMsg : MessageBody {
+struct RecordReadReplyMsg : WireMessage<RecordReadReplyMsg> {
+  static constexpr int kKind = LhrsMsg::kRecordReadReply;
+  static constexpr char kName[] = "lhrs.RecordReadReply";
+
   uint64_t task_id = 0;
   uint32_t column = 0;
   bool found = false;
   RankedRecord record;
 
-  int kind() const override { return LhrsMsg::kRecordReadReply; }
-  size_t ByteSize() const override { return 24 + record.ByteSize(); }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(column);
+    v(found);
+    v.Pad(11);
+    v(record);
+  }
 };
 
 /// Coordinator -> parity bucket: read the parity record of rank `rank`.
-struct ParityRecordRequestMsg : MessageBody {
+struct ParityRecordRequestMsg : WireMessage<ParityRecordRequestMsg> {
+  static constexpr int kKind = LhrsMsg::kParityRecordRequest;
+  static constexpr char kName[] = "lhrs.ParityRecordRequest";
+
   uint64_t task_id = 0;
   Rank rank = 0;
   uint32_t column = 0;  ///< Requester-side bookkeeping (echoed in replies).
 
-  int kind() const override { return LhrsMsg::kParityRecordRequest; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(rank);
+    v(column);
+  }
 };
 
-struct ParityRecordReplyMsg : MessageBody {
+struct ParityRecordReplyMsg : WireMessage<ParityRecordReplyMsg> {
+  static constexpr int kKind = LhrsMsg::kParityRecordReply;
+  static constexpr char kName[] = "lhrs.ParityRecordReply";
+
   uint64_t task_id = 0;
   uint32_t column = 0;  ///< m + parity index.
   bool found = false;
   WireParityRecord record;
 
-  int kind() const override { return LhrsMsg::kParityRecordReply; }
-  size_t ByteSize() const override { return 24 + record.ByteSize(); }
+  template <class V>
+  void Fields(V& v) {
+    v(task_id);
+    v(column);
+    v(found);
+    v.Pad(11);
+    v(record);
+  }
 };
 
 /// Coordinator -> any node: liveness probe used to verify third-party
 /// unavailability reports before committing to a recovery.
-struct PingRequestMsg : MessageBody {
+struct PingRequestMsg : WireMessage<PingRequestMsg> {
+  static constexpr int kKind = LhrsMsg::kPingRequest;
+  static constexpr char kName[] = "lhrs.PingRequest";
+
   uint64_t probe_id = 0;
 
-  int kind() const override { return LhrsMsg::kPingRequest; }
-  size_t ByteSize() const override { return 8; }
+  template <class V>
+  void Fields(V& v) {
+    v(probe_id);
+  }
 };
 
-struct PongReplyMsg : MessageBody {
+struct PongReplyMsg : WireMessage<PongReplyMsg> {
+  static constexpr int kKind = LhrsMsg::kPongReply;
+  static constexpr char kName[] = "lhrs.PongReply";
+
   uint64_t probe_id = 0;
 
-  int kind() const override { return LhrsMsg::kPongReply; }
-  size_t ByteSize() const override { return 8; }
+  template <class V>
+  void Fields(V& v) {
+    v(probe_id);
+  }
 };
+
+/// Every LH*RS message, in kind order: the wire codec registry and the wire
+/// tests iterate it.
+using LhrsMessages =
+    MessageList<ParityDeltaMsg, ParityDeltaBatchMsg, GroupConfigMsg,
+                ColumnReadRequestMsg, ColumnReadReplyMsg, InstallDataColumnMsg,
+                InstallParityColumnMsg, InstallDoneMsg, FindRankRequestMsg,
+                FindRankReplyMsg, RecordReadRequestMsg, RecordReadReplyMsg,
+                ParityRecordRequestMsg, ParityRecordReplyMsg, PingRequestMsg,
+                PongReplyMsg>;
 
 }  // namespace lhrs
 

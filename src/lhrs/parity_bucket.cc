@@ -348,7 +348,7 @@ bool ParityBucketNode::TryApplyDelta(const ParityDelta& delta) {
 
   GrowTo(delta.rank);
   BufferView& parity = parity_[row];
-  const ErasureCoder& coder = ctx_->coders->ForK(k_);
+  const parity::ParityCode& coder = ctx_->coders->ForK(k_);
   coder.ApplyDelta(delta.slot, delta.delta, parity_index_, &parity);
 
   switch (delta.key_op) {

@@ -27,7 +27,7 @@ struct ColumnDump {
 struct ReconstructionRequest {
   uint32_t m = 0;
   uint32_t k = 0;
-  const ErasureCoder* coder = nullptr;
+  const parity::ParityCode* coder = nullptr;
   uint32_t existing_slots = 0;
   std::vector<ColumnDump> survivors;
   std::vector<uint32_t> missing_columns;

@@ -178,7 +178,7 @@ void RsCoordinatorNode::StartRecovery(uint32_t g) {
   // The group's code plans the repair: which survivors to read, and
   // whether decode may start before every reply. A failed plan means the
   // surviving columns cannot determine the lost ones.
-  const ErasureCoder& code = lhrs_ctx_->coders->ForK(info.k);
+  const parity::ParityCode& code = lhrs_ctx_->coders->ForK(info.k);
   parity::RepairContext repair_ctx;
   repair_ctx.existing_slots = existing;
   repair_ctx.alive_data = alive_data;
@@ -777,7 +777,7 @@ void RsCoordinatorNode::StartScrub(uint32_t g, bool repair) {
 void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
   const uint32_t m = lhrs_ctx_->m;
   const GroupInfo& info = groups_[task.group];
-  const ErasureCoder& coder = lhrs_ctx_->coders->ForK(info.k);
+  const parity::ParityCode& coder = lhrs_ctx_->coders->ForK(info.k);
 
   // Ground truth per rank from the data columns.
   struct Truth {
@@ -955,7 +955,7 @@ void RsCoordinatorNode::StartDegradedRead(
   // repairable code that is the slot's own local parity, whose payload then
   // double-duties as a decode column.
   const uint32_t target_slot = SlotOf(a, lhrs_ctx_->m);
-  const ErasureCoder& code = lhrs_ctx_->coders->ForK(info.k);
+  const parity::ParityCode& code = lhrs_ctx_->coders->ForK(info.k);
   uint32_t j = info.k;
   for (uint32_t cand : code.ParityPreference(target_slot)) {
     if (!recovering_parity_.contains({g, cand}) &&
@@ -1017,7 +1017,7 @@ void RsCoordinatorNode::ContinueDegradedRead(DegradedReadTask& task) {
   const uint32_t g = task.group;
   const GroupInfo& info = groups_[g];
   const uint32_t existing = ExistingSlots(g);
-  const ErasureCoder& code = lhrs_ctx_->coders->ForK(info.k);
+  const parity::ParityCode& code = lhrs_ctx_->coders->ForK(info.k);
 
   // A rank tracker over column identities answers "do the columns in hand
   // (or in flight) determine the target slot?". Known-zero columns — slots
@@ -1158,7 +1158,7 @@ void RsCoordinatorNode::MaybeFinishDegradedRead(DegradedReadTask& task) {
     available.emplace_back(slot, kEmpty);
   }
 
-  const ErasureCoder& coder = lhrs_ctx_->coders->ForK(info.k);
+  const parity::ParityCode& coder = lhrs_ctx_->coders->ForK(info.k);
   auto decoded = coder.DecodeData(available, {task.target_slot});
   if (!decoded.ok()) {
     FailDegradedRead(task, decoded.status());

@@ -15,11 +15,6 @@
 
 namespace lhrs {
 
-/// The protocol nodes (parity buckets, recovery, degraded reads) are
-/// written against the field- and scheme-erased parity-code interface;
-/// the historical name survives as an alias.
-using ErasureCoder = parity::ParityCode;
-
 /// Scalable-availability policy (paper section on n-availability /
 /// uncoordinated scalable availability): the availability level k assigned
 /// to a *newly created* bucket group is base_k plus the number of
@@ -56,7 +51,7 @@ class CoderCache {
   /// (codes themselves are immutable once built). CHECK-fails on a
   /// geometry the configured code cannot express — validate the spec
   /// against the availability policy at file creation.
-  const ErasureCoder& ForK(uint32_t k) {
+  const parity::ParityCode& ForK(uint32_t k) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = coders_.find(k);
     if (it == coders_.end()) {
@@ -72,7 +67,7 @@ class CoderCache {
   uint32_t m_;
   FieldChoice field_;
   parity::CodeSpec code_;
-  std::map<uint32_t, std::unique_ptr<ErasureCoder>> coders_;
+  std::map<uint32_t, std::unique_ptr<parity::ParityCode>> coders_;
 };
 
 /// Shared wiring of the LH*RS layer, handed to parity buckets, RS data

@@ -11,7 +11,6 @@ LhStarFile::LhStarFile(Options options, DeferInit)
     : options_(std::move(options)),
       network_(exec::MakeNetwork(options_.net)),
       ctx_(std::make_shared<SystemContext>()) {
-  RegisterLhStarMessageNames();
   ctx_->config = options_.file;
 }
 

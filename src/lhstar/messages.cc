@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "net/stats.h"
-
 namespace lhrs {
 
 const char* OpTypeName(OpType op) {
@@ -18,41 +16,6 @@ const char* OpTypeName(OpType op) {
       return "Delete";
   }
   return "?";
-}
-
-void RegisterLhStarMessageNames() {
-  RegisterMessageKindName(LhStarMsg::kOpRequest, "lhstar.OpRequest");
-  RegisterMessageKindName(LhStarMsg::kOpReply, "lhstar.OpReply");
-  RegisterMessageKindName(LhStarMsg::kOverflowReport,
-                          "lhstar.OverflowReport");
-  RegisterMessageKindName(LhStarMsg::kSplitOrder, "lhstar.SplitOrder");
-  RegisterMessageKindName(LhStarMsg::kMoveRecords, "lhstar.MoveRecords");
-  RegisterMessageKindName(LhStarMsg::kSplitDone, "lhstar.SplitDone");
-  RegisterMessageKindName(LhStarMsg::kScanRequest, "lhstar.ScanRequest");
-  RegisterMessageKindName(LhStarMsg::kScanReply, "lhstar.ScanReply");
-  RegisterMessageKindName(LhStarMsg::kClientOpViaCoordinator,
-                          "lhstar.ClientOpViaCoordinator");
-  RegisterMessageKindName(LhStarMsg::kUnavailableReport,
-                          "lhstar.UnavailableReport");
-  RegisterMessageKindName(LhStarMsg::kStateScanRequest,
-                          "lhstar.StateScanRequest");
-  RegisterMessageKindName(LhStarMsg::kStateScanReply,
-                          "lhstar.StateScanReply");
-  RegisterMessageKindName(LhStarMsg::kSelfCheckRequest,
-                          "lhstar.SelfCheckRequest");
-  RegisterMessageKindName(LhStarMsg::kSelfCheckReply,
-                          "lhstar.SelfCheckReply");
-  RegisterMessageKindName(LhStarMsg::kUnderflowReport,
-                          "lhstar.UnderflowReport");
-  RegisterMessageKindName(LhStarMsg::kMergeOut, "lhstar.MergeOut");
-  RegisterMessageKindName(LhStarMsg::kMergeRecords, "lhstar.MergeRecords");
-  RegisterMessageKindName(LhStarMsg::kMergeDone, "lhstar.MergeDone");
-  RegisterMessageKindName(LhStarMsg::kImageReset, "lhstar.ImageReset");
-  RegisterMessageKindName(LhStarMsg::kSurveyRequest, "lhstar.SurveyRequest");
-  RegisterMessageKindName(LhStarMsg::kSurveyReply, "lhstar.SurveyReply");
-  RegisterMessageKindName(LhStarMsg::kInsertBatch, "lhstar.InsertBatch");
-  RegisterMessageKindName(LhStarMsg::kInsertBatchReply,
-                          "lhstar.InsertBatchReply");
 }
 
 bool ScanPredicate::Matches(Key key, std::span<const uint8_t> value) const {

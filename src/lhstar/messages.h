@@ -12,6 +12,7 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "lh/lh_math.h"
+#include "net/fields.h"
 #include "net/message.h"
 
 namespace lhrs {
@@ -32,10 +33,14 @@ struct WireRecord {
   uint64_t tag = 0;
   BufferView value;
 
-  /// key + tag + length prefix + payload, matching the transport codec
-  /// (see src/transport/wire_lhstar.cc) byte for byte.
-  size_t ByteSize() const { return 20 + value.size(); }
   bool operator==(const WireRecord&) const = default;
+
+  template <class V>
+  void Fields(V& v) {
+    v(key);
+    v(tag);
+    v(value);
+  }
 };
 
 /// Message kinds of the LH* substrate (range [100, 200)).
@@ -66,14 +71,14 @@ struct LhStarMsg {
   static constexpr int kInsertBatchReply = MessageKindRange::kLhStarBase + 22;
 };
 
-/// Registers display names for all LH* message kinds (idempotent).
-void RegisterLhStarMessageNames();
-
 /// A key-addressed operation, sent client->server and forwarded
 /// server->server per algorithm (A2). Carries the bucket number the sender
 /// intended to reach so a displaced/reused server can detect the mismatch
 /// (paper section 2.8).
-struct OpRequestMsg : MessageBody {
+struct OpRequestMsg : WireMessage<OpRequestMsg> {
+  static constexpr int kKind = LhStarMsg::kOpRequest;
+  static constexpr char kName[] = "lhstar.OpRequest";
+
   OpType op = OpType::kSearch;
   uint64_t op_id = 0;
   NodeId client = kInvalidNode;   ///< Where the final reply goes.
@@ -82,8 +87,18 @@ struct OpRequestMsg : MessageBody {
   BufferView value;               ///< Insert/update payload (shared view).
   int hops = 0;                   ///< Forwarding count; >0 triggers an IAM.
 
-  int kind() const override { return LhStarMsg::kOpRequest; }
-  size_t ByteSize() const override { return 40 + value.size(); }
+  template <class V>
+  void Fields(V& v) {
+    v.Enum(op, OpType::kDelete);
+    v.Pad(3);
+    v(op_id);
+    v(client);
+    v(intended_bucket);
+    v(key);
+    v(hops);
+    v(value);
+    v.Pad(4);
+  }
 };
 
 /// Image-adjustment payload piggybacked on replies after forwarding: the
@@ -91,63 +106,105 @@ struct OpRequestMsg : MessageBody {
 struct IamInfo {
   BucketNo bucket = 0;
   Level level = 0;
+
+  template <class V>
+  void Fields(V& v) {
+    v(bucket);
+    v(level);
+  }
 };
 
 /// Reply for one operation, server->client (or coordinator->client in
 /// degraded mode).
-struct OpReplyMsg : MessageBody {
+struct OpReplyMsg : WireMessage<OpReplyMsg> {
+  static constexpr int kKind = LhStarMsg::kOpReply;
+  static constexpr char kName[] = "lhstar.OpReply";
+
   uint64_t op_id = 0;
   StatusCode code = StatusCode::kOk;
   std::string error;
   BufferView value;               ///< Search result payload (shared view).
   std::optional<IamInfo> iam;
 
-  int kind() const override { return LhStarMsg::kOpReply; }
-  size_t ByteSize() const override {
-    return 24 + value.size() + error.size() + (iam.has_value() ? 8 : 0);
+  template <class V>
+  void Fields(V& v) {
+    v(op_id);
+    v.Enum(code, StatusCode::kTimeout);
+    v.Flag(iam);
+    v.Pad(2);
+    if (iam) v(*iam);
+    v(error);
+    v(value);
+    v.Pad(4);
   }
 };
 
 /// Server->coordinator: bucket exceeded its capacity.
-struct OverflowReportMsg : MessageBody {
+struct OverflowReportMsg : WireMessage<OverflowReportMsg> {
+  static constexpr int kKind = LhStarMsg::kOverflowReport;
+  static constexpr char kName[] = "lhstar.OverflowReport";
+
   BucketNo bucket = 0;
   size_t record_count = 0;
 
-  int kind() const override { return LhStarMsg::kOverflowReport; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(bucket);
+    v(record_count);
+    v.Pad(4);
+  }
 };
 
 /// Coordinator->server: split your bucket; send movers to `new_node`.
-struct SplitOrderMsg : MessageBody {
+struct SplitOrderMsg : WireMessage<SplitOrderMsg> {
+  static constexpr int kKind = LhStarMsg::kSplitOrder;
+  static constexpr char kName[] = "lhstar.SplitOrder";
+
   BucketNo new_bucket = 0;
   NodeId new_node = kInvalidNode;
   Level new_level = 0;  ///< Level of both halves after the split.
 
-  int kind() const override { return LhStarMsg::kSplitOrder; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(new_bucket);
+    v(new_node);
+    v(new_level);
+    v.Pad(4);
+  }
 };
 
 /// Splitting server -> new server: the relocated records (one bulk
 /// transfer; its byte size drives the simulated time of the split).
-struct MoveRecordsMsg : MessageBody {
+struct MoveRecordsMsg : WireMessage<MoveRecordsMsg> {
+  static constexpr int kKind = LhStarMsg::kMoveRecords;
+  static constexpr char kName[] = "lhstar.MoveRecords";
+
   BucketNo bucket = 0;  ///< Bucket number of the receiving (new) bucket.
   Level level = 0;
   std::vector<WireRecord> records;
 
-  int kind() const override { return LhStarMsg::kMoveRecords; }
-  size_t ByteSize() const override {
-    size_t n = 16;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(bucket);
+    v(level);
+    v.Count(records);
+    v.Pad(4);
+    for (WireRecord& r : records) v(r);
   }
 };
 
 /// New server -> coordinator: split finished; next split may proceed.
-struct SplitDoneMsg : MessageBody {
+struct SplitDoneMsg : WireMessage<SplitDoneMsg> {
+  static constexpr int kKind = LhStarMsg::kSplitDone;
+  static constexpr char kName[] = "lhstar.SplitDone";
+
   BucketNo bucket = 0;
 
-  int kind() const override { return LhStarMsg::kSplitDone; }
-  size_t ByteSize() const override { return 8; }
+  template <class V>
+  void Fields(V& v) {
+    v(bucket);
+    v.Pad(4);
+  }
 };
 
 /// Predicate of a scan: matches records by a byte substring of the value
@@ -167,8 +224,13 @@ struct ScanPredicate {
   std::function<bool(Key key, std::span<const uint8_t> value)> custom;
 
   bool Matches(Key key, std::span<const uint8_t> value) const;
+
+  /// Wire size of the predicate's hand-written field codec (see
+  /// src/transport/wire.cc): version byte, padding, `contains`, padding,
+  /// and the key range when present. It does not depend on `custom`,
+  /// which the encoder refuses to send.
   size_t ByteSize() const {
-    return 16 + contains.size() + (has_key_range ? 16 : 0);
+    return 23 + contains.size() + (has_key_range ? 16 : 0);
   }
 };
 
@@ -176,20 +238,32 @@ struct ScanPredicate {
 /// `attached_level` implements the exactly-once coverage algorithm: a bucket
 /// at level j receiving level l forwards copies to its children created at
 /// levels l+1..j.
-struct ScanRequestMsg : MessageBody {
+struct ScanRequestMsg : WireMessage<ScanRequestMsg> {
+  static constexpr int kKind = LhStarMsg::kScanRequest;
+  static constexpr char kName[] = "lhstar.ScanRequest";
+
   uint64_t op_id = 0;
   NodeId client = kInvalidNode;
   Level attached_level = 0;
   ScanPredicate predicate;
   bool deterministic = true;  ///< All buckets reply (vs only matching ones).
 
-  int kind() const override { return LhStarMsg::kScanRequest; }
-  size_t ByteSize() const override { return 24 + predicate.ByteSize(); }
+  template <class V>
+  void Fields(V& v) {
+    v(op_id);
+    v(client);
+    v(attached_level);
+    v(deterministic);
+    v(predicate);
+  }
 };
 
 /// Server->client scan answer with the bucket's matching records plus the
 /// (m, j_m) pair the deterministic-termination check needs.
-struct ScanReplyMsg : MessageBody {
+struct ScanReplyMsg : WireMessage<ScanReplyMsg> {
+  static constexpr int kKind = LhStarMsg::kScanReply;
+  static constexpr char kName[] = "lhstar.ScanReply";
+
   uint64_t op_id = 0;
   BucketNo bucket = 0;
   Level level = 0;
@@ -198,18 +272,25 @@ struct ScanReplyMsg : MessageBody {
   bool coverage_failed = false;
   std::vector<WireRecord> records;
 
-  int kind() const override { return LhStarMsg::kScanReply; }
-  size_t ByteSize() const override {
-    size_t n = 24;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(op_id);
+    v(bucket);
+    v(level);
+    v(coverage_failed);
+    v.Pad(3);
+    v.Count(records);
+    for (WireRecord& r : records) v(r);
   }
 };
 
 /// Client->coordinator: an operation whose target server did not answer
 /// (or a forwarding bucket failed). The coordinator owns the op from here
 /// (paper section 2.8).
-struct ClientOpViaCoordinatorMsg : MessageBody {
+struct ClientOpViaCoordinatorMsg : WireMessage<ClientOpViaCoordinatorMsg> {
+  static constexpr int kKind = LhStarMsg::kClientOpViaCoordinator;
+  static constexpr char kName[] = "lhstar.ClientOpViaCoordinator";
+
   OpType op = OpType::kSearch;
   uint64_t op_id = 0;
   NodeId client = kInvalidNode;
@@ -217,92 +298,157 @@ struct ClientOpViaCoordinatorMsg : MessageBody {
   Key key = 0;
   BufferView value;
 
-  int kind() const override { return LhStarMsg::kClientOpViaCoordinator; }
-  size_t ByteSize() const override { return 40 + value.size(); }
+  template <class V>
+  void Fields(V& v) {
+    v.Enum(op, OpType::kDelete);
+    v.Pad(3);
+    v(op_id);
+    v(client);
+    v(intended_bucket);
+    v(key);
+    v(value);
+    v.Pad(8);
+  }
 };
 
 /// Any party -> coordinator: node `node` (believed to carry `bucket`) is
 /// unreachable.
-struct UnavailableReportMsg : MessageBody {
+struct UnavailableReportMsg : WireMessage<UnavailableReportMsg> {
+  static constexpr int kKind = LhStarMsg::kUnavailableReport;
+  static constexpr char kName[] = "lhstar.UnavailableReport";
+
   NodeId node = kInvalidNode;
   BucketNo bucket = 0;
   bool is_parity = false;   ///< LH*RS parity bucket vs data bucket.
   uint32_t group = 0;       ///< Parity: bucket group; data: unused.
   uint32_t parity_index = 0;
 
-  int kind() const override { return LhStarMsg::kUnavailableReport; }
-  size_t ByteSize() const override { return 24; }
+  template <class V>
+  void Fields(V& v) {
+    v(node);
+    v(bucket);
+    v(is_parity);
+    v.Pad(3);
+    v(group);
+    v(parity_index);
+    v.Pad(4);
+  }
 };
 
 /// Coordinator->buckets: report your (m, j_m) for file-state recovery (A6).
-struct StateScanRequestMsg : MessageBody {
+struct StateScanRequestMsg : WireMessage<StateScanRequestMsg> {
+  static constexpr int kKind = LhStarMsg::kStateScanRequest;
+  static constexpr char kName[] = "lhstar.StateScanRequest";
+
   uint64_t op_id = 0;
 
-  int kind() const override { return LhStarMsg::kStateScanRequest; }
-  size_t ByteSize() const override { return 8; }
+  template <class V>
+  void Fields(V& v) {
+    v(op_id);
+  }
 };
 
-struct StateScanReplyMsg : MessageBody {
+struct StateScanReplyMsg : WireMessage<StateScanReplyMsg> {
+  static constexpr int kKind = LhStarMsg::kStateScanReply;
+  static constexpr char kName[] = "lhstar.StateScanReply";
+
   uint64_t op_id = 0;
   BucketNo bucket = 0;
   Level level = 0;
 
-  int kind() const override { return LhStarMsg::kStateScanReply; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(op_id);
+    v(bucket);
+    v(level);
+  }
 };
 
 /// Server -> coordinator: bucket occupancy fell below the merge trigger
 /// (file shrinking, the paper's section 4.3 "bucket merge" variation).
-struct UnderflowReportMsg : MessageBody {
+struct UnderflowReportMsg : WireMessage<UnderflowReportMsg> {
+  static constexpr int kKind = LhStarMsg::kUnderflowReport;
+  static constexpr char kName[] = "lhstar.UnderflowReport";
+
   BucketNo bucket = 0;
   size_t record_count = 0;
 
-  int kind() const override { return LhStarMsg::kUnderflowReport; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(bucket);
+    v(record_count);
+    v.Pad(4);
+  }
 };
 
 /// Coordinator -> the last bucket: merge yourself back into your parent
 /// (inverse of a split).
-struct MergeOutMsg : MessageBody {
+struct MergeOutMsg : WireMessage<MergeOutMsg> {
+  static constexpr int kKind = LhStarMsg::kMergeOut;
+  static constexpr char kName[] = "lhstar.MergeOut";
+
   BucketNo parent_bucket = 0;
   NodeId parent_node = kInvalidNode;
   Level parent_new_level = 0;
 
-  int kind() const override { return LhStarMsg::kMergeOut; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(parent_bucket);
+    v(parent_node);
+    v(parent_new_level);
+    v.Pad(4);
+  }
 };
 
 /// Merging bucket -> parent: all of its records (one bulk transfer).
-struct MergeRecordsMsg : MessageBody {
+struct MergeRecordsMsg : WireMessage<MergeRecordsMsg> {
+  static constexpr int kKind = LhStarMsg::kMergeRecords;
+  static constexpr char kName[] = "lhstar.MergeRecords";
+
   BucketNo parent_bucket = 0;
   Level parent_new_level = 0;
   std::vector<WireRecord> records;
 
-  int kind() const override { return LhStarMsg::kMergeRecords; }
-  size_t ByteSize() const override {
-    size_t n = 16;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(parent_bucket);
+    v(parent_new_level);
+    v.Count(records);
+    v.Pad(4);
+    for (WireRecord& r : records) v(r);
   }
 };
 
 /// Parent -> coordinator: merge absorbed; restructuring may continue.
-struct MergeDoneMsg : MessageBody {
+struct MergeDoneMsg : WireMessage<MergeDoneMsg> {
+  static constexpr int kKind = LhStarMsg::kMergeDone;
+  static constexpr char kName[] = "lhstar.MergeDone";
+
   BucketNo bucket = 0;
 
-  int kind() const override { return LhStarMsg::kMergeDone; }
-  size_t ByteSize() const override { return 8; }
+  template <class V>
+  void Fields(V& v) {
+    v(bucket);
+    v.Pad(4);
+  }
 };
 
 /// Coordinator -> client: authoritative file state. Sent when a client
 /// addressed a bucket beyond the (shrunk) file — IAMs only ever advance an
 /// image, so shrinking needs an explicit reset.
-struct ImageResetMsg : MessageBody {
+struct ImageResetMsg : WireMessage<ImageResetMsg> {
+  static constexpr int kKind = LhStarMsg::kImageReset;
+  static constexpr char kName[] = "lhstar.ImageReset";
+
   Level i = 0;
   BucketNo n = 0;
 
-  int kind() const override { return LhStarMsg::kImageReset; }
-  size_t ByteSize() const override { return 12; }
+  template <class V>
+  void Fields(V& v) {
+    v(i);
+    v(n);
+    v.Pad(4);
+  }
 };
 
 /// Restarted coordinator -> every node: identify yourself. The replies
@@ -310,14 +456,22 @@ struct ImageResetMsg : MessageBody {
 /// (A6) closed form, the allocation table, and (for availability layers)
 /// the parity directory. Every node answers, so the survey terminates
 /// deterministically against the known node count.
-struct SurveyRequestMsg : MessageBody {
+struct SurveyRequestMsg : WireMessage<SurveyRequestMsg> {
+  static constexpr int kKind = LhStarMsg::kSurveyRequest;
+  static constexpr char kName[] = "lhstar.SurveyRequest";
+
   uint64_t survey_id = 0;
 
-  int kind() const override { return LhStarMsg::kSurveyRequest; }
-  size_t ByteSize() const override { return 8; }
+  template <class V>
+  void Fields(V& v) {
+    v(survey_id);
+  }
 };
 
-struct SurveyReplyMsg : MessageBody {
+struct SurveyReplyMsg : WireMessage<SurveyReplyMsg> {
+  static constexpr int kKind = LhStarMsg::kSurveyReply;
+  static constexpr char kName[] = "lhstar.SurveyReply";
+
   uint64_t survey_id = 0;
   enum class Role : uint8_t { kOther, kDataBucket, kParityBucket };
   Role role = Role::kOther;
@@ -331,8 +485,19 @@ struct SurveyReplyMsg : MessageBody {
   uint32_t parity_index = 0;
   uint32_t k = 0;
 
-  int kind() const override { return LhStarMsg::kSurveyReply; }
-  size_t ByteSize() const override { return 40; }
+  template <class V>
+  void Fields(V& v) {
+    v(survey_id);
+    v.Enum(role, Role::kParityBucket);
+    v(decommissioned);
+    v.Pad(2);
+    v(bucket);
+    v(level);
+    v(record_count);
+    v(group);
+    v(parity_index);
+    v(k);
+  }
 };
 
 /// Client -> server: one bulk-load sub-batch of inserts, all addressed to
@@ -341,7 +506,10 @@ struct SurveyReplyMsg : MessageBody {
 /// never fans out into per-record forwarding; the client re-groups
 /// rejected records under its (IAM-adjusted) image and resends. `seq`
 /// identifies the sub-batch within the client's batch operation `op_id`.
-struct InsertBatchMsg : MessageBody {
+struct InsertBatchMsg : WireMessage<InsertBatchMsg> {
+  static constexpr int kKind = LhStarMsg::kInsertBatch;
+  static constexpr char kName[] = "lhstar.InsertBatch";
+
   uint64_t op_id = 0;
   uint64_t seq = 0;
   NodeId client = kInvalidNode;
@@ -349,11 +517,15 @@ struct InsertBatchMsg : MessageBody {
   uint32_t attempt = 1;  ///< Re-group generation (bounded by the client).
   std::vector<WireRecord> records;
 
-  int kind() const override { return LhStarMsg::kInsertBatch; }
-  size_t ByteSize() const override {
-    size_t n = 32;
-    for (const auto& r : records) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(op_id);
+    v(seq);
+    v(client);
+    v(intended_bucket);
+    v(attempt);
+    v.Count(records);
+    for (WireRecord& r : records) v(r);
   }
 };
 
@@ -362,7 +534,10 @@ struct InsertBatchMsg : MessageBody {
 /// that hash elsewhere under the server's (authoritative) level. With
 /// `bounced` set the server is displaced or stood down and could not judge
 /// the records at all — the client re-routes them via the coordinator.
-struct InsertBatchReplyMsg : MessageBody {
+struct InsertBatchReplyMsg : WireMessage<InsertBatchReplyMsg> {
+  static constexpr int kKind = LhStarMsg::kInsertBatchReply;
+  static constexpr char kName[] = "lhstar.InsertBatchReply";
+
   uint64_t op_id = 0;
   uint64_t seq = 0;
   BucketNo bucket = 0;
@@ -372,33 +547,67 @@ struct InsertBatchReplyMsg : MessageBody {
   bool bounced = false;
   std::vector<WireRecord> rejected;
 
-  int kind() const override { return LhStarMsg::kInsertBatchReply; }
-  size_t ByteSize() const override {
-    size_t n = 40;
-    for (const auto& r : rejected) n += r.ByteSize();
-    return n;
+  template <class V>
+  void Fields(V& v) {
+    v(op_id);
+    v(seq);
+    v(bucket);
+    v(level);
+    v(applied);
+    v(exists);
+    v(bounced);
+    v.Pad(3);
+    v.Count(rejected);
+    for (WireRecord& r : rejected) v(r);
   }
 };
 
 /// Restored server -> coordinator: "am I still bucket m?" (self-detected
 /// recovery, paper section 2.5.4).
-struct SelfCheckRequestMsg : MessageBody {
+struct SelfCheckRequestMsg : WireMessage<SelfCheckRequestMsg> {
+  static constexpr int kKind = LhStarMsg::kSelfCheckRequest;
+  static constexpr char kName[] = "lhstar.SelfCheckRequest";
+
   BucketNo bucket = 0;
 
-  int kind() const override { return LhStarMsg::kSelfCheckRequest; }
-  size_t ByteSize() const override { return 8; }
+  template <class V>
+  void Fields(V& v) {
+    v(bucket);
+    v.Pad(4);
+  }
 };
 
 /// Coordinator -> restored server: keep serving, or stand down as a hot
 /// spare (your bucket was recreated at `replacement`).
-struct SelfCheckReplyMsg : MessageBody {
+struct SelfCheckReplyMsg : WireMessage<SelfCheckReplyMsg> {
+  static constexpr int kKind = LhStarMsg::kSelfCheckReply;
+  static constexpr char kName[] = "lhstar.SelfCheckReply";
+
   BucketNo bucket = 0;
   bool still_owner = false;
   NodeId replacement = kInvalidNode;
 
-  int kind() const override { return LhStarMsg::kSelfCheckReply; }
-  size_t ByteSize() const override { return 16; }
+  template <class V>
+  void Fields(V& v) {
+    v(bucket);
+    v(still_owner);
+    v.Pad(3);
+    v(replacement);
+    v.Pad(4);
+  }
 };
+
+/// Every LH* message, in kind order: the wire codec registry and the wire
+/// tests iterate it.
+using LhStarMessages =
+    MessageList<OpRequestMsg, OpReplyMsg, OverflowReportMsg, SplitOrderMsg,
+                MoveRecordsMsg, SplitDoneMsg, ScanRequestMsg, ScanReplyMsg,
+                ClientOpViaCoordinatorMsg, UnavailableReportMsg,
+                StateScanRequestMsg, StateScanReplyMsg, SelfCheckRequestMsg,
+                SelfCheckReplyMsg, UnderflowReportMsg, MergeOutMsg,
+                MergeRecordsMsg, MergeDoneMsg, ImageResetMsg,
+                SurveyRequestMsg, SurveyReplyMsg, InsertBatchMsg,
+                InsertBatchReplyMsg>;
 
 }  // namespace lhrs
 

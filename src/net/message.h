@@ -17,11 +17,12 @@ using SimTime = uint64_t;
 
 /// Base class of every message payload exchanged on the simulated network.
 ///
-/// Each protocol layer defines its own message structs deriving from this
-/// and tags them with a kind from its reserved range (see MessageKindRange).
-/// The simulator treats bodies as opaque apart from kind (for statistics)
-/// and ByteSize (for the latency model) — exactly the information a real
-/// wire format would expose.
+/// Each protocol layer defines its own message structs, tagged with a kind
+/// from its reserved range (see MessageKindRange). They derive from
+/// WireMessage (net/fields.h), which computes kind() and ByteSize() from
+/// the message's one Fields() description. The simulator treats bodies as
+/// opaque apart from kind (for statistics) and ByteSize (for the latency
+/// model) — exactly the information a real wire format would expose.
 class MessageBody {
  public:
   virtual ~MessageBody() = default;
@@ -29,7 +30,7 @@ class MessageBody {
   /// Globally unique message-kind tag (see MessageKindRange).
   virtual int kind() const = 0;
 
-  /// Approximate serialized size in bytes; drives per-byte latency and the
+  /// Serialized size in bytes; drives per-byte latency and the
   /// bytes-on-the-wire statistics.
   virtual size_t ByteSize() const = 0;
 

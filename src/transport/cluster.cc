@@ -222,7 +222,6 @@ int ClusterLayout::RankOf(NodeId id) const {
 ClusterRuntime::ClusterRuntime(const ClusterLayout& layout, int my_rank,
                                NetworkConfig net_config)
     : layout_(layout), my_rank_(my_rank), network_(net_config) {
-  RegisterAllWireCodecs();
   transport_.set_my_rank(my_rank);
   transport_.SetNodeRank([this](NodeId id) { return layout_.RankOf(id); });
   transport_.SetDeliverFn(
@@ -322,8 +321,6 @@ int ClusterServer::Run() {
   const std::string who = "server" + std::to_string(rank_);
   const uint64_t deadline = NowUs() + options_.deadline_ms * 1000;
   IgnoreSigpipe();
-  RegisterLhStarMessageNames();
-  RegisterLhrsMessageNames();
 
   ClusterRuntime runtime(options_.layout, rank_, options_.net);
   if (!runtime.OpenTransport().ok()) return 2;
@@ -606,8 +603,6 @@ int ClusterClient::Run() {
   const std::string who = "client" + std::to_string(rank_);
   const uint64_t deadline = NowUs() + options_.deadline_ms * 1000;
   IgnoreSigpipe();
-  RegisterLhStarMessageNames();
-  RegisterLhrsMessageNames();
 
   ClusterLayout layout = options_.layout;  // Code choice patched by Welcome.
   const int client_index = rank_ - 1 - static_cast<int>(layout.server_ranks);
@@ -768,8 +763,6 @@ int ClusterCoordinator::Run() {
   const std::string who = "coord";
   const uint64_t deadline = NowUs() + options_.deadline_ms * 1000;
   IgnoreSigpipe();
-  RegisterLhStarMessageNames();
-  RegisterLhrsMessageNames();
 
   const ClusterLayout& layout = options_.layout;
   ControlListener listener;

@@ -5,7 +5,8 @@
 #include <map>
 #include <utility>
 
-#include "common/logging.h"
+#include "lhrs/messages.h"
+#include "lhstar/messages.h"
 
 namespace lhrs::transport {
 
@@ -187,22 +188,63 @@ bool WireReader::View(BufferView* v) {
   return true;
 }
 
+// --- Scan predicate ---------------------------------------------------------
+
+bool PutField(WireWriter& w, const ScanPredicate& p) {
+  // A predicate carrying native selection code cannot travel; scans with
+  // custom predicates stay a simulator-only feature.
+  if (p.custom != nullptr) return false;
+  // Predicate wire version, carved out of what used to be zero padding:
+  // 0 = contains-only (byte-identical to the legacy frame), 1 = an
+  // inclusive key range appended after the legacy fields.
+  w.U8(p.has_key_range ? 1 : 0);
+  w.Pad(6);
+  w.BytesField(p.contains);
+  w.Pad(12);
+  if (p.has_key_range) {
+    w.U64(p.key_min);
+    w.U64(p.key_max);
+  }
+  return true;
+}
+
+bool GetField(WireReader& r, ScanPredicate* p) {
+  uint8_t version = 0;
+  if (!r.U8(&version) || !r.Skip(6) || !r.BytesField(&p->contains) ||
+      !r.Skip(12)) {
+    return false;
+  }
+  if (version >= 1) {
+    p->has_key_range = true;
+    if (!r.U64(&p->key_min) || !r.U64(&p->key_max)) return false;
+  }
+  // A newer sender may append predicate fields this build does not know;
+  // the predicate ends its message, so the known prefix decodes and the
+  // remainder is ignored.
+  if (version > 1) return r.Skip(r.remaining());
+  return true;
+}
+
 // --- Registry --------------------------------------------------------------
 
 namespace {
 
-std::map<int, WireCodec>& Registry() {
-  static auto* registry = new std::map<int, WireCodec>();
+template <class... Ms>
+void AddCodecs(std::map<int, WireCodec>& registry, MessageList<Ms...>) {
+  (registry.emplace(Ms::kKind, WireCodecFor<Ms>()), ...);
+}
+
+const std::map<int, WireCodec>& Registry() {
+  static const auto* registry = [] {
+    auto* codecs = new std::map<int, WireCodec>();
+    AddCodecs(*codecs, LhStarMessages{});
+    AddCodecs(*codecs, LhrsMessages{});
+    return codecs;
+  }();
   return *registry;
 }
 
 }  // namespace
-
-void RegisterWireCodec(int kind, WireCodec codec) {
-  LHRS_CHECK(codec.serialize != nullptr && codec.deserialize != nullptr);
-  const bool inserted = Registry().emplace(kind, codec).second;
-  LHRS_CHECK(inserted) << "duplicate wire codec for kind " << kind;
-}
 
 const WireCodec* FindWireCodec(int kind) {
   auto it = Registry().find(kind);
@@ -216,29 +258,24 @@ std::vector<int> RegisteredWireKinds() {
   return kinds;
 }
 
-void RegisterAllWireCodecs() {
-  static const bool once = [] {
-    RegisterLhStarWire();
-    RegisterLhrsWire();
-    RegisterBaselinesWire();
-    return true;
-  }();
-  (void)once;
-}
-
 bool SerializeBody(const MessageBody& body, WireWriter& w) {
   const WireCodec* codec = FindWireCodec(body.kind());
   if (codec == nullptr) return false;
   return codec->serialize(body, w);
 }
 
+std::unique_ptr<MessageBody> DeserializeWith(const WireCodec& codec,
+                                             BufferView payload) {
+  WireReader reader(std::move(payload));
+  std::unique_ptr<MessageBody> body = codec.deserialize(reader);
+  if (body == nullptr || !reader.AtEnd()) return nullptr;
+  return body;
+}
+
 std::unique_ptr<MessageBody> DeserializeBody(int kind, BufferView payload) {
   const WireCodec* codec = FindWireCodec(kind);
   if (codec == nullptr) return nullptr;
-  WireReader reader(std::move(payload));
-  std::unique_ptr<MessageBody> body = codec->deserialize(reader);
-  if (body == nullptr || !reader.AtEnd()) return nullptr;
-  return body;
+  return DeserializeWith(*codec, std::move(payload));
 }
 
 }  // namespace lhrs::transport

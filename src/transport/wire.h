@@ -3,12 +3,20 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/buffer.h"
 #include "common/bytes.h"
+#include "common/logging.h"
+#include "net/fields.h"
 #include "net/message.h"
+
+namespace lhrs {
+struct ScanPredicate;
+}  // namespace lhrs
 
 namespace lhrs::transport {
 
@@ -21,10 +29,10 @@ namespace lhrs::transport {
 /// flattened form is only materialized for TCP framing and retransmit
 /// buffers.
 ///
-/// Invariant enforced by the wire tests: for every registered message
-/// kind, `size()` after serialization equals the body's declared
-/// `ByteSize()` — the simulator's latency model and `MessageStats` count
-/// exactly the bytes a real socket would carry.
+/// Messages are written by FieldEncoder from their Fields() list, the same
+/// list WireSizer sums for `ByteSize()`, so `size()` after serialization
+/// equals the body's `ByteSize()` — the simulator's latency model and
+/// `MessageStats` count exactly the bytes a real socket would carry.
 class WireWriter {
  public:
   void U8(uint8_t v) { Raw(&v, 1); }
@@ -91,6 +99,15 @@ class WireReader {
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return ok_ && pos_ == data_.size(); }
   bool ok() const { return ok_; }
+  /// Poisons the reader: a decoded value failed a semantic check.
+  void Fail() { ok_ = false; }
+
+  /// True when `count` elements of at least `min_elem_size` bytes each
+  /// could still follow — the sanity check before sizing a vector, so a
+  /// corrupted count cannot trigger a giant allocation.
+  bool PlausibleCount(uint32_t count, size_t min_elem_size) const {
+    return min_elem_size == 0 || count <= remaining() / min_elem_size;
+  }
 
  private:
   bool Take(size_t n, const uint8_t** out);
@@ -100,39 +117,185 @@ class WireReader {
   bool ok_ = true;
 };
 
+// The scan predicate's hand-written field codec: a version byte, so old
+// and new builds read each other's frames, and a refusal to send a native
+// `custom` function. Defined in wire.cc.
+bool PutField(WireWriter& w, const ScanPredicate& p);
+bool GetField(WireReader& r, ScanPredicate* p);
+
+/// Writes a Fields() list (see net/fields.h) to a WireWriter.
+class FieldEncoder {
+ public:
+  explicit FieldEncoder(WireWriter& w) : w_(w) {}
+
+  /// False when a field refused to travel.
+  bool ok() const { return ok_; }
+
+  template <class T>
+  void operator()(T& x) {
+    if constexpr (HasFields<T, FieldEncoder>) {
+      x.Fields(*this);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      w_.Bool(x);
+    } else if constexpr (WireInt<T> && sizeof(T) == 4) {
+      w_.U32(static_cast<uint32_t>(x));
+    } else if constexpr (WireInt<T>) {
+      w_.U64(static_cast<uint64_t>(x));
+    } else if constexpr (std::is_same_v<T, BufferView>) {
+      w_.View(x);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      w_.Str(x);
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      w_.BytesField(x);
+    } else if constexpr (IsOptional<T>::value) {
+      w_.Bool(x.has_value());
+      typename T::value_type value = x.value_or(typename T::value_type{});
+      (*this)(value);
+    } else {
+      ok_ = PutField(w_, x) && ok_;
+    }
+  }
+
+  template <class E>
+  void Enum(E& e, E) {
+    w_.U8(static_cast<uint8_t>(e));
+  }
+  void Pad(size_t n) { w_.Pad(n); }
+  template <class T>
+  void Flag(std::optional<T>& opt) {
+    w_.Bool(opt.has_value());
+  }
+  template <class V, class... Vs>
+  void Count(V& first, Vs&... parallel) {
+    for (size_t n : {first.size(), parallel.size()...}) {
+      LHRS_CHECK_EQ(n, first.size());
+    }
+    w_.U32(static_cast<uint32_t>(first.size()));
+  }
+
+ private:
+  WireWriter& w_;
+  bool ok_ = true;
+};
+
+/// Reads a Fields() list from a WireReader. Every read is bounds-checked;
+/// booleans must be 0 or 1, enums at most their declared maximum, and a
+/// vector count must be plausible for the bytes left before the vector is
+/// sized. The first failure poisons the reader, after which every read is
+/// a no-op, so the visit runs to its end without touching bad data.
+class FieldDecoder {
+ public:
+  explicit FieldDecoder(WireReader& r) : r_(r) {}
+
+  template <class T>
+  void operator()(T& x) {
+    if constexpr (HasFields<T, FieldDecoder>) {
+      x.Fields(*this);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      r_.Bool(&x);
+    } else if constexpr (WireInt<T> && sizeof(T) == 4) {
+      uint32_t u = 0;
+      if (r_.U32(&u)) x = static_cast<T>(u);
+    } else if constexpr (WireInt<T>) {
+      uint64_t u = 0;
+      if (r_.U64(&u)) x = static_cast<T>(u);
+    } else if constexpr (std::is_same_v<T, BufferView>) {
+      r_.View(&x);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      r_.Str(&x);
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      r_.BytesField(&x);
+    } else if constexpr (IsOptional<T>::value) {
+      bool present = false;
+      r_.Bool(&present);
+      typename T::value_type value{};
+      (*this)(value);
+      if (present) x = std::move(value);
+    } else {
+      if (!GetField(r_, &x)) r_.Fail();
+    }
+  }
+
+  template <class E>
+  void Enum(E& e, E max) {
+    uint8_t u = 0;
+    if (!r_.U8(&u)) return;
+    if (u > static_cast<uint8_t>(max)) {
+      r_.Fail();
+      return;
+    }
+    e = static_cast<E>(u);
+  }
+  void Pad(size_t n) { r_.Skip(n); }
+  template <class T>
+  void Flag(std::optional<T>& opt) {
+    bool present = false;
+    if (r_.Bool(&present) && present) opt.emplace();
+  }
+  // One element of each vector occupies at least the size of a default
+  // element, which bounds the count the remaining bytes can carry.
+  template <class... Vs>
+  void Count(Vs&... vectors) {
+    uint32_t n = 0;
+    if (!r_.U32(&n)) return;
+    if (!r_.PlausibleCount(n,
+                           (WireSize(typename Vs::value_type{}) + ...))) {
+      r_.Fail();
+      return;
+    }
+    (vectors.resize(n), ...);
+  }
+
+ private:
+  WireReader& r_;
+};
+
 /// Codec of one message kind. `serialize` returns false when the concrete
 /// body cannot travel (a scan predicate carrying a native `custom`
 /// function); `deserialize` returns null on malformed input — it must
 /// never crash or over-read.
 struct WireCodec {
-  const char* name = "";
   bool (*serialize)(const MessageBody& body, WireWriter& w) = nullptr;
   std::unique_ptr<MessageBody> (*deserialize)(WireReader& r) = nullptr;
 };
 
-/// Registers the codec for `kind`; CHECK-fails on duplicates.
-void RegisterWireCodec(int kind, WireCodec codec);
+/// The codec of message type `M`, derived from `M::Fields()`.
+template <class M>
+WireCodec WireCodecFor() {
+  return WireCodec{
+      [](const MessageBody& body, WireWriter& w) {
+        FieldEncoder encoder(w);
+        encoder(const_cast<M&>(static_cast<const M&>(body)));
+        return encoder.ok();
+      },
+      [](WireReader& r) -> std::unique_ptr<MessageBody> {
+        auto m = std::make_unique<M>();
+        FieldDecoder decoder(r);
+        decoder(*m);
+        if (!r.ok()) return nullptr;
+        return m;
+      }};
+}
 
-/// The codec for `kind`, or nullptr when none is registered.
+/// The codec for `kind`, or nullptr when the kind does not travel. Every
+/// LH* and LH*RS message has one; the baseline schemes run only on the
+/// simulator.
 const WireCodec* FindWireCodec(int kind);
 
-/// All registered kinds, ascending (the round-trip tests iterate this).
+/// All kinds with a codec, ascending (the round-trip tests iterate this).
 std::vector<int> RegisteredWireKinds();
 
-/// Per-layer registration hooks (each idempotent).
-void RegisterLhStarWire();
-void RegisterLhrsWire();
-void RegisterBaselinesWire();
-
-/// Registers every layer's codecs (idempotent); call once at startup.
-void RegisterAllWireCodecs();
-
-/// Serializes `body` into `w`; false when the kind is unregistered or the
+/// Serializes `body` into `w`; false when the kind has no codec or the
 /// body is unserializable.
 bool SerializeBody(const MessageBody& body, WireWriter& w);
 
+/// Decodes one body with `codec` from `payload`. Null on malformed input
+/// or trailing bytes (every frame must parse exactly).
+std::unique_ptr<MessageBody> DeserializeWith(const WireCodec& codec,
+                                             BufferView payload);
+
 /// Decodes one body of `kind` from `payload`. Null on unknown kind,
-/// malformed input, or trailing bytes (every frame must parse exactly).
+/// malformed input, or trailing bytes.
 std::unique_ptr<MessageBody> DeserializeBody(int kind, BufferView payload);
 
 }  // namespace lhrs::transport

@@ -103,12 +103,6 @@ uint16_t ReserveControlPort() {
 class ClusterTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Pre-register every global registry single-threaded: the member
-    // threads' own registration calls then find everything in place (the
-    // kind-name map is not synchronized).
-    RegisterLhStarMessageNames();
-    RegisterLhrsMessageNames();
-    RegisterAllWireCodecs();
     report_dir_ = ::testing::TempDir() + "cluster_" +
                   ::testing::UnitTest::GetInstance()
                       ->current_test_info()

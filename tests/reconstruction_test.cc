@@ -31,7 +31,7 @@ struct Fixture {
           std::vector<Rank> ranks = {1, 2, 3})
       : m(m_in), k(k_in), coders(m_in, field) {
     Rng rng(seed);
-    const ErasureCoder& coder = coders.ForK(k);
+    const parity::ParityCode& coder = coders.ForK(k);
     std::vector<std::vector<Bytes>> per_rank(ranks.size(),
                                              std::vector<Bytes>(m));
     for (uint32_t slot = 0; slot < existing; ++slot) {
@@ -381,7 +381,7 @@ struct RandomGroup {
   uint32_t existing = 0;
 };
 
-RandomGroup MakeRandomGroup(const ErasureCoder& coder, uint32_t existing,
+RandomGroup MakeRandomGroup(const parity::ParityCode& coder, uint32_t existing,
                             Rng& rng) {
   const uint32_t m = coder.m();
   RandomGroup g;
@@ -464,7 +464,7 @@ TEST_P(ReconstructionOracleTest, MatchesPerRankDecodeByteForByte) {
     const uint32_t k =
         (spec->kind == parity::CodeKind::kLrc ? 2 : 1) + rng.Uniform(2);
     CoderCache coders(kM, field, *spec);
-    const ErasureCoder& coder = coders.ForK(k);
+    const parity::ParityCode& coder = coders.ForK(k);
     const uint32_t existing = 1 + static_cast<uint32_t>(rng.Uniform(kM));
     RandomGroup g = MakeRandomGroup(coder, existing, rng);
 
@@ -551,7 +551,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ReconstructionDeathTest, CorruptSurvivorTripsPaddingCheck) {
   CoderCache coders(4);
-  const ErasureCoder& coder = coders.ForK(2);
+  const parity::ParityCode& coder = coders.ForK(2);
   const Bytes short_value(5, 0x11);  // Slot 0: 5 bytes.
   const Bytes long_value(40, 0x22);  // Slot 1: 40 bytes.
   ColumnDump d1;

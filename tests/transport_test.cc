@@ -34,7 +34,6 @@ std::unique_ptr<OpRequestMsg> MakeRequest(uint64_t op_id, size_t value_size) {
 class TransportPairTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    RegisterAllWireCodecs();
     for (int rank = 0; rank < 2; ++rank) {
       auto& t = transports_[rank];
       t = std::make_unique<SocketTransport>(options_);
