@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "exec/parallel_network.h"
 
 namespace lhrs::lhm {
 
@@ -219,7 +218,8 @@ void LhmCoordinatorNode::HandleSubclassMessage(const Message& msg) {
 
 // --- Facade ------------------------------------------------------------------
 
-LhmFile::LhmFile(Options options) : network_(exec::MakeNetwork(options.net)) {
+LhmFile::LhmFile(Options options)
+    : network_(std::make_unique<Network>(options.net)) {
   for (int f = 0; f < 2; ++f) {
     replicas_[f].ctx = std::make_shared<SystemContext>();
     replicas_[f].ctx->config = options.file;

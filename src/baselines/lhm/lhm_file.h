@@ -226,7 +226,7 @@ class LhmFile : public sdds::SddsFile {
   void FinishOp(sdds::OpToken token, OpOutcome outcome);
   ClientNode* AddReplicaClient(size_t replica, size_t session);
 
-  std::unique_ptr<Network> network_;  ///< exec::MakeNetwork(options.net).
+  std::unique_ptr<Network> network_;
   Replica replicas_[2];
   LhmCoordinatorNode* coordinators_[2] = {nullptr, nullptr};
   std::map<sdds::OpToken, LogicalOp> inflight_;

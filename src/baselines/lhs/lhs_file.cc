@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "exec/parallel_network.h"
 
 namespace lhrs::lhs {
 
@@ -84,7 +83,7 @@ Bytes LhsFile::ReconstructStripe(const std::vector<const Bytes*>& present,
 }
 
 LhsFile::LhsFile(Options options)
-    : network_(exec::MakeNetwork(options.net)),
+    : network_(std::make_unique<Network>(options.net)),
       stripe_count_(options.stripe_count) {
   files_.resize(stripe_count_ + 1);
   std::vector<std::shared_ptr<SystemContext>> fleet;

@@ -248,7 +248,7 @@ class LhsFile : public sdds::SddsFile {
   void FinishOp(sdds::OpToken token, OpOutcome outcome);
   void AddStripeClient(uint32_t file_index, size_t session);
 
-  std::unique_ptr<Network> network_;  ///< exec::MakeNetwork(options.net).
+  std::unique_ptr<Network> network_;
   uint32_t stripe_count_;
   std::vector<StripeFile> files_;  ///< k stripes + 1 parity.
   std::map<sdds::OpToken, LogicalOp> inflight_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/locality.h"
-
 namespace lhrs::chaos {
 
 /// Hidden node whose timers carry the fault schedule. It never exchanges
@@ -33,14 +31,8 @@ ChaosEngine::ChaosEngine(Network* net, FaultPlan plan,
       plan_(std::move(plan)),
       group_resolver_(std::move(group_resolver)),
       restore_hook_(std::move(restore_hook)),
+      rng_(plan_.seed),
       attach_time_(net->now()) {
-  // Stream 0 is seeded with exactly plan.seed so the single-threaded
-  // engine (which only ever draws from stream 0) replays byte-identically.
-  rng_streams_.emplace_back(plan_.seed);
-  for (size_t i = 1; i <= net_->config().localities; ++i) {
-    rng_streams_.emplace_back(plan_.seed ^
-                              (0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(i)));
-  }
   auto controller = std::make_unique<ChaosControllerNode>();
   controller_ = controller.get();
   controller_->engine_ = this;
@@ -66,53 +58,47 @@ ChaosEngine::~ChaosEngine() {
 
 uint64_t ChaosEngine::injected_total() const {
   uint64_t total = 0;
-  for (const auto& n : injected_) total += n.load(std::memory_order_relaxed);
+  for (uint64_t n : injected_) total += n;
   return total;
-}
-
-Rng& ChaosEngine::StreamRng() {
-  const size_t locality = CurrentLocality();
-  return rng_streams_[std::min(locality, rng_streams_.size() - 1)];
 }
 
 FaultActions ChaosEngine::OnMessage(const Message& msg, SimTime now) {
   FaultActions actions;
-  Rng& rng = StreamRng();  // The sending locality's deterministic stream.
   const SimTime offset = now - attach_time_;
   for (const MessageFaultRule& rule : plan_.rules) {
     if (!rule.Matches(msg, offset)) continue;
     switch (rule.kind) {
       case FaultKind::kDrop:
-        if (rng.Flip(rule.p)) {
+        if (rng_.Flip(rule.p)) {
           actions.drop = true;
           Count(FaultKind::kDrop, msg.from, msg.to, msg.body->kind(), -1);
           return actions;  // The message is gone; later rules are moot.
         }
         break;
       case FaultKind::kDuplicate:
-        if (rng.Flip(rule.p)) {
+        if (rng_.Flip(rule.p)) {
           ++actions.duplicates;
           Count(FaultKind::kDuplicate, msg.from, msg.to, msg.body->kind(),
                 -1);
         }
         break;
       case FaultKind::kDelay:
-        if (rng.Flip(rule.p)) {
+        if (rng_.Flip(rule.p)) {
           actions.extra_delay_us +=
               rule.delay_us +
-              (rule.jitter_us > 0 ? rng.Uniform(rule.jitter_us + 1) : 0);
+              (rule.jitter_us > 0 ? rng_.Uniform(rule.jitter_us + 1) : 0);
           Count(FaultKind::kDelay, msg.from, msg.to, msg.body->kind(), -1);
         }
         break;
       case FaultKind::kReorder:
-        if (rng.Flip(rule.p)) {
+        if (rng_.Flip(rule.p)) {
           actions.extra_delay_us +=
-              (rule.jitter_us > 0 ? rng.Uniform(rule.jitter_us + 1) : 0);
+              (rule.jitter_us > 0 ? rng_.Uniform(rule.jitter_us + 1) : 0);
           Count(FaultKind::kReorder, msg.from, msg.to, msg.body->kind(), -1);
         }
         break;
       case FaultKind::kSlowNode:
-        if (rng.Flip(rule.p)) {
+        if (rng_.Flip(rule.p)) {
           actions.latency_factor *= rule.factor;
           Count(FaultKind::kSlowNode, msg.from, msg.to, msg.body->kind(),
                 -1);
@@ -163,9 +149,7 @@ void ChaosEngine::CrashGroup(const ScheduledFault& fault) {
       fault.count, static_cast<uint32_t>(members.size()));
   // Partial Fisher–Yates: the first `count` slots become the victims.
   for (uint32_t i = 0; i < count; ++i) {
-    // Structural faults fire on the home locality, so this is stream 0 —
-    // the same draws the single-threaded engine makes.
-    const size_t j = i + rng_streams_[0].Uniform(members.size() - i);
+    const size_t j = i + rng_.Uniform(members.size() - i);
     std::swap(members[i], members[j]);
     net_->SetAvailable(members[i], false);
   }
@@ -177,7 +161,7 @@ void ChaosEngine::CrashGroup(const ScheduledFault& fault) {
 
 void ChaosEngine::Count(FaultKind kind, NodeId node, NodeId peer,
                         int msg_kind, int32_t group) {
-  injected_[static_cast<size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
+  ++injected_[static_cast<size_t>(kind)];
   if (counters_[static_cast<size_t>(kind)] != nullptr) {
     counters_[static_cast<size_t>(kind)]->Add();
   }

@@ -2,7 +2,6 @@
 #define LHRS_CHAOS_CHAOS_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -28,14 +27,6 @@ class ChaosControllerNode;
 /// controller node stays registered — networks never remove nodes — but
 /// becomes inert). Enable telemetry *before* constructing the engine if
 /// you want the `faults_injected{kind=...}` counters.
-///
-/// Parallel engine: OnMessage runs on the *sender's* locality thread, so
-/// the engine keeps one independent RNG stream per locality. Stream 0 is
-/// seeded with exactly `plan.seed` — in the single-threaded deterministic
-/// engine every draw comes from stream 0, so replays stay byte-identical
-/// with plans recorded before streams existed. Streams i > 0 are seeded
-/// from (seed, i), making each locality's fault sequence deterministic in
-/// isolation even though cross-locality interleaving is not.
 ///
 /// Scheduled-fault timers do not wake the event loop: an idle file does
 /// not fast-forward through its fault script. Drivers interleave workload
@@ -74,8 +65,7 @@ class ChaosEngine final : public FaultInjector {
   /// the `faults_injected{kind=...}` telemetry counters but work with
   /// telemetry disabled.
   uint64_t injected(FaultKind kind) const {
-    return injected_[static_cast<size_t>(kind)].load(
-        std::memory_order_relaxed);
+    return injected_[static_cast<size_t>(kind)];
   }
   uint64_t injected_total() const;
 
@@ -95,21 +85,16 @@ class ChaosEngine final : public FaultInjector {
   void Count(FaultKind kind, NodeId node, NodeId peer, int msg_kind,
              int32_t group);
 
-  /// The calling locality's RNG stream (see class comment). Structural
-  /// faults always fire on the controller's home locality, i.e. stream 0.
-  Rng& StreamRng();
-
   Network* net_;
   FaultPlan plan_;
   GroupResolver group_resolver_;
   RestoreHook restore_hook_;
-  /// Per-locality deterministic streams; [0] is the classic engine's RNG.
-  std::vector<Rng> rng_streams_;
+  Rng rng_;
   SimTime attach_time_ = 0;
   NodeId controller_id_ = kInvalidNode;
   ChaosControllerNode* controller_ = nullptr;
 
-  std::array<std::atomic<uint64_t>, 8> injected_{};
+  std::array<uint64_t, 8> injected_{};
   /// Cached telemetry counters per kind (null when telemetry was off at
   /// construction).
   std::array<telemetry::Counter*, 8> counters_{};

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -46,13 +45,10 @@ class CoderCache {
   FieldChoice field() const { return field_; }
   const parity::CodeSpec& code() const { return code_; }
 
-  /// Get-or-create; the returned code lives as long as the cache. Guarded
-  /// so parity buckets on different localities can resolve concurrently
-  /// (codes themselves are immutable once built). CHECK-fails on a
-  /// geometry the configured code cannot express — validate the spec
-  /// against the availability policy at file creation.
+  /// Get-or-create; the returned code lives as long as the cache.
+  /// CHECK-fails on a geometry the configured code cannot express —
+  /// validate the spec against the availability policy at file creation.
   const parity::ParityCode& ForK(uint32_t k) {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = coders_.find(k);
     if (it == coders_.end()) {
       auto coder = parity::MakeParityCode(code_, m_, k, field_);
@@ -63,7 +59,6 @@ class CoderCache {
   }
 
  private:
-  std::mutex mu_;
   uint32_t m_;
   FieldChoice field_;
   parity::CodeSpec code_;

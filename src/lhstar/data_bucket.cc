@@ -219,14 +219,7 @@ void DataBucketNode::HandleInsertBatch(const InsertBatchMsg& batch) {
 }
 
 void DataBucketNode::RecordOpTelemetry() {
-  // Deterministic engine only: in parallel mode bucket handlers run on
-  // worker threads where the pending-delivery counters and the main metric
-  // registry are not theirs to touch; the skew/queue-depth series are a
-  // deterministic-simulation instrument.
-  if (network() == nullptr || network()->telemetry() == nullptr ||
-      network()->config().localities != 0) {
-    return;
-  }
+  if (network() == nullptr || network()->telemetry() == nullptr) return;
   if (ops_counter_ == nullptr) {
     telemetry::MetricsRegistry& m = network()->telemetry()->metrics();
     const std::string bucket = std::to_string(bucket_no_);

@@ -127,7 +127,7 @@ class DataBucketNode : public Node {
   void ExecuteLocalOp(const OpRequestMsg& req);
   void HandleInsertBatch(const InsertBatchMsg& batch);
   /// Records bucket.queue_depth{bucket=N} / bucket.ops{bucket=N} for one
-  /// executed op (deterministic engine only; see the .cc).
+  /// executed op.
   void RecordOpTelemetry();
   void HandleSplitOrder(const SplitOrderMsg& order);
   void HandleMoveRecords(const MoveRecordsMsg& move);

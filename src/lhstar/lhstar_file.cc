@@ -3,13 +3,12 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "exec/parallel_network.h"
 
 namespace lhrs {
 
 LhStarFile::LhStarFile(Options options, DeferInit)
     : options_(std::move(options)),
-      network_(exec::MakeNetwork(options_.net)),
+      network_(std::make_unique<Network>(options_.net)),
       ctx_(std::make_shared<SystemContext>()) {
   ctx_->config = options_.file;
 }

@@ -113,9 +113,6 @@ class LhStarFile : public sdds::SddsFile {
   DataBucketNode* data_node(NodeId id) const { return data_nodes_.Find(id); }
 
   Options options_;
-  /// exec::MakeNetwork — the classic deterministic engine when
-  /// options_.net.localities == 0, the locality-sharded ParallelNetwork
-  /// otherwise. Facade code is engine-agnostic.
   std::unique_ptr<Network> network_;
   std::shared_ptr<SystemContext> ctx_;
   CoordinatorNode* coordinator_ = nullptr;  // Owned by network_.

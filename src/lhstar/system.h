@@ -1,10 +1,9 @@
 #ifndef LHRS_LHSTAR_SYSTEM_H_
 #define LHRS_LHSTAR_SYSTEM_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -51,66 +50,48 @@ struct FileConfig {
 /// table directly; in a real deployment servers learn child addresses from
 /// the coordinator at split time, and that lookup is local there exactly as
 /// it is here, so no counted message traffic is hidden by this shortcut.
-///
-/// Concurrency: the coordinator (home locality) writes at splits and
-/// recoveries while server nodes on other localities of the parallel
-/// engine resolve forward addresses, so every accessor is mutex-guarded.
-/// The version counter is additionally atomic so cluster mode's broadcast
-/// check can poll it without the lock.
 class AllocationTable {
  public:
   void Set(BucketNo bucket, NodeId node) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (bucket >= table_.size()) table_.resize(bucket + 1, kInvalidNode);
     table_[bucket] = node;
-    version_.fetch_add(1, std::memory_order_release);
+    ++version_;
   }
 
   NodeId Lookup(BucketNo bucket) const {
-    std::lock_guard<std::mutex> lock(mu_);
     LHRS_CHECK_LT(bucket, table_.size()) << "unknown bucket";
     return table_[bucket];
   }
 
   bool Knows(BucketNo bucket) const {
-    std::lock_guard<std::mutex> lock(mu_);
     return bucket < table_.size() && table_[bucket] != kInvalidNode;
   }
 
   /// Forgets every mapping (coordinator soft-state loss simulation).
   void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
     table_.clear();
-    version_.fetch_add(1, std::memory_order_release);
+    ++version_;
   }
 
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_.size();
-  }
+  size_t size() const { return table_.size(); }
 
   /// Monotone change counter. Cluster mode broadcasts a fresh snapshot of
   /// the coordinator's authoritative table whenever the version moves, so
   /// worker/client replicas converge without per-entry messages.
-  uint64_t version() const { return version_.load(std::memory_order_acquire); }
+  uint64_t version() const { return version_; }
 
   /// Snapshot of the bucket -> node vector (for the wire).
-  std::vector<NodeId> entries() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return table_;
-  }
+  std::vector<NodeId> entries() const { return table_; }
 
   /// Replaces the whole table with a received snapshot.
   void Restore(std::vector<NodeId> entries, uint64_t version) {
-    std::lock_guard<std::mutex> lock(mu_);
     table_ = std::move(entries);
-    version_.store(version, std::memory_order_release);
+    version_ = version;
   }
 
  private:
-  mutable std::mutex mu_;
   std::vector<NodeId> table_;
-  std::atomic<uint64_t> version_{0};
+  uint64_t version_ = 0;
 };
 
 /// Shared wiring of one LH* file instance, handed to every node of that
@@ -123,9 +104,7 @@ struct SystemContext {
   /// Record count maintained by the buckets (insert/delete), read by the
   /// coordinator's load-control policy. Models the load statistics real
   /// LH* piggybacks on existing traffic; no extra messages are charged.
-  /// Atomic because buckets on different localities of the parallel engine
-  /// bump it concurrently.
-  std::atomic<uint64_t> total_records{0};
+  uint64_t total_records = 0;
 };
 
 }  // namespace lhrs

@@ -23,24 +23,6 @@ struct NetworkConfig {
   SimTime per_kb_us = 80;             ///< Added latency per KiB of payload.
   SimTime timeout_us = 2000;          ///< Failure-detection (RPC timeout).
   bool multicast_available = true;    ///< Hardware multicast for scans.
-
-  // --- Parallel execution engine (src/exec) ------------------------------
-  /// Worker localities of the parallel engine. 0 selects the classic
-  /// single-threaded deterministic event loop (this class); any value >= 1
-  /// makes exec::MakeNetwork build an exec::ParallelNetwork with that many
-  /// worker threads plus the driver-pumped home locality.
-  size_t localities = 0;
-  /// Per-delivery handler occupancy charged to the destination locality's
-  /// virtual clock in parallel mode — the simulated cost of one core
-  /// executing one handler. 0 models instantaneous handlers (pure
-  /// messaging-cost accounting, the deterministic simulator's model).
-  SimTime service_us_per_task = 0;
-  /// Additional occupancy per KiB of payload (memcpy, parity arithmetic).
-  SimTime service_us_per_kb = 0;
-  /// Parallel-mode node-slot capacity. Slots are pre-allocated so worker
-  /// threads can resolve node ids without locking while the driver adds
-  /// nodes (splits, spares). Ignored in deterministic mode.
-  size_t max_nodes = 1 << 16;
 };
 
 /// What a fault injector tells the network to do with one message about to
@@ -93,16 +75,15 @@ class RemoteRouter {
 class Network {
  public:
   explicit Network(NetworkConfig config = {});
-  virtual ~Network() = default;
 
   /// Registers a node and assigns its NodeId. May be called while the
   /// event loop runs (splits and recoveries allocate servers on the fly).
-  virtual NodeId AddNode(std::unique_ptr<Node> node);
+  NodeId AddNode(std::unique_ptr<Node> node);
 
   /// Replaces the node object at an existing id, keeping availability and
   /// crash epoch. Cluster mode uses this to swap a remote stub for the
   /// real node when a spare slot is activated in this process.
-  virtual void ReplaceNode(NodeId id, std::unique_ptr<Node> node);
+  void ReplaceNode(NodeId id, std::unique_ptr<Node> node);
 
   /// The node object at `id` (never null for a valid id).
   Node* node(NodeId id) const {
@@ -121,14 +102,14 @@ class Network {
   size_t node_count() const { return nodes_.size(); }
 
   /// Queues a unicast message for delivery.
-  virtual void Send(NodeId from, NodeId to, std::unique_ptr<MessageBody> body);
+  void Send(NodeId from, NodeId to, std::unique_ptr<MessageBody> body);
 
   /// Queues one message per destination as a single multicast batch:
   /// counted as one message in the statistics when hardware multicast is
   /// available (how the paper accounts scan costs), as N unicasts
   /// otherwise. Bodies may differ per destination (scans attach
   /// per-bucket presumed levels).
-  virtual void Multicast(
+  void Multicast(
       NodeId from,
       std::vector<std::pair<NodeId, std::unique_ptr<MessageBody>>> batch);
 
@@ -136,8 +117,8 @@ class Network {
   /// get HandleDeliveryFailure after the timeout. A crash also increments
   /// the node's crash epoch: messages already in flight towards it bounce
   /// even if the node is restored before their delivery time.
-  virtual void SetAvailable(NodeId id, bool available);
-  virtual bool available(NodeId id) const;
+  void SetAvailable(NodeId id, bool available);
+  bool available(NodeId id) const;
 
   /// Schedules `node`'s HandleTimer(timer_id) to fire after `delay`.
   /// Timers to a node that is unavailable at fire time are silently
@@ -145,15 +126,15 @@ class Network {
   /// going: it fires only if protocol traffic carries simulated time past
   /// it (the chaos engine schedules its fault script this way, so an idle
   /// file does not fast-forward through the whole schedule).
-  virtual void ScheduleTimer(NodeId node, SimTime delay, uint64_t timer_id,
-                             bool wake = true);
+  void ScheduleTimer(NodeId node, SimTime delay, uint64_t timer_id,
+                     bool wake = true);
 
   /// Runs the event loop until no *wake* events remain (messages, delivery
   /// failures and ordinary timers). Every client-visible operation in this
   /// codebase completes within one call (the protocols' retries are
   /// bounded). Non-wake timers scheduled beyond the quiescent time stay
   /// queued.
-  virtual void RunUntilIdle();
+  void RunUntilIdle();
 
   /// Processes exactly one event — the next one in (time, seq) order — and
   /// returns true; returns false without touching the queue when no wake
@@ -161,29 +142,24 @@ class Network {
   /// process the identical event sequence RunUntilIdle would, so a driver
   /// can interleave issuing new operations with event processing without
   /// perturbing determinism.
-  virtual bool Step();
+  bool Step();
 
   /// Steps until `done()` returns true or the network is idle. The
   /// predicate is evaluated before each event, so the event that makes it
   /// true is not followed by further processing.
-  virtual void RunUntil(const std::function<bool()>& done);
+  void RunUntil(const std::function<bool()>& done);
 
   /// Processes every event (wake or not) with time <= t, then advances the
   /// clock to `t`. Lets a driver play out the remainder of a scripted
   /// fault schedule after the workload went idle.
-  virtual void RunUntil(SimTime t);
+  void RunUntil(SimTime t);
 
-  /// Current simulated time (microseconds). In parallel mode this is the
-  /// home locality's virtual clock (the clients' view of time).
-  virtual SimTime now() const { return now_; }
+  /// Current simulated time (microseconds).
+  SimTime now() const { return now_; }
 
-  /// Traffic statistics. In parallel mode the non-const form folds the
-  /// per-locality shards together first; call it only from the driver
-  /// thread, quiescent or between phases.
-  virtual MessageStats& stats() { return stats_; }
-  const MessageStats& stats() const {
-    return const_cast<Network*>(this)->stats();
-  }
+  /// Traffic statistics.
+  MessageStats& stats() { return stats_; }
+  const MessageStats& stats() const { return stats_; }
   const NetworkConfig& config() const { return config_; }
 
   /// Turns observability on: the network owns a Telemetry instance, wires
@@ -191,7 +167,7 @@ class Network {
   /// delivery-latency histogram and (config-dependent) per-message trace
   /// events. Returns the instance so callers can add their own series.
   /// Idempotent; the config of the first call wins.
-  virtual telemetry::Telemetry* EnableTelemetry(
+  telemetry::Telemetry* EnableTelemetry(
       telemetry::TelemetryConfig config = {});
 
   /// The attached telemetry, or nullptr when disabled. Every instrumented
@@ -224,31 +200,27 @@ class Network {
   /// gets a fresh local id (transport-level retransmits deliver at most
   /// once, so ids stay unique) and is processed through the ordinary
   /// delivery event so telemetry, stats and crash-epoch checks all apply.
-  virtual void Inject(NodeId from, NodeId to,
-                      std::unique_ptr<MessageBody> body);
+  void Inject(NodeId from, NodeId to, std::unique_ptr<MessageBody> body);
 
   /// Ingress path for transport-detected send failures: invokes `from`'s
   /// HandleDeliveryFailure with a synthesized bounced message, mirroring
   /// the simulator's RPC-timeout model (recorded in stats/telemetry).
-  virtual void NotifyDeliveryFailure(NodeId from, NodeId to,
-                                     std::unique_ptr<MessageBody> body);
+  void NotifyDeliveryFailure(NodeId from, NodeId to,
+                             std::unique_ptr<MessageBody> body);
 
   /// Total messages processed since construction (safety valve for tests).
   uint64_t processed_events() const { return processed_events_; }
 
   /// Deliveries queued towards `id` but not yet processed — the node's
   /// instantaneous ingress queue depth, the quantity the per-bucket
-  /// queueing telemetry records under skewed workloads. Deterministic
-  /// engine only: the parallel engine's worker mailboxes are not
-  /// observable from other threads, so it reports 0 for worker-resident
-  /// nodes (driver-pumped home nodes are still counted).
-  virtual size_t PendingTo(NodeId id) const {
+  /// queueing telemetry records under skewed workloads.
+  size_t PendingTo(NodeId id) const {
     return static_cast<size_t>(id) < pending_deliver_.size()
                ? pending_deliver_[id]
                : 0;
   }
 
- protected:
+ private:
   enum class EventType { kDeliver, kDeliveryFailure, kTimer };
 
   struct Event {
@@ -294,9 +266,8 @@ class Network {
   uint64_t next_seq_ = 1;
   uint64_t processed_events_ = 0;
   size_t wake_events_ = 0;  ///< Queued events with wake == true.
-  /// Queued kDeliver events per destination (see PendingTo). Maintained in
-  /// Push/ProcessEvent, so every engine that funnels deliveries through
-  /// the base event queue keeps it consistent.
+  /// Queued kDeliver events per destination (see PendingTo), maintained in
+  /// Push/ProcessEvent.
   std::vector<uint32_t> pending_deliver_;
   MessageStats stats_;
   FaultInjector* injector_ = nullptr;

@@ -100,31 +100,6 @@ class MessageStats {
   /// paper-style message accounting and the telemetry run reports.
   void ExportTo(telemetry::MetricsRegistry* registry) const;
 
-  /// Folds another stats object into this one. The parallel engine keeps
-  /// one MessageStats per locality (recorded lock-free by its own
-  /// executor) and merges the shards into the published view on read.
-  void MergeFrom(const MessageStats& other) {
-    for (const auto& [kind, c] : other.per_kind_) {
-      Counter& mine = per_kind_[kind];
-      mine.messages += c.messages;
-      mine.bytes += c.bytes;
-    }
-    for (const auto& [node, c] : other.per_node_sent_) {
-      Counter& mine = per_node_sent_[node];
-      mine.messages += c.messages;
-      mine.bytes += c.bytes;
-    }
-    for (const auto& [node, c] : other.per_node_received_) {
-      Counter& mine = per_node_received_[node];
-      mine.messages += c.messages;
-      mine.bytes += c.bytes;
-    }
-    total_.messages += other.total_.messages;
-    total_.bytes += other.total_.bytes;
-    deliveries_ += other.deliveries_;
-    delivery_failures_ += other.delivery_failures_;
-  }
-
   void Reset() {
     per_kind_.clear();
     per_node_sent_.clear();

@@ -70,7 +70,6 @@ uint64_t Histogram::Percentile(double p) const {
 }
 
 Counter& MetricsRegistry::GetCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(std::string(name), Counter{}).first;
@@ -79,7 +78,6 @@ Counter& MetricsRegistry::GetCounter(std::string_view name) {
 }
 
 Gauge& MetricsRegistry::GetGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     it = gauges_.emplace(std::string(name), Gauge{}).first;
@@ -88,7 +86,6 @@ Gauge& MetricsRegistry::GetGauge(std::string_view name) {
 }
 
 Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), Histogram{}).first;
@@ -97,54 +94,21 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
 }
 
 const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;
 }
 
 const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
 const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  if (&other == this) return;
-  std::scoped_lock lock(mu_, other.mu_);
-  for (const auto& [name, c] : other.counters_) {
-    auto it = counters_.find(name);
-    if (it == counters_.end()) it = counters_.emplace(name, Counter{}).first;
-    it->second.Add(c.value());
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) it = gauges_.emplace(name, Gauge{}).first;
-    it->second.Add(g.value());
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      it = histograms_.emplace(name, Histogram{}).first;
-    }
-    it->second.Merge(h);
-  }
-}
-
 std::string MetricsRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {

@@ -1,54 +1,33 @@
 #ifndef LHRS_TELEMETRY_METRICS_H_
 #define LHRS_TELEMETRY_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace lhrs::telemetry {
 
-/// Monotone event counter. Emission is safe from any thread (relaxed
-/// atomics): counters are the one metric kind that multiple localities of
-/// the parallel engine may legitimately share (chaos fault tallies,
-/// protocol counters), and a plain increment would be a data race there.
+/// Monotone event counter.
 class Counter {
  public:
-  Counter() = default;
-  Counter(const Counter& other) : value_(other.value()) {}
-  Counter& operator=(const Counter& other) {
-    value_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Add(uint64_t n = 1) { value_ += n; }
+  uint64_t value() const { return value_; }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
 };
 
 /// Last-write-wins instantaneous value (e.g. nodes currently down).
-/// Thread-safe like Counter; Add is atomic so +1/-1 pairs from different
-/// localities never lose updates.
 class Gauge {
  public:
-  Gauge() = default;
-  Gauge(const Gauge& other) : value_(other.value()) {}
-  Gauge& operator=(const Gauge& other) {
-    value_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Set(int64_t v) { value_ = v; }
+  void Add(int64_t n) { value_ += n; }
+  int64_t value() const { return value_; }
 
  private:
-  std::atomic<int64_t> value_{0};
+  int64_t value_ = 0;
 };
 
 /// Log-bucketed histogram of non-negative integer samples (latencies in
@@ -108,13 +87,8 @@ class Histogram {
 /// "base{label=value,...}" convention (see Labeled) keeps families of
 /// related series (per node role, per message kind) groupable while the
 /// registry itself stays a flat, deterministically ordered map.
-/// Lookup/creation is mutex-protected so metrics may be resolved from any
-/// locality thread; the std::map storage keeps returned references stable,
-/// so the hot path (bumping an already-resolved Counter) never takes the
-/// lock. Histograms are NOT internally synchronized — a histogram must be
-/// recorded to from one thread at a time (the parallel engine gives each
-/// locality its own shard registry and merges at report time, see
-/// Telemetry::MergeShards).
+/// The std::map storage keeps returned references stable, so the hot path
+/// bumps an already-resolved metric without a lookup.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -132,16 +106,8 @@ class MetricsRegistry {
   const Histogram* FindHistogram(std::string_view name) const;
 
   size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return counters_.size() + gauges_.size() + histograms_.size();
   }
-
-  void Reset();
-
-  /// Folds every series of `other` into this registry: counter and gauge
-  /// values add, histograms merge bucket-wise. Used to collapse per-locality
-  /// shards into the published registry at report time.
-  void MergeFrom(const MetricsRegistry& other);
 
   /// {"counters":{...},"gauges":{...},"histograms":{...}} with all keys in
   /// lexicographic order; histograms export count/sum/min/max/mean and the
@@ -149,7 +115,6 @@ class MetricsRegistry {
   std::string ToJson() const;
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;

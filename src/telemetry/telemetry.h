@@ -3,9 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -48,43 +46,10 @@ class Telemetry {
     clock_ = std::move(clock);
   }
 
-  // --- Per-locality metric shards ---------------------------------------
-  // The parallel engine gives each worker locality its own registry so
-  // histograms (which are not internally synchronized) can be recorded
-  // lock-free by a single writer. Shard 0 is the main registry (home
-  // locality / driver thread); worker locality `i` uses shard(i).
-
-  /// Grows the shard set so localities [1, count] have a registry. Call
-  /// from the driver thread before workers start; idempotent.
-  void EnsureShards(size_t count) {
-    while (shards_.size() < count) {
-      shards_.push_back(std::make_unique<MetricsRegistry>());
-    }
-  }
-  size_t shard_count() const { return shards_.size(); }
-
-  /// Registry for `locality` (0 = the main registry). References stay
-  /// valid for the Telemetry's lifetime.
-  MetricsRegistry& shard(size_t locality) {
-    return locality == 0 ? metrics_ : *shards_[locality - 1];
-  }
-
-  /// Drains every worker shard into the main registry (values add,
-  /// histograms merge) and resets the shards, so repeated merges never
-  /// double-count. Call only when the workers are quiescent (between
-  /// Step()s or after Stop) — e.g. from RunReport capture.
-  void MergeShards() {
-    for (auto& shard : shards_) {
-      metrics_.MergeFrom(*shard);
-      shard->Reset();
-    }
-  }
-
  private:
   TelemetryConfig config_;
   MetricsRegistry metrics_;
   Tracer tracer_;
-  std::vector<std::unique_ptr<MetricsRegistry>> shards_;
   std::function<uint64_t()> clock_;
 };
 

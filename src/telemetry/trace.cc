@@ -53,30 +53,26 @@ const char* RecoveryPhaseName(RecoveryPhase phase) {
 Tracer::Tracer(size_t capacity) : ring_(std::max<size_t>(capacity, 1)) {}
 
 void Tracer::Record(const TraceEvent& event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t size = size_.load(std::memory_order_relaxed);
-  if (size == ring_.size()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);  // Oldest overwritten.
+  if (size_ == ring_.size()) {
+    ++dropped_;  // Oldest overwritten.
+  } else {
+    ++size_;
   }
   ring_[head_] = event;
   head_ = (head_ + 1) % ring_.size();
-  size_.store(std::min(size + 1, ring_.size()), std::memory_order_relaxed);
 }
 
 void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   head_ = 0;
-  size_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
+  size_ = 0;
+  dropped_ = 0;
 }
 
 std::vector<TraceEvent> Tracer::Events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t size = size_.load(std::memory_order_relaxed);
   std::vector<TraceEvent> out;
-  out.reserve(size);
-  const size_t start = (head_ + ring_.size() - size) % ring_.size();
-  for (size_t i = 0; i < size; ++i) {
+  out.reserve(size_);
+  const size_t start = (head_ + ring_.size() - size_) % ring_.size();
+  for (size_t i = 0; i < size_; ++i) {
     out.push_back(ring_[(start + i) % ring_.size()]);
   }
   return out;

@@ -1,9 +1,7 @@
 #ifndef LHRS_TELEMETRY_TRACE_H_
 #define LHRS_TELEMETRY_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -66,10 +64,7 @@ struct TraceEvent {
 
 /// Bounded ring buffer of TraceEvents. When full, the oldest event is
 /// overwritten and `dropped()` counts the loss; recording is O(1) and never
-/// allocates after construction. Record/Events are mutex-serialized so any
-/// locality thread of the parallel engine may trace — event volume is low
-/// enough (structural events, optionally message events) that one lock is
-/// cheaper than per-locality rings that would need a merge-by-time pass.
+/// allocates after construction.
 class Tracer {
  public:
   explicit Tracer(size_t capacity = 16384);
@@ -77,8 +72,8 @@ class Tracer {
   void Record(const TraceEvent& event);
 
   size_t capacity() const { return ring_.size(); }
-  size_t size() const { return size_.load(std::memory_order_relaxed); }
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  size_t size() const { return size_; }
+  uint64_t dropped() const { return dropped_; }
   void Clear();
 
   /// Retained events, oldest first.
@@ -94,11 +89,10 @@ class Tracer {
   std::string ToChromeTrace() const;
 
  private:
-  mutable std::mutex mu_;
   std::vector<TraceEvent> ring_;
   size_t head_ = 0;  ///< Next write position.
-  std::atomic<size_t> size_{0};
-  std::atomic<uint64_t> dropped_{0};
+  size_t size_ = 0;
+  uint64_t dropped_ = 0;
 };
 
 }  // namespace lhrs::telemetry

@@ -71,15 +71,22 @@ MemberContexts MakeContexts(const ClusterLayout& layout) {
 
 /// Adopts the coordinator's authoritative erasure-code choice from a
 /// Welcome frame (a member must not guess the scheme from its own flags —
-/// mixed codes would corrupt every parity column it hosts).
-void ApplyWelcomeCode(const CtrlMsg& welcome, ClusterLayout* layout) {
-  layout->field = static_cast<FieldChoice>(welcome.field_choice);
-  if (auto spec = parity::CodeSpec::Parse(welcome.code); spec.ok()) {
-    layout->code = *spec;
-  } else {
-    LHRS_LOG(Warning) << "unparseable code spec in Welcome: '" << welcome.code
-                      << "', keeping local default";
+/// mixed codes would corrupt every parity column it hosts). A code or
+/// field the member cannot decode is an error, never a fallback to the
+/// local default.
+Status ApplyWelcomeCode(const CtrlMsg& welcome, ClusterLayout* layout) {
+  auto spec = parity::CodeSpec::Parse(welcome.code);
+  if (!spec.ok()) {
+    return Status::InvalidArgument("unparseable code spec in Welcome: '" +
+                                   welcome.code + "'");
   }
+  if (welcome.field_choice > static_cast<uint32_t>(FieldChoice::kGf65536)) {
+    return Status::InvalidArgument("unknown field in Welcome: " +
+                                   std::to_string(welcome.field_choice));
+  }
+  layout->field = static_cast<FieldChoice>(welcome.field_choice);
+  layout->code = *spec;
+  return Status::OK();
 }
 
 /// Pumps until the transport is quiescent and nothing got delivered for
@@ -340,8 +347,11 @@ int ClusterServer::Run() {
   while (NowUs() < deadline) {
     if (std::optional<CtrlMsg> m = ctrl.Poll();
         m.has_value() && m->type == CtrlType::kWelcome) {
+      if (Status s = ApplyWelcomeCode(*m, &options_.layout); !s.ok()) {
+        LHRS_LOG(Warning) << who << ": " << s;
+        return 3;
+      }
       endpoints = m->endpoints;
-      ApplyWelcomeCode(*m, &options_.layout);
       break;
     }
     if (ctrl.closed()) return 3;
@@ -625,8 +635,11 @@ int ClusterClient::Run() {
   while (NowUs() < deadline) {
     if (std::optional<CtrlMsg> m = ctrl.Poll();
         m.has_value() && m->type == CtrlType::kWelcome) {
+      if (Status s = ApplyWelcomeCode(*m, &layout); !s.ok()) {
+        LHRS_LOG(Warning) << who << ": " << s;
+        return 3;
+      }
       endpoints = m->endpoints;
-      ApplyWelcomeCode(*m, &layout);
       break;
     }
     if (ctrl.closed()) return 3;

@@ -22,9 +22,7 @@ struct BucketLoad {
 
 /// Reads the per-bucket series for buckets [0, bucket_count) from the
 /// file's telemetry. Requires Network::EnableTelemetry before the
-/// workload ran and the deterministic engine (localities == 0; the
-/// parallel engine's worker mailboxes are not observable per bucket).
-/// Buckets with no recorded ops report zeros.
+/// workload ran. Buckets with no recorded ops report zeros.
 std::vector<BucketLoad> SnapshotBucketLoad(LhStarFile& file);
 
 /// Hottest-to-mean ops ratio over the non-empty snapshot — 1.0 for a

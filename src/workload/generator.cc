@@ -28,7 +28,7 @@ WorkloadGenerator::WorkloadGenerator(GeneratorOptions options)
       zipf_(options.keyspace, options.zipf_theta) {
   LHRS_CHECK(options_.Valid()) << "workload fractions must sum to 1";
   // The keyspace is drawn from the base seed alone (not per session):
-  // every session, every engine and every oracle replay sees the same
+  // every session, every runner and every oracle replay sees the same
   // rank -> key mapping.
   Rng key_rng(SessionSeed(options_.seed, /*session=*/0x6b657973));
   std::set<Key> seen;

@@ -19,11 +19,9 @@ namespace lhrs::workload {
 /// Determinism contract: session `s`'s stream is a pure function of
 /// (seed, s, index) — every session draws from its own Rng seeded by
 /// SessionSeed(seed, s), so the stream a session sees never depends on how
-/// the driver interleaves Next() calls across sessions. That is what makes
-/// open-loop runs comparable across execution engines: the deterministic
-/// event loop and the locality-sharded parallel engine call the source in
-/// different completion orders, yet each session submits byte-identical
-/// ops (see StreamDigest and tests/workload_gen_test.cc).
+/// the driver interleaves Next() calls across sessions. Open-loop runners
+/// call the source in completion order, yet each session submits
+/// byte-identical ops (see StreamDigest and tests/workload_gen_test.cc).
 struct GeneratorOptions {
   uint64_t seed = 1;
   size_t sessions = 4;

@@ -315,5 +315,18 @@ TEST(ChaosEngineTest, DifferentSeedDivergesButStillConverges) {
   EXPECT_NE(a.trace_json, c.trace_json);
 }
 
+TEST(ChaosEngineTest, DrillsOverManySeedsConvergeWithIntactParity) {
+  // Ten more fault patterns (crash, group crash, drop, duplicate, reorder):
+  // each one injects faults, ends with intact parity (checked in RunDrill)
+  // and keeps exactly the records of the reference seed.
+  const DrillResult reference = RunDrill(77);
+  for (uint64_t seed = 100; seed < 110; ++seed) {
+    SCOPED_TRACE("plan seed " + std::to_string(seed));
+    const DrillResult drill = RunDrill(seed);
+    EXPECT_GT(drill.faults, 0u);
+    EXPECT_EQ(drill.final_state, reference.final_state);
+  }
+}
+
 }  // namespace
 }  // namespace lhrs

@@ -233,6 +233,34 @@ TEST_F(ClusterTest, DrillSurvivesLossyTransport) {
   EXPECT_GT(dup_suppressed, 0);
 }
 
+/// Accepts a member's control connection and waits for its Hello.
+ControlConn AcceptHello(ControlListener& listener, CtrlMsg* hello) {
+  std::optional<ControlConn> conn;
+  while (!conn.has_value()) {
+    conn = listener.Accept();
+    if (!conn.has_value()) usleep(5'000);
+  }
+  std::optional<CtrlMsg> msg;
+  while (!msg.has_value() || msg->type != CtrlType::kHello) {
+    msg = conn->Poll();
+    if (!msg.has_value()) usleep(5'000);
+  }
+  *hello = *msg;
+  return std::move(*conn);
+}
+
+/// A Welcome as the coordinator sends it, with every rank at `endpoint`
+/// (idle drills: nothing ever routes to the other ranks, so the member's
+/// own address stands in).
+CtrlMsg WelcomeFor(const ClusterLayout& layout, const Endpoint& endpoint) {
+  CtrlMsg welcome;
+  welcome.type = CtrlType::kWelcome;
+  welcome.endpoints.assign(layout.total_ranks(), endpoint);
+  welcome.field_choice = static_cast<uint32_t>(layout.field);
+  welcome.code = layout.code.Name();
+  return welcome;
+}
+
 TEST_F(ClusterTest, ServerStopRequestDrainsAndWritesCompleteReport) {
   // A lone server against a test-driven control plane: after the
   // handshake, RequestStop (the SIGTERM hook) must drain, write a
@@ -248,30 +276,15 @@ TEST_F(ClusterTest, ServerStopRequestDrainsAndWritesCompleteReport) {
   int code = -1;
   std::thread runner([&] { code = server.Run(); });
 
-  // Accept the server's control connection and collect its Hello.
-  std::optional<ControlConn> conn;
-  while (!conn.has_value()) {
-    conn = listener.Accept();
-    if (!conn.has_value()) usleep(5'000);
-  }
-  std::optional<CtrlMsg> hello;
-  while (!hello.has_value() || hello->type != CtrlType::kHello) {
-    hello = conn->Poll();
-    if (!hello.has_value()) usleep(5'000);
-  }
-  EXPECT_EQ(hello->rank, 1u);
-
-  // Welcome it with a full endpoint table (idle drill: nothing ever
-  // routes to the other ranks, so the server's own address stands in).
-  CtrlMsg welcome;
-  welcome.type = CtrlType::kWelcome;
-  welcome.endpoints.assign(layout.total_ranks(), hello->endpoint);
-  conn->SendMsg(welcome);
+  CtrlMsg hello;
+  ControlConn conn = AcceptHello(listener, &hello);
+  EXPECT_EQ(hello.rank, 1u);
+  conn.SendMsg(WelcomeFor(layout, hello.endpoint));
 
   std::optional<CtrlMsg> ready;
   while (!ready.has_value() || ready->type != CtrlType::kReady) {
-    conn->Flush();
-    ready = conn->Poll();
+    conn.Flush();
+    ready = conn.Poll();
     if (!ready.has_value()) usleep(5'000);
   }
 
@@ -282,7 +295,7 @@ TEST_F(ClusterTest, ServerStopRequestDrainsAndWritesCompleteReport) {
   // The Goodbye arrives only after the report hit the disk.
   std::optional<CtrlMsg> bye;
   for (int i = 0; i < 100 && !bye.has_value(); ++i) {
-    bye = conn->Poll();
+    bye = conn.Poll();
     if (!bye.has_value()) usleep(5'000);
   }
   ASSERT_TRUE(bye.has_value());
@@ -295,6 +308,37 @@ TEST_F(ClusterTest, ServerStopRequestDrainsAndWritesCompleteReport) {
   EXPECT_NE(json.find("\"cluster_server\""), std::string::npos);
   EXPECT_NE(json.find("\"clean_shutdown\":\"true\""), std::string::npos)
       << json.substr(0, 200);
+}
+
+TEST_F(ClusterTest, ServerRejectsWelcomeWithUndecodableCode) {
+  // A member must not fall back to its local default code — it would mix
+  // codes within a bucket group. A Welcome whose code spec does not parse,
+  // or whose field is unknown, fails the handshake (exit 3).
+  const ClusterLayout layout = MakeLayout();
+  for (const bool bad_field : {false, true}) {
+    SCOPED_TRACE(bad_field ? "unknown field" : "unparseable code");
+    ControlListener listener;
+    ASSERT_TRUE(listener.Open(0).ok());
+    auto options = MemberOptions(layout, 1, listener.port());
+    options.deadline_ms = 20'000;
+    ClusterServer server(options, /*rank=*/1);
+    int code = -1;
+    std::thread runner([&] { code = server.Run(); });
+
+    CtrlMsg hello;
+    ControlConn conn = AcceptHello(listener, &hello);
+    CtrlMsg welcome = WelcomeFor(layout, hello.endpoint);
+    if (bad_field) {
+      welcome.field_choice = 7;
+    } else {
+      welcome.code = "bogus";
+    }
+    conn.SendMsg(welcome);
+    conn.Flush();
+
+    runner.join();
+    EXPECT_EQ(code, 3);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Workload-generator tests: seeded determinism (same seed => byte-identical
-// per-session op streams, on the classic engine and the locality-sharded
-// parallel engine alike), the read-modify-write pairing invariant, and the
-// Zipfian empirical frequency check.
+// per-session op streams, however the runner interleaves sessions), the
+// read-modify-write pairing invariant, and the Zipfian empirical frequency
+// check.
 
 #include <cmath>
 #include <map>
@@ -130,14 +130,11 @@ TEST(WorkloadGeneratorTest, ZipfianFrequenciesMatchTheory) {
   EXPECT_GT(counts[gen.preload_keys()[0]], counts[gen.preload_keys()[4]]);
 }
 
-/// Runs the generator-fed open-loop runner on a file with `localities`
-/// engine workers and returns the per-session digests of the submitted op
-/// streams (observed at the OpSource boundary).
-std::vector<uint64_t> ObservedDigests(size_t localities,
-                                      const GeneratorOptions& opts) {
+/// Runs the generator-fed open-loop runner and returns the per-session
+/// digests of the submitted op streams (observed at the OpSource boundary).
+std::vector<uint64_t> ObservedDigests(const GeneratorOptions& opts) {
   LhStarFile::Options file_opts;
   file_opts.file.bucket_capacity = 8;
-  file_opts.net.localities = localities;
   LhStarFile file(file_opts);
 
   WorkloadGenerator gen(opts);
@@ -161,22 +158,19 @@ std::vector<uint64_t> ObservedDigests(size_t localities,
 }
 
 TEST(WorkloadGeneratorTest, ByteIdenticalStreamsAcrossExecutionEngines) {
-  // The determinism claim end to end: the classic deterministic engine
-  // (localities = 0) and the locality-sharded parallel engine (4 workers)
-  // interleave sessions differently, yet every session submits the exact
-  // same byte stream — which also matches the pure-function reference.
+  // The determinism claim end to end: the open-loop runner pulls ops in
+  // completion order, yet every session submits exactly the byte stream
+  // of the pure-function reference.
   GeneratorOptions opts;
   opts.seed = 29;
   opts.sessions = 2;
   opts.ops_per_session = 120;
   opts.keyspace = 96;
   opts.value_bytes = 16;
-  const std::vector<uint64_t> classic = ObservedDigests(0, opts);
-  const std::vector<uint64_t> parallel = ObservedDigests(4, opts);
-  ASSERT_EQ(classic.size(), parallel.size());
-  for (size_t s = 0; s < classic.size(); ++s) {
-    EXPECT_EQ(classic[s], parallel[s]) << "session " << s;
-    EXPECT_EQ(classic[s], WorkloadGenerator::StreamDigest(opts, s))
+  const std::vector<uint64_t> observed = ObservedDigests(opts);
+  ASSERT_EQ(observed.size(), opts.sessions);
+  for (size_t s = 0; s < observed.size(); ++s) {
+    EXPECT_EQ(observed[s], WorkloadGenerator::StreamDigest(opts, s))
         << "session " << s;
   }
 }

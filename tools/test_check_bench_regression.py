@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for check_bench_regression.py.
+"""Unit tests for check_bench_regression.py and check_bench_stable.py.
 
 Run from the repository root: python3 tools/test_check_bench_regression.py
 """
@@ -15,6 +15,7 @@ ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
 import check_bench_regression as cbr  # noqa: E402
+import check_bench_stable as cbs  # noqa: E402
 
 
 def report(*tables):
@@ -81,6 +82,57 @@ class CheckTablesTest(unittest.TestCase):
         self.assertEqual(len(cbr.check_tables(base, slower, 0.20)[0]), 1)
         self.assertEqual(len(cbr.check_tables(base, costlier, 0.20)[0]), 1)
         self.assertEqual(cbr.check_tables(base, faster, 0.20)[0], [])
+
+
+class StableTablesTest(unittest.TestCase):
+    """check_bench_stable: repeated runs of one bench must agree."""
+
+    def runs(self, *reports):
+        return [(f"run{i}", r) for i, r in enumerate(reports)]
+
+    def reference(self):
+        return report(
+            table("T1", ["scheme", "overhead"], [["LH*RS", "1.25"]]),
+            table("F10", ["mix", "ops/s (sim)"], [["a", "1000"]]),
+            table("T1b", ["op", "ops/s"], [["insert", "2.0M ops/s"]]))
+
+    def changed(self, title, cell):
+        fresh = copy.deepcopy(self.reference())
+        for t in fresh["tables"]:
+            if t["title"] == title:
+                t["rows"][0][1] = cell
+        return fresh
+
+    def test_identical_reports_pass(self):
+        base = self.reference()
+        self.assertEqual(cbs.unstable_tables(
+            self.runs(base, copy.deepcopy(base), copy.deepcopy(base))), [])
+
+    def test_one_cost_cell_changed_fails(self):
+        base = self.reference()
+        failures = cbs.unstable_tables(
+            self.runs(base, copy.deepcopy(base), self.changed("T1", "1.26")))
+        self.assertEqual(len(failures), 1, failures)
+        self.assertIn("'T1'", failures[0])
+        self.assertIn("row 0 col 1", failures[0])
+
+    def test_one_sim_cell_changed_fails(self):
+        failures = cbs.unstable_tables(
+            self.runs(self.reference(), self.changed("F10", "1001")))
+        self.assertEqual(len(failures), 1, failures)
+        self.assertIn("'F10'", failures[0])
+
+    def test_wall_clock_throughput_change_passes(self):
+        self.assertEqual(cbs.unstable_tables(
+            self.runs(self.reference(), self.changed("T1b", "1.0M ops/s"))),
+            [])
+
+    def test_missing_deterministic_table_fails(self):
+        base = self.reference()
+        short = copy.deepcopy(base)
+        short["tables"] = [t for t in short["tables"] if t["title"] != "T1"]
+        self.assertEqual(len(cbs.unstable_tables(self.runs(base, short))), 1)
+        self.assertEqual(len(cbs.unstable_tables(self.runs(short, base))), 1)
 
 
 if __name__ == "__main__":
