@@ -48,11 +48,10 @@ LhgParityBucketNode::DecodedRecords() const {
 void LhgParityBucketNode::HandleSubclassMessage(const Message& msg) {
   const int kind = msg.body->kind();
   if (!lhg_initialized_ && kind != LhgMsg::kInstallParity) {
-    auto deferred = std::make_shared<Message>();
-    deferred->from = msg.from;
-    deferred->to = msg.to;
-    deferred->body = CloneBody(*msg.body);
-    deferred_.push_back(std::move(deferred));
+    Message& deferred = deferred_.emplace_back();
+    deferred.from = msg.from;
+    deferred.to = msg.to;
+    deferred.body = CloneBody(*msg.body);
     return;
   }
   switch (kind) {
@@ -184,9 +183,9 @@ void LhgParityBucketNode::HandleInstall(const InstallParityMsg& install,
 
 void LhgParityBucketNode::OnActivated() {
   lhg_initialized_ = true;
-  std::vector<std::shared_ptr<Message>> deferred = std::move(deferred_);
+  std::vector<Message> deferred = std::move(deferred_);
   deferred_.clear();
-  for (const auto& m : deferred) HandleSubclassMessage(*m);
+  for (const Message& m : deferred) HandleSubclassMessage(m);
 }
 
 }  // namespace lhrs::lhg

@@ -35,7 +35,7 @@ class LhgParityBucketNode : public DataBucketNode {
   void HandleInstall(const InstallParityMsg& install, NodeId from);
 
   bool lhg_initialized_;
-  std::vector<std::shared_ptr<Message>> deferred_;
+  std::vector<Message> deferred_;
 };
 
 }  // namespace lhrs::lhg

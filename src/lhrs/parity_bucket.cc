@@ -101,7 +101,12 @@ bool ParityBucketNode::SetKeyForTest(Rank rank, uint32_t slot, Key key) {
   if (!row.has_value() || slot >= m_ || !HasMember(Cell(*row, slot))) {
     return false;
   }
-  keys_[Cell(*row, slot)] = key;
+  const size_t cell = Cell(*row, slot);
+  // The index reads keys from keys_: unlink the old key before it goes.
+  if (key_index_.Find(keys_[cell], CellKey()) == cell) {
+    key_index_.Erase(keys_[cell], CellKey());
+  }
+  keys_[cell] = key;
   return true;
 }
 
@@ -114,13 +119,12 @@ void ParityBucketNode::GrowTo(Rank rank) {
   members_bits_.resize((size_t{rank} * m_ + 63) / 64, 0);
 }
 
-void ParityBucketNode::AddMember(size_t row, uint32_t slot, Key key,
-                                 Rank rank) {
+void ParityBucketNode::AddMember(size_t row, uint32_t slot, Key key) {
   const size_t cell = Cell(row, slot);
   keys_[cell] = key;
   members_bits_[cell / 64] |= uint64_t{1} << (cell % 64);
   if (member_count_[row]++ == 0) ++live_ranks_;
-  key_index_[key] = rank;
+  key_index_.Put(key, static_cast<uint32_t>(cell), CellKey());
 }
 
 void ParityBucketNode::DropRow(size_t row) {
@@ -151,11 +155,10 @@ void ParityBucketNode::HandleMessage(const Message& msg) {
   if (!initialized_ && msg.body->kind() != LhrsMsg::kInstallParityColumn &&
       msg.body->kind() != LhrsMsg::kPingRequest &&
       msg.body->kind() != LhStarMsg::kSurveyRequest) {
-    auto deferred = std::make_shared<Message>();
-    deferred->from = msg.from;
-    deferred->to = msg.to;
-    deferred->body = CloneBody(*msg.body);
-    queued_.push_back(std::move(deferred));
+    Message& deferred = queued_.emplace_back();
+    deferred.from = msg.from;
+    deferred.to = msg.to;
+    deferred.body = CloneBody(*msg.body);
     return;
   }
   Dispatch(msg);
@@ -226,9 +229,9 @@ void ParityBucketNode::Dispatch(const Message& msg) {
       auto reply = std::make_unique<FindRankReplyMsg>();
       reply->task_id = req.task_id;
       reply->parity_index = parity_index_;
-      auto it = key_index_.find(req.key);
-      if (it != key_index_.end() && req.slot < m_) {
-        const size_t row = it->second - 1;
+      const uint32_t indexed = key_index_.Find(req.key, CellKey());
+      if (indexed != store::KeyIndex::kNone && req.slot < m_) {
+        const size_t row = indexed / m_;
         const size_t cell = Cell(row, req.slot);
         // The key must sit at the requested slot: keys are unique file-wide
         // and the slot is derived from the key's correct bucket.
@@ -274,9 +277,9 @@ void ParityBucketNode::Dispatch(const Message& msg) {
       done->column = ctx_->m + parity_index_;
       Send(msg.from, std::move(done));
       // Replay deferred traffic in arrival order.
-      std::vector<std::shared_ptr<Message>> queued = std::move(queued_);
+      std::vector<Message> queued = std::move(queued_);
       queued_.clear();
-      for (const auto& m : queued) Dispatch(*m);
+      for (const Message& m : queued) Dispatch(m);
       return;
     }
     case LhStarMsg::kSurveyRequest: {
@@ -356,11 +359,11 @@ bool ParityBucketNode::TryApplyDelta(const ParityDelta& delta) {
       lengths_[cell] = delta.new_length;
       break;
     case ParityDelta::KeyOp::kSet:
-      if (!has_member) AddMember(row, delta.slot, delta.key, delta.rank);
+      if (!has_member) AddMember(row, delta.slot, delta.key);
       lengths_[cell] = delta.new_length;
       break;
     case ParityDelta::KeyOp::kClear:
-      key_index_.erase(keys_[cell]);
+      key_index_.Erase(keys_[cell], CellKey());
       members_bits_[cell / 64] &= ~(uint64_t{1} << (cell % 64));
       lengths_[cell] = 0;
       if (--member_count_[row] == 0) {
@@ -411,7 +414,7 @@ void ParityBucketNode::InstallColumn(const InstallParityColumnMsg& install) {
   member_count_.clear();
   parity_.clear();
   live_ranks_ = 0;
-  key_index_.clear();
+  key_index_.Clear();
   pending_deltas_.clear();  // An install supersedes anything buffered.
   for (const auto& wire : install.parity_records) {
     LHRS_CHECK_GE(wire.rank, 1u);
@@ -423,7 +426,7 @@ void ParityBucketNode::InstallColumn(const InstallParityColumnMsg& install) {
     const size_t row = wire.rank - 1;
     for (uint32_t slot = 0; slot < m_; ++slot) {
       if (wire.keys[slot].has_value()) {
-        AddMember(row, slot, *wire.keys[slot], wire.rank);
+        AddMember(row, slot, *wire.keys[slot]);
       }
       lengths_[Cell(row, slot)] = wire.lengths[slot];
     }

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "lhrs/shared.h"
 #include "net/dedup.h"
 #include "net/node.h"
+#include "store/key_index.h"
 
 namespace lhrs {
 
@@ -83,13 +83,17 @@ class ParityBucketNode : public Node {
   /// record.
   std::optional<size_t> RowOf(Rank rank) const;
   size_t Cell(size_t row, uint32_t slot) const { return row * m_ + slot; }
+  /// The key index's view of the keys: a cell's key.
+  auto CellKey() const {
+    return [this](uint32_t cell) { return keys_[cell]; };
+  }
   bool HasMember(size_t cell) const {
     return (members_bits_[cell / 64] >> (cell % 64)) & 1;
   }
   /// Grows the columns so `rank` has a row.
   void GrowTo(Rank rank);
   /// Registers `key` as the member at (row, slot).
-  void AddMember(size_t row, uint32_t slot, Key key, Rank rank);
+  void AddMember(size_t row, uint32_t slot, Key key);
   /// Retires a record group whose last member left.
   void DropRow(size_t row);
   ParityRecord Materialize(size_t row) const;
@@ -116,9 +120,10 @@ class ParityBucketNode : public Node {
   /// ToWire snapshot still shares the buffer (DESIGN.md section 10).
   std::vector<BufferView> parity_;
   size_t live_ranks_ = 0;  ///< Rows with at least one member.
-  /// Degraded-read index: key -> rank (keys are unique across the group).
-  std::unordered_map<Key, Rank> key_index_;
-  std::vector<std::shared_ptr<Message>> queued_;  // Pre-install traffic.
+  /// Degraded-read index: key -> cell of keys_ (keys are unique across the
+  /// group; the rank is cell / m + 1).
+  store::KeyIndex key_index_;
+  std::vector<Message> queued_;  // Pre-install traffic.
   /// Deltas that overtook the registration they depend on (chaos reorder
   /// only). The XOR parity bytes commute, but the key/length metadata does
   /// not — so an early arrival waits here, per (rank, slot), and drains in

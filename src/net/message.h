@@ -48,7 +48,7 @@ struct MessageKindRange {
   static constexpr int kLhsBase = 500;      // LH*s baseline
 };
 
-/// An in-flight message. Owned by the network's event queue between send
+/// An in-flight message. Owned by the network's message pool between send
 /// and delivery.
 struct Message {
   uint64_t id = 0;       ///< Unique per network, in send order.
@@ -61,6 +61,9 @@ struct Message {
   /// even when the node is back up by delivery time — the crash lost the
   /// in-flight state.
   uint64_t to_epoch = 0;
+  /// body->ByteSize(), computed once when the network queues the message
+  /// (0 on a message built outside a network).
+  size_t bytes = 0;
   std::unique_ptr<MessageBody> body;
 };
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/logging.h"
@@ -133,7 +132,9 @@ class Network {
   /// failures and ordinary timers). Every client-visible operation in this
   /// codebase completes within one call (the protocols' retries are
   /// bounded). Non-wake timers scheduled beyond the quiescent time stay
-  /// queued.
+  /// queued. Each call — like each RunUntil — may process at most the
+  /// event budget (200M events), so a protocol loop aborts loudly instead
+  /// of hanging.
   void RunUntilIdle();
 
   /// Processes exactly one event — the next one in (time, seq) order — and
@@ -208,8 +209,11 @@ class Network {
   void NotifyDeliveryFailure(NodeId from, NodeId to,
                              std::unique_ptr<MessageBody> body);
 
-  /// Total messages processed since construction (safety valve for tests).
+  /// Total events processed since construction.
   uint64_t processed_events() const { return processed_events_; }
+
+  /// Lowers the per-call event budget, so tests can reach it quickly.
+  void SetEventBudgetForTest(uint64_t budget) { event_budget_ = budget; }
 
   /// Deliveries queued towards `id` but not yet processed — the node's
   /// instantaneous ingress queue depth, the quantity the per-bucket
@@ -221,17 +225,18 @@ class Network {
   }
 
  private:
-  enum class EventType { kDeliver, kDeliveryFailure, kTimer };
+  enum class EventType : uint8_t { kDeliver, kDeliveryFailure, kTimer };
 
+  /// One queued event. The message or timer it concerns sits in the pool
+  /// slot `slot`, so the heap moves 24-byte entries only.
   struct Event {
     SimTime time;
     uint64_t seq;  // FIFO tiebreak.
+    uint32_t slot;
     EventType type;
-    std::shared_ptr<Message> message;  // null for kTimer.
-    NodeId timer_node = kInvalidNode;
-    uint64_t timer_id = 0;
-    bool wake = true;  ///< Keeps RunUntilIdle going (see ScheduleTimer).
+    bool wake;  ///< Keeps RunUntilIdle going (see ScheduleTimer).
   };
+  static_assert(sizeof(Event) == 24);
 
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
@@ -239,6 +244,25 @@ class Network {
       return a.seq > b.seq;
     }
   };
+
+  /// A pool slot: an in-flight message, or a timer (`message.to` is the
+  /// node, `timer_id` the id). Slots live in fixed-size chunks, so a
+  /// handler's `const Message&` stays valid while it sends (which may add
+  /// chunks). Chaos duplicates of a message share its slot; a bounce
+  /// re-queues the slot it came in.
+  struct Pending {
+    Message message;
+    uint64_t timer_id = 0;
+    /// Holds: one per queued event naming this slot, plus the caller's
+    /// between NewSlot and its Release.
+    uint32_t refs = 0;
+  };
+  static constexpr uint32_t kChunkSlots = 256;
+
+  /// Hard cap on the events one RunUntilIdle or RunUntil call processes,
+  /// so a protocol bug (forwarding loop, retry storm) fails a test loudly
+  /// instead of hanging.
+  static constexpr uint64_t kEventBudget = 200'000'000;
 
   struct NodeSlot {
     std::unique_ptr<Node> node;
@@ -255,16 +279,34 @@ class Network {
 
   void Enqueue(std::unique_ptr<MessageBody> body, NodeId from, NodeId to,
                bool multicast_member);
-  void Push(Event event);
-  void ProcessEvent(Event ev);
+  Pending& pending(uint32_t slot) {
+    return chunks_[slot / kChunkSlots][slot % kChunkSlots];
+  }
+  /// Takes a free slot, held once by the caller.
+  uint32_t NewSlot();
+  /// Takes a slot (held by the caller) for a message with a fresh id,
+  /// sent now.
+  uint32_t NewMessage(NodeId from, NodeId to,
+                      std::unique_ptr<MessageBody> body, size_t bytes);
+  /// Drops one hold on `slot`; the last one frees it.
+  void Release(uint32_t slot);
+  /// Queues an event for `slot`; the event holds the slot until processed.
+  void Push(SimTime time, uint32_t slot, EventType type, bool wake = true);
+  Event PopEvent();
+  void ProcessEvent(const Event& ev);
+  void CheckBudget(uint64_t events) const;
 
   NetworkConfig config_;
   std::vector<NodeSlot> nodes_;
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  std::vector<Event> heap_;  ///< Min-heap in (time, seq) order.
+  std::vector<std::unique_ptr<Pending[]>> chunks_;
+  std::vector<uint32_t> free_slots_;
+  uint32_t slot_count_ = 0;  ///< Slots ever created.
   SimTime now_ = 0;
   uint64_t next_message_id_ = 1;
   uint64_t next_seq_ = 1;
   uint64_t processed_events_ = 0;
+  uint64_t event_budget_ = kEventBudget;
   size_t wake_events_ = 0;  ///< Queued events with wake == true.
   /// Queued kDeliver events per destination (see PendingTo), maintained in
   /// Push/ProcessEvent.

@@ -1,5 +1,6 @@
 #include "net/stats.h"
 
+#include <map>
 #include <sstream>
 
 #include "telemetry/metrics.h"
@@ -28,24 +29,31 @@ std::string MessageKindName(int kind) {
 
 void MessageStats::ExportTo(telemetry::MetricsRegistry* registry) const {
   using telemetry::Labeled;
-  for (const auto& [kind, c] : per_kind_) {
-    registry->GetCounter(Labeled("net.sent.messages", "kind",
-                                 MessageKindName(kind)))
+  for (size_t kind = 0; kind < per_kind_.size(); ++kind) {
+    const Counter& c = per_kind_[kind];
+    if (c.bytes == 0 && c.messages == 0) continue;
+    const std::string name = MessageKindName(static_cast<int>(kind));
+    registry->GetCounter(Labeled("net.sent.messages", "kind", name))
         .Add(c.messages);
-    registry->GetCounter(Labeled("net.sent.bytes", "kind",
-                                 MessageKindName(kind)))
+    registry->GetCounter(Labeled("net.sent.bytes", "kind", name))
         .Add(c.bytes);
   }
-  for (const auto& [node, c] : per_node_sent_) {
-    registry->GetCounter(Labeled("net.node_sent.messages", "node", node))
+  for (size_t node = 0; node < per_node_sent_.size(); ++node) {
+    const Counter& c = per_node_sent_[node];
+    if (c.messages == 0) continue;
+    const auto id = static_cast<NodeId>(node);
+    registry->GetCounter(Labeled("net.node_sent.messages", "node", id))
         .Add(c.messages);
-    registry->GetCounter(Labeled("net.node_sent.bytes", "node", node))
+    registry->GetCounter(Labeled("net.node_sent.bytes", "node", id))
         .Add(c.bytes);
   }
-  for (const auto& [node, c] : per_node_received_) {
-    registry->GetCounter(Labeled("net.node_received.messages", "node", node))
+  for (size_t node = 0; node < per_node_received_.size(); ++node) {
+    const Counter& c = per_node_received_[node];
+    if (c.messages == 0) continue;
+    const auto id = static_cast<NodeId>(node);
+    registry->GetCounter(Labeled("net.node_received.messages", "node", id))
         .Add(c.messages);
-    registry->GetCounter(Labeled("net.node_received.bytes", "node", node))
+    registry->GetCounter(Labeled("net.node_received.bytes", "node", id))
         .Add(c.bytes);
   }
 }
@@ -55,9 +63,11 @@ std::string MessageStats::ToString() const {
   os << "messages=" << total_.messages << " bytes=" << total_.bytes
      << " deliveries=" << deliveries_ << " failures=" << delivery_failures_
      << "\n";
-  for (const auto& [kind, c] : per_kind_) {
-    os << "  " << MessageKindName(kind) << ": " << c.messages << " msgs, "
-       << c.bytes << " B\n";
+  for (size_t kind = 0; kind < per_kind_.size(); ++kind) {
+    const Counter& c = per_kind_[kind];
+    if (c.bytes == 0 && c.messages == 0) continue;
+    os << "  " << MessageKindName(static_cast<int>(kind)) << ": "
+       << c.messages << " msgs, " << c.bytes << " B\n";
   }
   return os.str();
 }

@@ -1,9 +1,10 @@
 #ifndef LHRS_NET_STATS_H_
 #define LHRS_NET_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "net/message.h"
 
@@ -15,7 +16,8 @@ class MetricsRegistry;
 
 /// Message-traffic counters, the primary metric of every SDDS evaluation
 /// ("messaging costs are network-speed invariant"). Counts are kept per
-/// message kind; benches snapshot/diff around operations.
+/// message kind and per node in dense vectors indexed by kind and node id
+/// (both small dense integers); benches snapshot/diff around operations.
 class MessageStats {
  public:
   struct Counter {
@@ -29,7 +31,7 @@ class MessageStats {
   /// `from` attributes the send to a node (kInvalidNode: unattributed).
   void RecordSend(int kind, size_t bytes, bool count_as_message,
                   NodeId from = kInvalidNode) {
-    Counter& c = per_kind_[kind];
+    Counter& c = Grow(per_kind_, kind);
     c.bytes += bytes;
     total_.bytes += bytes;
     if (count_as_message) {
@@ -38,7 +40,7 @@ class MessageStats {
     }
     ++deliveries_;
     if (from != kInvalidNode) {
-      Counter& n = per_node_sent_[from];
+      Counter& n = Grow(per_node_sent_, from);
       ++n.messages;  // Per-node counts are physical, every copy counts.
       n.bytes += bytes;
     }
@@ -47,7 +49,7 @@ class MessageStats {
   /// Records one successful point-to-point delivery at node `to`.
   void RecordReceive(NodeId to, size_t bytes) {
     if (to == kInvalidNode) return;
-    Counter& n = per_node_received_[to];
+    Counter& n = Grow(per_node_received_, to);
     ++n.messages;
     n.bytes += bytes;
   }
@@ -62,36 +64,28 @@ class MessageStats {
   uint64_t delivery_failures() const { return delivery_failures_; }
 
   Counter ForKind(int kind) const {
-    auto it = per_kind_.find(kind);
-    return it == per_kind_.end() ? Counter{} : it->second;
+    return Contains(per_kind_, kind) ? per_kind_[kind] : Counter{};
   }
 
   /// Sum over a half-open kind range [lo, hi) — e.g. all LH*RS parity
   /// traffic.
   Counter ForKindRange(int lo, int hi) const {
     Counter out;
-    for (auto it = per_kind_.lower_bound(lo);
-         it != per_kind_.end() && it->first < hi; ++it) {
-      out.messages += it->second.messages;
-      out.bytes += it->second.bytes;
+    for (int kind = std::max(lo, 0);
+         kind < hi && Contains(per_kind_, kind); ++kind) {
+      out.messages += per_kind_[kind].messages;
+      out.bytes += per_kind_[kind].bytes;
     }
     return out;
   }
 
   // --- Per-node attribution (hot-bucket skew visibility) -----------------
   Counter SentBy(NodeId node) const {
-    auto it = per_node_sent_.find(node);
-    return it == per_node_sent_.end() ? Counter{} : it->second;
+    return Contains(per_node_sent_, node) ? per_node_sent_[node] : Counter{};
   }
   Counter ReceivedBy(NodeId node) const {
-    auto it = per_node_received_.find(node);
-    return it == per_node_received_.end() ? Counter{} : it->second;
-  }
-  const std::map<NodeId, Counter>& per_node_sent() const {
-    return per_node_sent_;
-  }
-  const std::map<NodeId, Counter>& per_node_received() const {
-    return per_node_received_;
+    return Contains(per_node_received_, node) ? per_node_received_[node]
+                                              : Counter{};
   }
 
   /// Publishes every per-kind and per-node series into a metrics registry
@@ -100,22 +94,29 @@ class MessageStats {
   /// paper-style message accounting and the telemetry run reports.
   void ExportTo(telemetry::MetricsRegistry* registry) const;
 
-  void Reset() {
-    per_kind_.clear();
-    per_node_sent_.clear();
-    per_node_received_.clear();
-    total_ = Counter{};
-    deliveries_ = 0;
-    delivery_failures_ = 0;
-  }
+  void Reset() { *this = MessageStats(); }
 
   /// Multi-line table of per-kind counts using the registered kind names.
   std::string ToString() const;
 
  private:
-  std::map<int, Counter> per_kind_;
-  std::map<NodeId, Counter> per_node_sent_;
-  std::map<NodeId, Counter> per_node_received_;
+  template <typename T>
+  static bool Contains(const std::vector<T>& v, int i) {
+    return i >= 0 && static_cast<size_t>(i) < v.size();
+  }
+  template <typename T>
+  static T& Grow(std::vector<T>& v, int i) {
+    const auto at = static_cast<size_t>(i);
+    if (at >= v.size()) v.resize(at + 1);
+    return v[at];
+  }
+
+  // Indexed by kind / node id. An entry that is all zero was never
+  // recorded: every recorded message has bytes, and every per-node record
+  // counts one message.
+  std::vector<Counter> per_kind_;
+  std::vector<Counter> per_node_sent_;
+  std::vector<Counter> per_node_received_;
   Counter total_;
   uint64_t deliveries_ = 0;
   uint64_t delivery_failures_ = 0;

@@ -59,6 +59,10 @@ size_t BucketStore::AllocSlot() {
   return free_hint_ * 64 + std::countr_one(live_[free_hint_]);
 }
 
+std::pair<uint32_t, bool> BucketStore::IndexAt(uint64_t key, size_t slot) {
+  return index_.TryInsert(key, static_cast<uint32_t>(slot), SlotKey{&slots_});
+}
+
 void BucketStore::Occupy(size_t slot, uint64_t key, BufferView value) {
   if (slot >= slots_.size()) {
     slots_.resize(slot + 1);
@@ -71,39 +75,31 @@ void BucketStore::Occupy(size_t slot, uint64_t key, BufferView value) {
 
 bool BucketStore::Insert(uint64_t key, std::span<const uint8_t> value) {
   const size_t slot = AllocSlot();
-  if (!index_.try_emplace(key, static_cast<uint32_t>(slot)).second) {
-    return false;
-  }
+  if (!IndexAt(key, slot).second) return false;
   Occupy(slot, key, Intern(value));
   return true;
 }
 
 bool BucketStore::InsertShared(uint64_t key, BufferView value) {
   const size_t slot = AllocSlot();
-  if (!index_.try_emplace(key, static_cast<uint32_t>(slot)).second) {
-    return false;
-  }
+  if (!IndexAt(key, slot).second) return false;
   Occupy(slot, key, std::move(value));
   return true;
 }
 
 bool BucketStore::InsertAt(size_t slot, uint64_t key, BufferView value) {
-  if (IsLive(slot) ||
-      !index_.try_emplace(key, static_cast<uint32_t>(slot)).second) {
-    return false;
-  }
+  if (IsLive(slot) || !IndexAt(key, slot).second) return false;
   Occupy(slot, key, std::move(value));
   return true;
 }
 
 void BucketStore::Put(uint64_t key, BufferView value) {
-  const auto [it, inserted] =
-      index_.try_emplace(key, static_cast<uint32_t>(AllocSlot()));
+  const auto [slot, inserted] = IndexAt(key, AllocSlot());
   if (inserted) {
-    Occupy(it->second, key, std::move(value));
+    Occupy(slot, key, std::move(value));
     return;
   }
-  BufferView& stored = slots_[it->second].value;
+  BufferView& stored = slots_[slot].value;
   NoteDead(stored.size());
   live_bytes_ += value.size();
   stored = std::move(value);
@@ -111,10 +107,9 @@ void BucketStore::Put(uint64_t key, BufferView value) {
 }
 
 bool BucketStore::Erase(uint64_t key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  const size_t slot = it->second;
-  index_.erase(it);
+  const uint32_t erased = index_.Erase(key, SlotKey{&slots_});
+  if (erased == KeyIndex::kNone) return false;
+  const size_t slot = erased;
   NoteDead(slots_[slot].value.size());
   slots_[slot].value = BufferView{};
   live_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
@@ -166,7 +161,7 @@ BucketStore::Stats BucketStore::GetStats() const {
 }
 
 void BucketStore::Clear() {
-  index_.clear();
+  index_.Clear();
   slots_.clear();
   live_.clear();
   free_hint_ = 0;

@@ -6,16 +6,19 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/buffer.h"
+#include "store/key_index.h"
 
 namespace lhrs::store {
 
 /// A slotted-segment record store: payloads packed back-to-back into
-/// ref-counted arena segments, with one record index on top — a hash from
-/// key to slot and a dense slot vector holding (key, view).
+/// ref-counted arena segments, with one record index on top — an
+/// open-addressing KeyIndex from key to slot over a dense slot vector
+/// holding (key, view). The index stores slot numbers only; the keys live
+/// in the slots.
 ///
 /// This replaces the per-bucket `std::map<Key, Bytes>`: a read hands out a
 /// `BufferView` sharing the segment (no copy), a split or recovery dump
@@ -89,7 +92,7 @@ class BucketStore {
 
   /// Pre-sizes the index for `records` keys (bulk installs).
   void Reserve(size_t records) {
-    index_.reserve(records);
+    index_.Reserve(records, SlotKey{&slots_});
     slots_.reserve(records);
   }
 
@@ -101,17 +104,19 @@ class BucketStore {
   /// returned pointer is valid until the next mutating call; copy the
   /// view (cheap) to hold it longer.
   const BufferView* Find(uint64_t key) const {
-    auto it = index_.find(key);
-    return it == index_.end() ? nullptr : &slots_[it->second].value;
+    const uint32_t slot = index_.Find(key, SlotKey{&slots_});
+    return slot == KeyIndex::kNone ? nullptr : &slots_[slot].value;
   }
 
-  bool Contains(uint64_t key) const { return index_.contains(key); }
+  bool Contains(uint64_t key) const {
+    return index_.Find(key, SlotKey{&slots_}) != KeyIndex::kNone;
+  }
 
   /// The slot of a live key.
   std::optional<size_t> SlotOf(uint64_t key) const {
-    auto it = index_.find(key);
-    if (it == index_.end()) return std::nullopt;
-    return it->second;
+    const uint32_t slot = index_.Find(key, SlotKey{&slots_});
+    if (slot == KeyIndex::kNone) return std::nullopt;
+    return slot;
   }
 
   /// The record in `slot`, or nullptr when the slot is free (or beyond
@@ -149,9 +154,9 @@ class BucketStore {
   template <typename Fn>
   void ForEachOrdered(Fn&& fn) const {
     for (uint64_t key : SortedKeys()) {
-      auto it = index_.find(key);
-      if (it == index_.end()) continue;
-      const BufferView value = slots_[it->second].value;
+      const uint32_t slot = index_.Find(key, SlotKey{&slots_});
+      if (slot == KeyIndex::kNone) continue;
+      const BufferView value = slots_[slot].value;
       fn(key, value);
     }
   }
@@ -169,12 +174,20 @@ class BucketStore {
   Stats GetStats() const;
 
  private:
+  /// The index's view of the keys: a slot's key.
+  struct SlotKey {
+    const std::vector<Entry>* slots;
+    uint64_t operator()(uint32_t slot) const { return (*slots)[slot].key; }
+  };
   bool IsLive(size_t slot) const {
     return slot / 64 < live_.size() && ((live_[slot / 64] >> (slot % 64)) & 1);
   }
   /// The slot a new record takes under the slot policy (not yet taken:
   /// calling it again returns the same slot).
   size_t AllocSlot();
+  /// Maps `key` to `slot` unless the key is present; returns the key's
+  /// slot and whether it was inserted.
+  std::pair<uint32_t, bool> IndexAt(uint64_t key, size_t slot);
   /// Fills `slot` (free, possibly beyond the last one) for a key the index
   /// already maps to it.
   void Occupy(size_t slot, uint64_t key, BufferView value);
@@ -187,7 +200,7 @@ class BucketStore {
   bool reuse_slots_ = true;
   std::vector<std::shared_ptr<Buffer>> segments_;
   size_t head_used_ = 0;  ///< Bytes bump-allocated in segments_.back().
-  std::unordered_map<uint64_t, uint32_t> index_;  ///< key -> slot.
+  KeyIndex index_;  ///< key -> slot.
   std::vector<Entry> slots_;  ///< Free slots hold an empty view.
   std::vector<uint64_t> live_;  ///< Liveness bitmap over slots_.
   /// Every bitmap word below this one is full: the lowest free slot is at

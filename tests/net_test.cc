@@ -53,6 +53,19 @@ class EchoNode : public Node {
   bool echo_;
 };
 
+/// Returns every message to its sender with the payload counted down and
+/// stops at zero: a ping-pong of payload + 1 deliveries.
+class CountdownNode : public Node {
+ public:
+  void HandleMessage(const Message& msg) override {
+    const int left = static_cast<const TestMsg&>(*msg.body).payload;
+    if (left == 0) return;
+    auto reply = std::make_unique<TestMsg>();
+    reply->payload = left - 1;
+    Send(msg.from, std::move(reply));
+  }
+};
+
 TEST(NetworkTest, DeliversInSendOrder) {
   Network net;
   auto* a = new EchoNode(false);
@@ -508,6 +521,44 @@ TEST(NetworkTest, NodesAddedDuringRunReceiveMessages) {
   net.RunUntilIdle();
   ASSERT_NE(spawner->child_ptr, nullptr);
   EXPECT_EQ(spawner->child_ptr->received, std::vector<int>{5});
+}
+
+// The event budget caps one RunUntilIdle / RunUntil call, not the
+// network's lifetime: a long-lived network keeps running past it.
+TEST(NetworkTest, EventBudgetCountsEachCallAfresh) {
+  Network net;
+  net.SetEventBudgetForTest(1000);
+  const NodeId a = net.AddNode(std::make_unique<CountdownNode>());
+  const NodeId b = net.AddNode(std::make_unique<CountdownNode>());
+  const auto serve = [&](int deliveries) {
+    auto msg = std::make_unique<TestMsg>();
+    msg->payload = deliveries - 1;
+    net.Send(a, b, std::move(msg));
+  };
+  for (int call = 0; call < 3; ++call) {
+    serve(600);
+    net.RunUntilIdle();
+  }
+  serve(600);
+  net.RunUntil(net.now() + 1'000'000);
+  serve(600);
+  net.RunUntil([] { return false; });
+  EXPECT_EQ(net.processed_events(), 3000u);
+}
+
+TEST(NetworkDeathTest, EventBudgetStopsARunawayPingPong) {
+  EXPECT_DEATH(
+      {
+        Network net;
+        net.SetEventBudgetForTest(1000);
+        const NodeId a = net.AddNode(std::make_unique<EchoNode>(true));
+        const NodeId b = net.AddNode(std::make_unique<EchoNode>(true));
+        auto msg = std::make_unique<TestMsg>();
+        msg->payload = 1;
+        net.Send(a, b, std::move(msg));
+        net.RunUntilIdle();  // Echoes forever.
+      },
+      "event budget exhausted");
 }
 
 }  // namespace
