@@ -12,24 +12,28 @@
 // SSSE3/AVX2/NEON the CPU offers), so the per-ISA speedups are directly
 // quotable. Encode/decode rows force each tier through
 // ForceActiveKernelsForTesting to show the end-to-end effect on the
-// coder. Acceptance self-check: when an AVX2 (or NEON) tier is present,
-// GF(2^8) MulAdd at 4 KiB must be >= 4x the word-wise kernel, else the
-// binary exits non-zero.
+// parity code. Acceptance self-check: when an AVX2 (or NEON) tier is
+// present, GF(2^8) MulAdd at 4 KiB must be >= 4x the word-wise kernel,
+// else the binary exits non-zero.
 
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/buffer.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
 #include "gf/kernels.h"
-#include "rs/coder.h"
+#include "parity/parity_code.h"
+#include "rs/generator.h"
+#include "rs/matrix.h"
 
 namespace lhrs::bench {
 namespace {
@@ -105,22 +109,31 @@ void RunKernelTiers(BenchReport& rep) {
   }
 }
 
-template <typename F>
-void EncodeDecodeRows(BenchReport& rep, const char* field,
+// The m x k RS parity code over `field`, as the file's buckets build it.
+std::unique_ptr<parity::ParityCode> RsCode(uint32_t m, uint32_t k,
+                                           FieldChoice field) {
+  auto code = parity::MakeParityCode(parity::CodeSpec{}, m, k, field);
+  LHRS_CHECK(code.ok()) << code.status();
+  return std::move(code).value();
+}
+
+void EncodeDecodeRows(BenchReport& rep, FieldChoice field,
                       const GfKernels* tier) {
   const uint32_t m = 4, k = 3;
   const size_t n = 16384;
-  GroupCoder<F> coder(m, k);
+  const auto code = RsCode(m, k, field);
   std::vector<Bytes> data;
   std::vector<const Bytes*> ptrs;
   for (uint32_t i = 0; i < m; ++i) data.push_back(MakeBuffer(n, 10 + i));
   for (const auto& d : data) ptrs.push_back(&d);
-  const std::string suffix = std::string("/") + field + "/" + tier->name;
+  const std::string suffix =
+      std::string("/") + (field == FieldChoice::kGf256 ? "gf8" : "gf16") +
+      "/" + tier->name;
   KernelRow(rep, "encode_m4k3" + suffix, n * m, [&] {
-    auto parity = coder.Encode(ptrs);
+    auto parity = code->Encode(ptrs);
   });
 
-  std::vector<Bytes> parity = coder.Encode(ptrs);
+  std::vector<Bytes> parity = code->Encode(ptrs);
   const uint32_t erasures = 3;
   std::vector<std::pair<size_t, Bytes>> available;
   std::vector<size_t> missing;
@@ -133,7 +146,7 @@ void EncodeDecodeRows(BenchReport& rep, const char* field,
   }
   for (uint32_t j = 0; j < k; ++j) available.emplace_back(m + j, parity[j]);
   KernelRow(rep, "decode_3of4" + suffix, n * erasures, [&] {
-    auto decoded = coder.DecodeData(available, missing);
+    auto decoded = code->DecodeData(available, missing);
   });
 }
 
@@ -144,8 +157,8 @@ void RunEncodeDecodeTiers(BenchReport& rep) {
   const GfKernels& startup = ActiveKernels();
   for (const GfKernels* k : AvailableKernels()) {
     ForceActiveKernelsForTesting(k);
-    EncodeDecodeRows<GF256>(rep, "gf8", k);
-    EncodeDecodeRows<GF65536>(rep, "gf16", k);
+    EncodeDecodeRows(rep, FieldChoice::kGf256, k);
+    EncodeDecodeRows(rep, FieldChoice::kGf65536, k);
   }
   ForceActiveKernelsForTesting(nullptr);
   (void)startup;
@@ -158,23 +171,22 @@ void RunUpdateAblation(BenchReport& rep) {
       {"op", "ops", "bytes", "ops/s", "bytes/s"});
   const uint32_t m = 4, k = 2;
   const size_t n = 16384;
+  const auto code = RsCode(m, k, FieldChoice::kGf256);
   {
-    GroupCoder<GF256> coder(m, k);
     Bytes delta = MakeBuffer(n, 30);
     std::vector<Bytes> parity(k, Bytes(n, 0));
     KernelRow(rep, "delta_update_gf8", n * k, [&] {
-      for (uint32_t j = 0; j < k; ++j) coder.ApplyDelta(1, delta, j,
+      for (uint32_t j = 0; j < k; ++j) code->ApplyDelta(1, delta, j,
                                                         &parity[j]);
     });
   }
   {
-    GroupCoder<GF256> coder(m, k);
     std::vector<Bytes> data;
     std::vector<const Bytes*> ptrs;
     for (uint32_t i = 0; i < m; ++i) data.push_back(MakeBuffer(n, 40 + i));
     for (const auto& d : data) ptrs.push_back(&d);
     KernelRow(rep, "full_reencode_gf8", n * k, [&] {
-      auto parity = coder.Encode(ptrs);
+      auto parity = code->Encode(ptrs);
     });
   }
 }
@@ -183,12 +195,13 @@ void RunMatrixInversion(BenchReport& rep) {
   rep.BeginTable("T3 — decode matrix inversion (GF(2^8), k=3 parity columns)",
                  {"m", "ops", "bytes", "ops/s", "bytes/s"});
   for (uint32_t m : {4u, 8u, 16u}) {
-    GroupCoder<GF256> coder(m, 3);
+    auto p = BuildParityMatrix<GF256>(m, 3);
+    LHRS_CHECK(p.ok()) << p.status();
     Matrix<GF256> a(m, m);
     for (uint32_t t = 0; t < m; ++t) {
       for (uint32_t i = 0; i < m; ++i) {
         if (t < 3) {
-          a.Set(i, t, coder.Coefficient(i, t));
+          a.Set(i, t, p->At(i, t));
         } else {
           a.Set(i, t, i == t ? 1 : 0);
         }

@@ -13,8 +13,6 @@ telemetry::Telemetry* Network::EnableTelemetry(
   telemetry_ = std::make_unique<telemetry::Telemetry>(config);
   telemetry_->set_clock([this] { return now_; });
   telemetry::MetricsRegistry& m = telemetry_->metrics();
-  tm_.sent_messages = &m.GetCounter("net.sent_messages");
-  tm_.sent_bytes = &m.GetCounter("net.sent_bytes");
   tm_.deliveries = &m.GetCounter("net.deliveries");
   tm_.delivery_failures = &m.GetCounter("net.delivery_failures");
   tm_.nodes_unavailable = &m.GetGauge("net.nodes_unavailable");
@@ -125,14 +123,10 @@ void Network::Enqueue(std::unique_ptr<MessageBody> body, NodeId from,
       << "send to unknown node " << to;
   const size_t bytes = body->ByteSize();
   stats_.RecordSend(body->kind(), bytes, !multicast_member, from);
-  if (telemetry_ != nullptr) {
-    tm_.sent_messages->Add();
-    tm_.sent_bytes->Add(bytes);
-    if (telemetry_->trace_messages()) {
-      telemetry_->tracer().Record(
-          {now_, telemetry::TraceEventType::kSend, from, to, body->kind(),
-           -1, static_cast<int64_t>(bytes)});
-    }
+  if (telemetry_ != nullptr && telemetry_->trace_messages()) {
+    telemetry_->tracer().Record({now_, telemetry::TraceEventType::kSend, from,
+                                 to, body->kind(), -1,
+                                 static_cast<int64_t>(bytes)});
   }
 
   if (router_ != nullptr && router_->IsRemote(to)) {

@@ -158,15 +158,17 @@ class Network {
   /// Current simulated time (microseconds).
   SimTime now() const { return now_; }
 
-  /// Traffic statistics.
+  /// Traffic statistics: the one count of sent messages and bytes
+  /// (MessageStats::ExportTo copies it into a metrics registry).
   MessageStats& stats() { return stats_; }
   const MessageStats& stats() const { return stats_; }
   const NetworkConfig& config() const { return config_; }
 
   /// Turns observability on: the network owns a Telemetry instance, wires
-  /// its clock to the simulated time, and from here on feeds counters, the
-  /// delivery-latency histogram and (config-dependent) per-message trace
-  /// events. Returns the instance so callers can add their own series.
+  /// its clock to the simulated time, and from here on feeds the delivery
+  /// counters, the delivery-latency histogram and (config-dependent)
+  /// per-message trace events. Returns the instance so callers can add
+  /// their own series.
   /// Idempotent; the config of the first call wins.
   telemetry::Telemetry* EnableTelemetry(
       telemetry::TelemetryConfig config = {});
@@ -320,8 +322,6 @@ class Network {
   /// Cached metric handles so the enabled per-message path does no name
   /// lookups (resolved once in EnableTelemetry).
   struct TelemetryHandles {
-    telemetry::Counter* sent_messages = nullptr;
-    telemetry::Counter* sent_bytes = nullptr;
     telemetry::Counter* deliveries = nullptr;
     telemetry::Counter* delivery_failures = nullptr;
     telemetry::Gauge* nodes_unavailable = nullptr;

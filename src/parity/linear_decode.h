@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -78,12 +77,15 @@ class IncrementalSolver {
 
   /// `pmat` is the m x k parity-coefficient matrix; it must outlive the
   /// solver.
-  IncrementalSolver(const Matrix<F>* pmat, uint32_t m, uint32_t k)
-      : pmat_(pmat), m_(m), k_(k), pivot_row_(m, kNoRow) {
+  explicit IncrementalSolver(const Matrix<F>* pmat)
+      : pmat_(pmat),
+        m_(static_cast<uint32_t>(pmat->rows())),
+        k_(static_cast<uint32_t>(pmat->cols())),
+        pivot_row_(m_, kNoRow) {
     // The rank never exceeds m: size the row tables once.
-    rows_.reserve(m);
-    combs_.reserve(m);
-    columns_.reserve(m);
+    rows_.reserve(m_);
+    combs_.reserve(m_);
+    columns_.reserve(m_);
   }
 
   uint32_t m() const { return m_; }
@@ -215,11 +217,11 @@ class IncrementalSolver {
 template <GaloisField F>
 class ProgressiveDecoderT final : public ProgressiveDecoder {
  public:
-  ProgressiveDecoderT(const Matrix<F>* pmat, uint32_t m, uint32_t k,
+  ProgressiveDecoderT(const Matrix<F>* pmat,
                       std::vector<uint32_t> wanted_data,
                       std::vector<uint32_t> known_zero_data)
-      : solver_(pmat, m, k), wanted_(std::move(wanted_data)) {
-    for (uint32_t col : wanted_) LHRS_CHECK_LT(col, m);
+      : solver_(pmat), wanted_(std::move(wanted_data)) {
+    for (uint32_t col : wanted_) LHRS_CHECK_LT(col, solver_.m());
     for (uint32_t col : known_zero_data) solver_.AddColumn(col);
   }
 
@@ -264,34 +266,6 @@ class ProgressiveDecoderT final : public ProgressiveDecoder {
   /// Useful survivor columns with their shared payloads, in arrival order.
   std::vector<std::pair<uint32_t, BufferView>> payloads_;
 };
-
-/// Decode planner for non-MDS linear codes: absorbs the columns into a
-/// solver (data first, so survivor values are preferred over parity
-/// recombination) and plans the wanted columns.
-template <GaloisField F>
-Result<std::unique_ptr<const DecodePlan>> PlanLinearDecode(
-    const Matrix<F>& pmat, uint32_t m, uint32_t k,
-    const std::vector<uint32_t>& columns,
-    const std::vector<uint32_t>& wanted_data) {
-  for (uint32_t col : wanted_data) {
-    LHRS_CHECK_LT(col, m) << "only data columns can be requested";
-  }
-  IncrementalSolver<F> solver(&pmat, m, k);
-  for (uint32_t col : columns) {
-    if (col < m) solver.AddColumn(col);
-  }
-  for (uint32_t col : columns) {
-    if (col >= m) solver.AddColumn(col);
-  }
-  for (uint32_t col : wanted_data) {
-    if (!solver.Solved(col)) {
-      return Status::DataLoss(
-          "unrecoverable record group: available columns do not determine "
-          "data column " + std::to_string(col));
-    }
-  }
-  return solver.Plan(wanted_data);
-}
 
 }  // namespace lhrs::parity
 

@@ -4,12 +4,13 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "parity/linear_code.h"
 #include "parity/linear_decode.h"
 #include "parity/parity_code.h"
-#include "rs/coder.h"
 #include "rs/generator.h"
 
 namespace lhrs::parity {
@@ -59,50 +60,43 @@ Result<Matrix<F>> BuildLrcParityMatrix(uint32_t m, uint32_t k, uint32_t r) {
 }
 
 template <GaloisField F>
-class LrcCodeT final : public ParityCode {
+class LrcCodeT final : public LinearCodeT<F> {
  public:
-  /// Builds from a spec with kind == kLrc; fails on invalid geometry.
-  static Result<std::unique_ptr<ParityCode>> Make(uint32_t m, uint32_t k,
-                                                  CodeSpec spec) {
-    auto p = BuildLrcParityMatrix<F>(m, k, spec.locality);
-    if (!p.ok()) return p.status();
-    return std::unique_ptr<ParityCode>(
-        new LrcCodeT<F>(std::move(p).value(), spec));
-  }
+  /// `parity_matrix` comes from BuildLrcParityMatrix with spec.locality.
+  LrcCodeT(Matrix<F> parity_matrix, CodeSpec spec)
+      : LinearCodeT<F>(std::move(parity_matrix), spec),
+        locals_((this->m() + spec.locality - 1) / spec.locality) {}
 
-  uint32_t m() const override { return static_cast<uint32_t>(impl_.m()); }
-  uint32_t k() const override { return static_cast<uint32_t>(impl_.k()); }
-  const CodeSpec& spec() const override { return spec_; }
+  uint32_t locality() const { return this->spec().locality; }
 
-  uint32_t locality() const { return spec_.locality; }
-  uint32_t local_groups() const { return locals_; }
-
-  void ApplyDelta(size_t slot, std::span<const uint8_t> delta,
-                  size_t parity_index, Bytes* parity) const override {
-    impl_.ApplyDelta(slot, delta, parity_index, parity);
-  }
-
-  void ApplyDelta(size_t slot, std::span<const uint8_t> delta,
-                  size_t parity_index, BufferView* parity) const override {
-    impl_.ApplyDelta(slot, delta, parity_index, parity);
-  }
-
-  std::vector<Bytes> Encode(
-      std::span<const Bytes* const> data) const override {
-    return impl_.Encode(data);
-  }
-
+  /// Absorbs the columns into a solver (data first, so survivor values
+  /// are preferred over parity recombination) and plans the wanted ones.
   Result<std::unique_ptr<const DecodePlan>> PlanDecode(
       const std::vector<uint32_t>& columns,
       const std::vector<uint32_t>& wanted_data) const override {
-    return PlanLinearDecode<F>(impl_.parity_matrix(), m(), k(), columns,
-                               wanted_data);
+    const uint32_t m = this->m();
+    IncrementalSolver<F> solver(&this->parity_matrix());
+    for (uint32_t col : columns) {
+      if (col < m) solver.AddColumn(col);
+    }
+    for (uint32_t col : columns) {
+      if (col >= m) solver.AddColumn(col);
+    }
+    for (uint32_t col : wanted_data) {
+      LHRS_CHECK_LT(col, m) << "only data columns can be requested";
+      if (!solver.Solved(col)) {
+        return Status::DataLoss(
+            "unrecoverable record group: available columns do not "
+            "determine data column " + std::to_string(col));
+      }
+    }
+    return solver.Plan(wanted_data);
   }
 
   bool CanDecodeFrom(
       const std::vector<uint32_t>& columns,
       const std::vector<uint32_t>& wanted_data) const override {
-    IncrementalSolver<F> solver(&impl_.parity_matrix(), m(), k());
+    IncrementalSolver<F> solver(&this->parity_matrix());
     for (uint32_t col : columns) solver.AddColumn(col);
     return std::all_of(wanted_data.begin(), wanted_data.end(),
                        [&](uint32_t w) { return solver.Solved(w); });
@@ -110,10 +104,12 @@ class LrcCodeT final : public ParityCode {
 
   std::vector<uint32_t> ParityPreference(uint32_t data_slot) const override {
     std::vector<uint32_t> order;
-    order.reserve(k());
-    const uint32_t local = data_slot / spec_.locality;
+    order.reserve(this->k());
+    const uint32_t local = data_slot / locality();
     order.push_back(local);  // The slot's own local parity first,
-    for (uint32_t j = locals_; j < k(); ++j) order.push_back(j);  // globals,
+    for (uint32_t j = locals_; j < this->k(); ++j) {  // globals,
+      order.push_back(j);
+    }
     for (uint32_t j = 0; j < locals_; ++j) {  // then the other locals.
       if (j != local) order.push_back(j);
     }
@@ -138,13 +134,13 @@ class LrcCodeT final : public ParityCode {
     // (sibling slots + local parity) alive — read just those r columns.
     if (!missing_has_parity && missing_data.size() == 1) {
       const uint32_t slot = missing_data[0];
-      const uint32_t local = slot / spec_.locality;
+      const uint32_t local = slot / locality();
       std::vector<uint32_t> reads;
       bool local_ok =
           std::find(ctx.alive_parity.begin(), ctx.alive_parity.end(),
                     local) != ctx.alive_parity.end();
-      for (uint32_t s = local * spec_.locality;
-           local_ok && s < std::min(m, (local + 1) * spec_.locality); ++s) {
+      for (uint32_t s = local * locality();
+           local_ok && s < std::min(m, (local + 1) * locality()); ++s) {
         if (s == slot) continue;
         if (s >= ctx.existing_slots) continue;  // Known-zero sibling.
         local_ok = std::find(ctx.alive_data.begin(), ctx.alive_data.end(),
@@ -154,7 +150,7 @@ class LrcCodeT final : public ParityCode {
       if (local_ok) {
         plan.read_columns = std::move(reads);
         plan.read_columns.push_back(m + local);
-        plan.progressive = spec_.progressive;
+        plan.progressive = this->spec().progressive;
         return plan;
       }
     }
@@ -191,30 +187,11 @@ class LrcCodeT final : public ParityCode {
           "group unrecoverable under LRC: surviving columns do not "
           "determine the lost ones");
     }
-    plan.progressive = spec_.progressive && !missing_data.empty();
+    plan.progressive = this->spec().progressive && !missing_data.empty();
     return plan;
   }
 
-  std::unique_ptr<ProgressiveDecoder> NewProgressiveDecoder(
-      std::vector<uint32_t> wanted_data,
-      std::vector<uint32_t> known_zero_data) const override {
-    return std::make_unique<ProgressiveDecoderT<F>>(
-        &impl_.parity_matrix(), m(), k(), std::move(wanted_data),
-        std::move(known_zero_data));
-  }
-
-  size_t PaddedLength(size_t n) const override {
-    return impl_.PaddedLength(n);
-  }
-
  private:
-  LrcCodeT(Matrix<F> parity_matrix, CodeSpec spec)
-      : impl_(std::move(parity_matrix)),
-        spec_(spec),
-        locals_((impl_.m() + spec.locality - 1) / spec.locality) {}
-
-  GroupCoder<F> impl_;
-  CodeSpec spec_;
   uint32_t locals_;
 };
 

@@ -1,13 +1,17 @@
 #include "parity/parity_code.h"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
+#include <system_error>
+#include <utility>
 
 #include "common/logging.h"
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
 #include "parity/lrc_code.h"
 #include "parity/rs_code.h"
+#include "rs/generator.h"
 
 namespace lhrs::parity {
 
@@ -85,19 +89,16 @@ Result<CodeSpec> CodeSpec::Parse(std::string_view name) {
   if (rest.substr(0, 3) == "lrc") {
     spec.kind = CodeKind::kLrc;
     rest = rest.substr(3);
-    uint32_t r = 0;
-    for (char c : rest) {
-      if (c < '0' || c > '9') {
-        return Status::InvalidArgument("bad LRC locality in code name: " +
-                                       std::string(name));
-      }
-      r = r * 10 + static_cast<uint32_t>(c - '0');
-    }
-    if (r == 0) {
+    // from_chars takes digits only and refuses a value past uint32_t
+    // instead of wrapping it.
+    const char* end = rest.data() + rest.size();
+    const auto [stop, error] = std::from_chars(rest.data(), end,
+                                               spec.locality);
+    if (error != std::errc() || stop != end || spec.locality == 0) {
       return Status::InvalidArgument(
-          "LRC code name needs a locality, e.g. lrc2");
+          "LRC code name needs a locality in [1, 2^32), e.g. lrc2: " +
+          std::string(name));
     }
-    spec.locality = r;
     return spec;
   }
   return Status::InvalidArgument("unknown parity code name: " +
@@ -114,15 +115,17 @@ Result<std::unique_ptr<ParityCode>> MakeTyped(const CodeSpec& spec,
   }
   switch (spec.kind) {
     case CodeKind::kRs: {
-      if (m + k > F::kOrder) {
-        return Status::InvalidArgument(
-            "group size m + availability k exceeds field order");
-      }
+      auto p = BuildParityMatrix<F>(m, k);
+      if (!p.ok()) return p.status();
       return std::unique_ptr<ParityCode>(
-          std::make_unique<RsCodeT<F>>(m, k, spec));
+          std::make_unique<RsCodeT<F>>(std::move(p).value(), spec));
     }
-    case CodeKind::kLrc:
-      return LrcCodeT<F>::Make(m, k, spec);
+    case CodeKind::kLrc: {
+      auto p = BuildLrcParityMatrix<F>(m, k, spec.locality);
+      if (!p.ok()) return p.status();
+      return std::unique_ptr<ParityCode>(
+          std::make_unique<LrcCodeT<F>>(std::move(p).value(), spec));
+    }
   }
   return Status::InvalidArgument("unknown parity code kind");
 }

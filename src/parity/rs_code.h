@@ -4,62 +4,73 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "parity/linear_code.h"
 #include "parity/linear_decode.h"
 #include "parity/parity_code.h"
-#include "rs/coder.h"
 
 namespace lhrs::parity {
 
-/// The paper's generalized Reed-Solomon code behind the ParityCode
-/// interface. Encode and delta maintenance delegate to rs::GroupCoder, and
-/// decode plans come from its decode matrix, so behavior is identical to
-/// the pre-interface code path (the refactor oracle).
+/// The paper's generalized Reed-Solomon code: the Cauchy-derived parity
+/// matrix of rs/generator.h, whose first column is all ones (parity 0 is
+/// the XOR bucket). The code is MDS, so any m of the m + k columns
+/// reconstruct the group, and a decode plan is one m x m inversion.
 template <GaloisField F>
-class RsCodeT final : public ParityCode {
+class RsCodeT final : public LinearCodeT<F> {
  public:
-  RsCodeT(uint32_t m, uint32_t k, CodeSpec spec)
-      : impl_(m, k), spec_(spec) {}
+  /// `parity_matrix` must be MDS (BuildParityMatrix).
+  RsCodeT(Matrix<F> parity_matrix, CodeSpec spec)
+      : LinearCodeT<F>(std::move(parity_matrix), spec) {}
 
-  uint32_t m() const override { return static_cast<uint32_t>(impl_.m()); }
-  uint32_t k() const override { return static_cast<uint32_t>(impl_.k()); }
-  const CodeSpec& spec() const override { return spec_; }
-
-  void ApplyDelta(size_t slot, std::span<const uint8_t> delta,
-                  size_t parity_index, Bytes* parity) const override {
-    impl_.ApplyDelta(slot, delta, parity_index, parity);
-  }
-
-  void ApplyDelta(size_t slot, std::span<const uint8_t> delta,
-                  size_t parity_index, BufferView* parity) const override {
-    impl_.ApplyDelta(slot, delta, parity_index, parity);
-  }
-
-  std::vector<Bytes> Encode(
-      std::span<const Bytes* const> data) const override {
-    return impl_.Encode(data);
-  }
-
-  /// One inversion of the m x m decode matrix; the plan's rows are the
-  /// inverse's columns for the wanted slots.
+  /// Picks exactly m of `columns` (data columns first — their identity
+  /// rows keep the matrix mostly trivial) and inverts their generator
+  /// submatrix; the plan's rows are the inverse's columns for the wanted
+  /// slots. Cheaper per plan than the incremental solver at the group
+  /// sizes LH*RS runs, and degraded reads plan once per record.
   Result<std::unique_ptr<const DecodePlan>> PlanDecode(
       const std::vector<uint32_t>& columns,
       const std::vector<uint32_t>& wanted_data) const override {
-    auto system = impl_.DecodeMatrix(columns);
-    if (!system.ok()) return system.status();
-    const auto& [use, inv] = *system;
+    const uint32_t m = this->m();
+    if (columns.size() < m) {
+      return Status::DataLoss(
+          "unrecoverable record group: " + std::to_string(columns.size()) +
+          " of " + std::to_string(m) + " required columns available");
+    }
     std::vector<uint32_t> inputs;
-    inputs.reserve(use.size());
-    for (size_t pos : use) inputs.push_back(columns[pos]);
-    std::vector<typename F::Symbol> coeffs;
-    coeffs.reserve(wanted_data.size() * use.size());
-    for (uint32_t want : wanted_data) {
-      LHRS_CHECK_LT(want, m()) << "only data columns can be requested";
-      for (size_t t = 0; t < use.size(); ++t) {
-        coeffs.push_back(inv.At(t, want));
+    inputs.reserve(m);
+    for (uint32_t col : columns) {
+      if (col < m && inputs.size() < m) inputs.push_back(col);
+    }
+    for (uint32_t col : columns) {
+      if (col >= m && inputs.size() < m) inputs.push_back(col);
+    }
+    LHRS_CHECK_EQ(inputs.size(), m);
+
+    // Codeword relation: value(col) = sum_i d_i * G[i][col] with
+    // G = [I | P]. Stack the m inputs into A (m x m):
+    // A[i][t] = G[i][inputs[t]]; then d = values * A^{-1}.
+    Matrix<F> a(m, m);
+    for (uint32_t t = 0; t < m; ++t) {
+      const uint32_t col = inputs[t];
+      for (uint32_t i = 0; i < m; ++i) {
+        a.Set(i, t,
+              col < m ? (i == col ? 1 : 0)
+                      : this->parity_matrix().At(i, col - m));
       }
+    }
+    auto inv = a.Inverted();
+    if (!inv.ok()) {
+      return Status::Internal("decode matrix singular — MDS violation: " +
+                              inv.status().message());
+    }
+    std::vector<typename F::Symbol> coeffs;
+    coeffs.reserve(wanted_data.size() * m);
+    for (uint32_t want : wanted_data) {
+      LHRS_CHECK_LT(want, m) << "only data columns can be requested";
+      for (uint32_t t = 0; t < m; ++t) coeffs.push_back(inv->At(t, want));
     }
     return std::unique_ptr<const DecodePlan>(std::make_unique<DecodePlanT<F>>(
         std::move(inputs), wanted_data, std::move(coeffs)));
@@ -70,7 +81,7 @@ class RsCodeT final : public ParityCode {
       const std::vector<uint32_t>& wanted_data) const override {
     // MDS: any m distinct columns determine the whole group. A wanted
     // column already in hand is trivially determined.
-    if (columns.size() >= impl_.m()) return true;
+    if (columns.size() >= this->m()) return true;
     return std::all_of(
         wanted_data.begin(), wanted_data.end(), [&](uint32_t w) {
           return std::find(columns.begin(), columns.end(), w) !=
@@ -80,7 +91,7 @@ class RsCodeT final : public ParityCode {
 
   std::vector<uint32_t> ParityPreference(uint32_t data_slot) const override {
     (void)data_slot;  // Any parity column serves any slot equally.
-    std::vector<uint32_t> order(impl_.k());
+    std::vector<uint32_t> order(this->k());
     std::iota(order.begin(), order.end(), 0);
     return order;
   }
@@ -100,7 +111,7 @@ class RsCodeT final : public ParityCode {
     }
 
     RepairPlan plan;
-    plan.progressive = spec_.progressive && missing_has_data;
+    plan.progressive = this->spec().progressive && missing_has_data;
     // Read set: every alive data column (missing parity re-encodes from
     // the full data row), plus enough parity columns for the decode — at
     // least one when data is missing, for the key metadata. Progressive
@@ -119,22 +130,6 @@ class RsCodeT final : public ParityCode {
     }
     return plan;
   }
-
-  std::unique_ptr<ProgressiveDecoder> NewProgressiveDecoder(
-      std::vector<uint32_t> wanted_data,
-      std::vector<uint32_t> known_zero_data) const override {
-    return std::make_unique<ProgressiveDecoderT<F>>(
-        &impl_.parity_matrix(), m(), k(), std::move(wanted_data),
-        std::move(known_zero_data));
-  }
-
-  size_t PaddedLength(size_t n) const override {
-    return impl_.PaddedLength(n);
-  }
-
- private:
-  GroupCoder<F> impl_;
-  CodeSpec spec_;
 };
 
 }  // namespace lhrs::parity

@@ -173,6 +173,7 @@ bool WriteMemberReport(ClusterRuntime& runtime,
   report.AddMetric("transport.decode_failures", ts.decode_failures);
   report.AddMetric("sim.messages", runtime.network().stats().total_messages());
   if (telemetry::Telemetry* t = runtime.network().telemetry()) {
+    runtime.network().stats().ExportTo(&t->metrics());
     report.AddRegistry(t->metrics());
   }
   return report.WriteFile(options.report_path);
@@ -1087,7 +1088,10 @@ int ClusterCoordinator::Run() {
       report.AddMetric(prefix + "elapsed_us", result.elapsed_us);
       report.AddMetric(prefix + "p99_us", result.p99_us);
     }
-    if (telemetry != nullptr) report.AddRegistry(telemetry->metrics());
+    if (telemetry != nullptr) {
+      runtime.network().stats().ExportTo(&telemetry->metrics());
+      report.AddRegistry(telemetry->metrics());
+    }
     report.AddParam("clean_shutdown", ok ? "true" : "false");
     if (!report.WriteFile(options_.report_path)) ok = false;
   }

@@ -64,7 +64,8 @@ struct CtrlMsg {
   // kSetAvailable (reuses `node`):
   bool up = false;
 
-  // kRunPhase / kPhaseDone (phase in `rank`? no — own field):
+  // kRunPhase / kPhaseDone (the coordinator knows the reporting member's
+  // rank from its control connection):
   uint32_t phase = 0;
   bool ok = true;
   uint64_t ops = 0;

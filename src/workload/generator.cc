@@ -1,5 +1,6 @@
 #include "workload/generator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -7,6 +8,26 @@
 #include "common/logging.h"
 
 namespace lhrs::workload {
+
+ZipfSampler::ZipfSampler(size_t n, double theta) {
+  LHRS_CHECK_GT(n, 0u);
+  cumulative_.reserve(n);
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
+    cumulative_.push_back(sum);
+  }
+  for (double& c : cumulative_) c /= sum;
+}
+
+size_t ZipfSampler::Sample(Rng& rng) const {
+  const double u = rng.NextDouble();
+  const auto it =
+      std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
+  return it == cumulative_.end() ? cumulative_.size() - 1
+                                 : static_cast<size_t>(
+                                       it - cumulative_.begin());
+}
 
 bool GeneratorOptions::Valid() const {
   const double sum = search_fraction + rmw_fraction + insert_fraction;

@@ -5,12 +5,27 @@
 #include <optional>
 #include <vector>
 
-#include "analysis/workload.h"
 #include "common/rng.h"
 #include "lh/lh_math.h"
 #include "sdds/session.h"
 
 namespace lhrs::workload {
+
+/// Zipf-distributed index sampler over [0, n): index i is drawn with
+/// probability proportional to 1 / (i+1)^theta. Building the cumulative
+/// table costs O(n), sampling O(log n).
+class ZipfSampler {
+ public:
+  ZipfSampler(size_t n, double theta);
+
+  size_t n() const { return cumulative_.size(); }
+
+  /// Draws an index in [0, n).
+  size_t Sample(Rng& rng) const;
+
+ private:
+  std::vector<double> cumulative_;
+};
 
 /// Specification of a production-shaped op stream family: N per-session
 /// streams over a preloaded keyspace, with a chosen access skew and an

@@ -1,6 +1,7 @@
 // Unit and property tests for the Reed-Solomon layer: matrix algebra, the
-// normalised-Cauchy generator matrix (MDS property), and the group coder
-// (encode, incremental delta updates, erasure decode).
+// normalised-Cauchy generator matrix (MDS property), and the RS and LRC
+// parity codes (encode, incremental delta updates, erasure decode,
+// progressive decoding, repair planning).
 
 #include <algorithm>
 #include <bit>
@@ -15,7 +16,6 @@
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
 #include "parity/parity_code.h"
-#include "rs/coder.h"
 #include "rs/generator.h"
 #include "rs/matrix.h"
 
@@ -138,166 +138,9 @@ TEST(GeneratorTest, NaiveVandermondeFailsMdsForLargeGroups) {
 }
 
 // ---------------------------------------------------------------------------
-// GroupCoder tests.
-
-template <typename F>
-class GroupCoderTest : public ::testing::Test {};
-
-using CoderFields = ::testing::Types<GF256, GF65536>;
-TYPED_TEST_SUITE(GroupCoderTest, CoderFields);
-
-TYPED_TEST(GroupCoderTest, EncodeDecodeRoundTripAllErasurePatterns) {
-  const uint32_t m = 4, k = 2;
-  GroupCoder<TypeParam> coder(m, k);
-  Rng rng(211);
-
-  // Variable-length member payloads, one slot empty.
-  std::vector<Bytes> data(m);
-  data[0] = rng.RandomBytes(40);
-  data[1] = rng.RandomBytes(17);
-  data[2] = {};  // Absent member.
-  data[3] = rng.RandomBytes(33);
-  std::vector<const Bytes*> ptrs = {&data[0], &data[1], nullptr, &data[3]};
-  std::vector<Bytes> parity = coder.Encode(ptrs);
-  ASSERT_EQ(parity.size(), k);
-
-  // Every way of losing up to k of the m+k columns must decode.
-  for (uint32_t lost1 = 0; lost1 < m; ++lost1) {
-    for (uint32_t lost2 = lost1 + 1; lost2 <= m + k; ++lost2) {
-      std::vector<std::pair<size_t, Bytes>> available;
-      for (uint32_t col = 0; col < m + k; ++col) {
-        if (col == lost1 || col == lost2) continue;
-        if (col < m) {
-          available.emplace_back(col, data[col]);
-        } else {
-          available.emplace_back(col, parity[col - m]);
-        }
-      }
-      std::vector<size_t> wanted;
-      if (lost1 < m) wanted.push_back(lost1);
-      if (lost2 < m) wanted.push_back(lost2);
-      if (wanted.empty()) continue;
-      auto decoded = coder.DecodeData(available, wanted);
-      ASSERT_TRUE(decoded.ok()) << decoded.status();
-      for (size_t i = 0; i < wanted.size(); ++i) {
-        const Bytes& original = data[wanted[i]];
-        const Bytes padded = PadTo(original, (*decoded)[i].size());
-        EXPECT_EQ((*decoded)[i], padded)
-            << "lost (" << lost1 << "," << lost2 << ") slot " << wanted[i];
-      }
-    }
-  }
-}
-
-TYPED_TEST(GroupCoderTest, TooFewColumnsIsDataLoss) {
-  GroupCoder<TypeParam> coder(4, 2);
-  std::vector<std::pair<size_t, Bytes>> available = {
-      {0, Bytes{1, 2}}, {1, Bytes{3, 4}}, {2, Bytes{5, 6}}};
-  auto decoded = coder.DecodeData(available, {3});
-  EXPECT_FALSE(decoded.ok());
-  EXPECT_TRUE(decoded.status().IsDataLoss());
-}
-
-TYPED_TEST(GroupCoderTest, DeltaUpdatesMatchFullReencode) {
-  const uint32_t m = 4, k = 3;
-  GroupCoder<TypeParam> coder(m, k);
-  Rng rng(223);
-
-  std::vector<Bytes> data(m);
-  std::vector<Bytes> parity(k);
-
-  // Build the group incrementally: insert, update, delete, with varying
-  // lengths; parity maintained only through ApplyDelta.
-  for (int step = 0; step < 200; ++step) {
-    const uint32_t slot = static_cast<uint32_t>(rng.Uniform(m));
-    const int action = static_cast<int>(rng.Uniform(3));
-    if (action == 0 || data[slot].empty()) {
-      // Insert/overwrite with a fresh value: delta = old XOR new.
-      Bytes next = rng.RandomBytes(1 + rng.Uniform(64));
-      Bytes delta = data[slot];
-      XorAssignPadded(delta, next);
-      for (uint32_t j = 0; j < k; ++j) {
-        coder.ApplyDelta(slot, delta, j, &parity[j]);
-      }
-      data[slot] = std::move(next);
-    } else if (action == 1) {
-      // Delete: delta = old value.
-      for (uint32_t j = 0; j < k; ++j) {
-        coder.ApplyDelta(slot, data[slot], j, &parity[j]);
-      }
-      data[slot].clear();
-    } else {
-      // In-place partial update.
-      Bytes next = data[slot];
-      next[rng.Uniform(next.size())] ^= static_cast<uint8_t>(rng.Next64());
-      Bytes delta = data[slot];
-      XorAssignPadded(delta, next);
-      for (uint32_t j = 0; j < k; ++j) {
-        coder.ApplyDelta(slot, delta, j, &parity[j]);
-      }
-      data[slot] = std::move(next);
-    }
-  }
-
-  // Full re-encode must agree (modulo trailing zeros from length churn).
-  std::vector<const Bytes*> ptrs;
-  for (auto& d : data) ptrs.push_back(d.empty() ? nullptr : &d);
-  std::vector<Bytes> fresh = coder.Encode(ptrs);
-  for (uint32_t j = 0; j < k; ++j) {
-    const size_t n = std::max(fresh[j].size(), parity[j].size());
-    const Bytes a = PadTo(fresh[j], n);
-    const Bytes b = PadTo(parity[j], n);
-    EXPECT_EQ(a, b) << "parity column " << j;
-  }
-}
-
-TYPED_TEST(GroupCoderTest, ParityColumnZeroIsPlainXor) {
-  const uint32_t m = 4;
-  GroupCoder<TypeParam> coder(m, 2);
-  Rng rng(227);
-  std::vector<Bytes> data(m);
-  for (auto& d : data) d = rng.RandomBytes(32);
-  std::vector<const Bytes*> ptrs;
-  for (auto& d : data) ptrs.push_back(&d);
-  std::vector<Bytes> parity = coder.Encode(ptrs);
-
-  Bytes expected(32, 0);
-  for (const auto& d : data) {
-    for (size_t i = 0; i < 32; ++i) expected[i] ^= d[i];
-  }
-  EXPECT_EQ(parity[0], expected);
-}
-
-TYPED_TEST(GroupCoderTest, SingleMemberGroupDecodesFromParityAlone) {
-  // The paper's "a record sole in its group is recoverable even if all
-  // other buckets fail" case: decode from k parity columns + m-1 known
-  // zeros.
-  const uint32_t m = 4, k = 1;
-  GroupCoder<TypeParam> coder(m, k);
-  Bytes value = BytesFromString("lonely record");
-  std::vector<const Bytes*> ptrs = {nullptr, &value, nullptr, nullptr};
-  std::vector<Bytes> parity = coder.Encode(ptrs);
-
-  std::vector<std::pair<size_t, Bytes>> available = {
-      {0, {}}, {2, {}}, {3, {}}, {4, parity[0]}};
-  auto decoded = coder.DecodeData(available, {1});
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ((*decoded)[0], PadTo(value, (*decoded)[0].size()));
-}
-
-TEST(GroupCoderTest65536, PadsOddLengthsToWholeSymbols) {
-  GroupCoder<GF65536> coder(2, 1);
-  Bytes odd = {0xAB, 0xCD, 0xEF};  // 3 bytes -> padded to 4.
-  std::vector<const Bytes*> ptrs = {&odd, nullptr};
-  std::vector<Bytes> parity = coder.Encode(ptrs);
-  ASSERT_EQ(parity[0].size(), 4u);
-  EXPECT_EQ(parity[0][0], 0xAB);
-  EXPECT_EQ(parity[0][3], 0x00);
-}
-
-// ---------------------------------------------------------------------------
-// ParityCode interface tests: the RsCode oracle, the MDS any-m-subset
-// property over random geometries, progressive decoding, and the LRC code.
+// Parity-code tests over both fields, all through MakeParityCode: the group
+// coder of one bucket group (encode, incremental delta updates, erasure
+// decode). tests/parity_golden_test.cc pins the exact bytes.
 
 template <typename F>
 FieldChoice FieldChoiceOf();
@@ -319,17 +162,174 @@ std::unique_ptr<parity::ParityCode> MakeCode(const char* name, uint32_t m,
   return std::move(code).value();
 }
 
+template <typename F>
+class GroupCoderTest : public ::testing::Test {};
+
+using CoderFields = ::testing::Types<GF256, GF65536>;
+TYPED_TEST_SUITE(GroupCoderTest, CoderFields);
+
+TYPED_TEST(GroupCoderTest, EncodeDecodeRoundTripAllErasurePatterns) {
+  const uint32_t m = 4, k = 2;
+  auto code = MakeCode("rs", m, k, FieldChoiceOf<TypeParam>());
+  Rng rng(211);
+
+  // Variable-length member payloads, one slot empty.
+  std::vector<Bytes> data(m);
+  data[0] = rng.RandomBytes(40);
+  data[1] = rng.RandomBytes(17);
+  data[2] = {};  // Absent member.
+  data[3] = rng.RandomBytes(33);
+  std::vector<const Bytes*> ptrs = {&data[0], &data[1], nullptr, &data[3]};
+  std::vector<Bytes> parity = code->Encode(ptrs);
+  ASSERT_EQ(parity.size(), k);
+
+  // Every way of losing up to k of the m+k columns must decode.
+  for (uint32_t lost1 = 0; lost1 < m; ++lost1) {
+    for (uint32_t lost2 = lost1 + 1; lost2 <= m + k; ++lost2) {
+      std::vector<std::pair<size_t, Bytes>> available;
+      for (uint32_t col = 0; col < m + k; ++col) {
+        if (col == lost1 || col == lost2) continue;
+        if (col < m) {
+          available.emplace_back(col, data[col]);
+        } else {
+          available.emplace_back(col, parity[col - m]);
+        }
+      }
+      std::vector<size_t> wanted;
+      if (lost1 < m) wanted.push_back(lost1);
+      if (lost2 < m) wanted.push_back(lost2);
+      if (wanted.empty()) continue;
+      auto decoded = code->DecodeData(available, wanted);
+      ASSERT_TRUE(decoded.ok()) << decoded.status();
+      for (size_t i = 0; i < wanted.size(); ++i) {
+        const Bytes& original = data[wanted[i]];
+        const Bytes padded = PadTo(original, (*decoded)[i].size());
+        EXPECT_EQ((*decoded)[i], padded)
+            << "lost (" << lost1 << "," << lost2 << ") slot " << wanted[i];
+      }
+    }
+  }
+}
+
+TYPED_TEST(GroupCoderTest, TooFewColumnsIsDataLoss) {
+  auto code = MakeCode("rs", 4, 2, FieldChoiceOf<TypeParam>());
+  std::vector<std::pair<size_t, Bytes>> available = {
+      {0, Bytes{1, 2}}, {1, Bytes{3, 4}}, {2, Bytes{5, 6}}};
+  auto decoded = code->DecodeData(available, {3});
+  EXPECT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsDataLoss());
+}
+
+TYPED_TEST(GroupCoderTest, DeltaUpdatesMatchFullReencode) {
+  const uint32_t m = 4, k = 3;
+  auto code = MakeCode("rs", m, k, FieldChoiceOf<TypeParam>());
+  Rng rng(223);
+
+  std::vector<Bytes> data(m);
+  std::vector<Bytes> parity(k);
+
+  // Build the group incrementally: insert, update, delete, with varying
+  // lengths; parity maintained only through ApplyDelta.
+  for (int step = 0; step < 200; ++step) {
+    const uint32_t slot = static_cast<uint32_t>(rng.Uniform(m));
+    const int action = static_cast<int>(rng.Uniform(3));
+    if (action == 0 || data[slot].empty()) {
+      // Insert/overwrite with a fresh value: delta = old XOR new.
+      Bytes next = rng.RandomBytes(1 + rng.Uniform(64));
+      Bytes delta = data[slot];
+      XorAssignPadded(delta, next);
+      for (uint32_t j = 0; j < k; ++j) {
+        code->ApplyDelta(slot, delta, j, &parity[j]);
+      }
+      data[slot] = std::move(next);
+    } else if (action == 1) {
+      // Delete: delta = old value.
+      for (uint32_t j = 0; j < k; ++j) {
+        code->ApplyDelta(slot, data[slot], j, &parity[j]);
+      }
+      data[slot].clear();
+    } else {
+      // In-place partial update.
+      Bytes next = data[slot];
+      next[rng.Uniform(next.size())] ^= static_cast<uint8_t>(rng.Next64());
+      Bytes delta = data[slot];
+      XorAssignPadded(delta, next);
+      for (uint32_t j = 0; j < k; ++j) {
+        code->ApplyDelta(slot, delta, j, &parity[j]);
+      }
+      data[slot] = std::move(next);
+    }
+  }
+
+  // Full re-encode must agree (modulo trailing zeros from length churn).
+  std::vector<const Bytes*> ptrs;
+  for (auto& d : data) ptrs.push_back(d.empty() ? nullptr : &d);
+  std::vector<Bytes> fresh = code->Encode(ptrs);
+  for (uint32_t j = 0; j < k; ++j) {
+    const size_t n = std::max(fresh[j].size(), parity[j].size());
+    const Bytes a = PadTo(fresh[j], n);
+    const Bytes b = PadTo(parity[j], n);
+    EXPECT_EQ(a, b) << "parity column " << j;
+  }
+}
+
+TYPED_TEST(GroupCoderTest, ParityColumnZeroIsPlainXor) {
+  const uint32_t m = 4;
+  auto code = MakeCode("rs", m, 2, FieldChoiceOf<TypeParam>());
+  Rng rng(227);
+  std::vector<Bytes> data(m);
+  for (auto& d : data) d = rng.RandomBytes(32);
+  std::vector<const Bytes*> ptrs;
+  for (auto& d : data) ptrs.push_back(&d);
+  std::vector<Bytes> parity = code->Encode(ptrs);
+
+  Bytes expected(32, 0);
+  for (const auto& d : data) {
+    for (size_t i = 0; i < 32; ++i) expected[i] ^= d[i];
+  }
+  EXPECT_EQ(parity[0], expected);
+}
+
+TYPED_TEST(GroupCoderTest, SingleMemberGroupDecodesFromParityAlone) {
+  // The paper's "a record sole in its group is recoverable even if all
+  // other buckets fail" case: decode from k parity columns + m-1 known
+  // zeros.
+  const uint32_t m = 4, k = 1;
+  auto code = MakeCode("rs", m, k, FieldChoiceOf<TypeParam>());
+  Bytes value = BytesFromString("lonely record");
+  std::vector<const Bytes*> ptrs = {nullptr, &value, nullptr, nullptr};
+  std::vector<Bytes> parity = code->Encode(ptrs);
+
+  std::vector<std::pair<size_t, Bytes>> available = {
+      {0, {}}, {2, {}}, {3, {}}, {4, parity[0]}};
+  auto decoded = code->DecodeData(available, {1});
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ((*decoded)[0], PadTo(value, (*decoded)[0].size()));
+}
+
+TEST(GroupCoderTest65536, PadsOddLengthsToWholeSymbols) {
+  auto code = MakeCode("rs", 2, 1, FieldChoice::kGf65536);
+  Bytes odd = {0xAB, 0xCD, 0xEF};  // 3 bytes -> padded to 4.
+  std::vector<const Bytes*> ptrs = {&odd, nullptr};
+  std::vector<Bytes> parity = code->Encode(ptrs);
+  ASSERT_EQ(parity[0].size(), 4u);
+  EXPECT_EQ(parity[0][0], 0xAB);
+  EXPECT_EQ(parity[0][3], 0x00);
+}
+
+// ---------------------------------------------------------------------------
+// The MDS any-m-subset property over random geometries, decode plans,
+// progressive decoding, and the LRC code.
+
 // The MDS property, end to end: for random (m, k) geometries and random
 // variable-length payloads, EVERY m-subset of the m + k codeword columns
-// reconstructs every data column — through both the legacy GroupCoder and
-// the interface-built RsCode, which must agree byte for byte.
+// reconstructs every data column byte for byte.
 TYPED_TEST(GroupCoderTest, AnyMSubsetReconstructsRandomGeometry) {
   Rng rng(811);
   for (int trial = 0; trial < 6; ++trial) {
     const uint32_t m = 1 + static_cast<uint32_t>(rng.Uniform(7));
     const uint32_t k = 1 + static_cast<uint32_t>(rng.Uniform(3));
     const uint32_t n = m + k;  // <= 10, so subsets enumerate exhaustively.
-    GroupCoder<TypeParam> coder(m, k);
     auto code = MakeCode("rs", m, k, FieldChoiceOf<TypeParam>());
 
     std::vector<Bytes> data(m);
@@ -338,9 +338,14 @@ TYPED_TEST(GroupCoderTest, AnyMSubsetReconstructsRandomGeometry) {
       data[i] = rng.RandomBytes(rng.Uniform(25));  // May be empty.
       ptrs[i] = data[i].empty() ? nullptr : &data[i];
     }
-    std::vector<Bytes> parity = coder.Encode(ptrs);
-    ASSERT_EQ(code->Encode(ptrs), parity)
-        << "RsCode must be byte-identical to GroupCoder";
+    size_t longest = 0;
+    for (const Bytes& d : data) longest = std::max(longest, d.size());
+    std::vector<Bytes> parity = code->Encode(ptrs);
+    ASSERT_EQ(parity.size(), k);
+    for (const Bytes& p : parity) {
+      ASSERT_EQ(p.size(), code->PaddedLength(longest))
+          << "parity columns share the padded group length";
+    }
 
     for (uint32_t mask = 0; mask < (1u << n); ++mask) {
       if (std::popcount(mask) != static_cast<int>(m)) continue;
@@ -363,9 +368,6 @@ TYPED_TEST(GroupCoderTest, AnyMSubsetReconstructsRandomGeometry) {
       ASSERT_TRUE(decoded.ok())
           << "m=" << m << " k=" << k << " mask=" << mask << ": "
           << decoded.status();
-      auto legacy = coder.DecodeData(available, wanted);
-      ASSERT_TRUE(legacy.ok());
-      EXPECT_EQ(*decoded, *legacy) << "interface and legacy decode differ";
       for (size_t i = 0; i < wanted.size(); ++i) {
         EXPECT_EQ((*decoded)[i], PadTo(data[wanted[i]], (*decoded)[i].size()))
             << "m=" << m << " k=" << k << " mask=" << mask << " slot "
@@ -651,6 +653,12 @@ TEST(CodeSpecTest, NameParseRoundTrips) {
   EXPECT_FALSE(parity::CodeSpec::Parse("raid5").ok());
   EXPECT_FALSE(parity::CodeSpec::Parse("lrc").ok());
   EXPECT_FALSE(parity::CodeSpec::Parse("lrcx").ok());
+  // A locality past uint32_t is refused, not wrapped (2^32 + 2 -> 2).
+  EXPECT_FALSE(parity::CodeSpec::Parse("lrc4294967298").ok());
+  EXPECT_FALSE(parity::CodeSpec::Parse("lrc4294967296+prog").ok());
+  auto widest = parity::CodeSpec::Parse("lrc4294967295");
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest->locality, 4294967295u);
 }
 
 TEST(CodeSpecTest, MakeParityCodeRejectsBadGeometry) {

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/workload.h"
 #include "baselines/lhm/lhm_file.h"
 #include "baselines/lhs/lhs_file.h"
 #include "chaos/chaos.h"
@@ -21,6 +20,7 @@
 #include "lhrs/lhrs_file.h"
 #include "lhstar/lhstar_file.h"
 #include "sdds/session.h"
+#include "workload/generator.h"
 
 namespace lhrs {
 namespace {
@@ -276,20 +276,40 @@ TEST(PipelinedRunnerTest, StripedFileServesDegradedReadsPipelined) {
   EXPECT_EQ(verified, searches.size());
 }
 
+/// The generator's search / read-modify-write / insert mix: `sessions`
+/// streams of `ops` each over a 64-key preloaded keyspace.
+workload::GeneratorOptions GeneratedMix(uint64_t seed, size_t sessions,
+                                        uint64_t ops) {
+  workload::GeneratorOptions opts;
+  opts.seed = seed;
+  opts.sessions = sessions;
+  opts.ops_per_session = ops;
+  opts.keyspace = 64;
+  opts.value_bytes = 24;
+  return opts;
+}
+
+/// Inserts the generator's keyspace through the synchronous API.
+void Preload(sdds::SddsFile& file, const workload::WorkloadGenerator& gen) {
+  Rng values(gen.options().seed);
+  for (Key key : gen.preload_keys()) {
+    ASSERT_TRUE(
+        file.Insert(key, values.RandomBytes(gen.options().value_bytes)).ok());
+  }
+}
+
 TEST(OpenLoopWorkloadTest, DriverRunsCleanAcrossSchemes) {
-  WorkloadSpec spec;
-  auto drive = [&](sdds::SddsFile& file) {
-    Rng rng(67);
-    OpenLoopOptions options;
-    options.sessions = 4;
-    options.window = 2;
-    const OpenLoopResult result =
-        RunOpenLoopWorkload(file, spec, 300, options, rng);
-    EXPECT_EQ(result.report.completed, 300u);
-    EXPECT_EQ(result.stats.failures, 0u) << result.stats.ToString();
-    EXPECT_EQ(result.report.stalled, 0u);
-    EXPECT_GT(result.stats.live_keys, 0u);
-    EXPECT_GT(result.report.OpsPerSimSecond(), 0.0);
+  auto drive = [](sdds::SddsFile& file) {
+    workload::WorkloadGenerator gen(GeneratedMix(67, 4, 75));
+    Preload(file, gen);
+    PipelinedRunner runner(file, RunnerOptions{4, 2, 0});
+    const RunnerReport report =
+        runner.Run([&gen](size_t session) { return gen.Next(session); });
+    EXPECT_EQ(report.completed, 300u);
+    EXPECT_EQ(report.ok, 300u);
+    EXPECT_EQ(report.failures, 0u);
+    EXPECT_EQ(report.stalled, 0u);
+    EXPECT_GT(report.OpsPerSimSecond(), 0.0);
   };
   LhrsFile rs(LhrsOpts());
   drive(rs);
@@ -307,21 +327,17 @@ TEST(OpenLoopWorkloadTest, SameSeedReplaysByteIdenticallyUnderChaos) {
   auto run = [](std::string& trace, RunnerReport& report) {
     LhrsFile file(LhrsOpts(4, 2));
     file.network().EnableTelemetry();
+    workload::WorkloadGenerator gen(GeneratedMix(97, 3, 84));
+    Preload(file, gen);
     FaultPlan plan;
     plan.seed = 91;
     plan.DuplicateMessages(0.05)
         .DelayMessages(0.15, 400, 200)
         .ReorderMessages(0.1, 300);
     file.AttachChaos(std::move(plan));
-    WorkloadSpec spec;
-    Rng rng(97);
-    OpenLoopOptions options;
-    options.sessions = 3;
-    options.window = 2;
-    const OpenLoopResult result =
-        RunOpenLoopWorkload(file, spec, 250, options, rng);
-    EXPECT_EQ(result.report.completed, 250u);
-    report = result.report;
+    PipelinedRunner runner(file, RunnerOptions{3, 2, 0});
+    report = runner.Run([&gen](size_t session) { return gen.Next(session); });
+    EXPECT_EQ(report.completed, 252u);
     file.DetachChaos();
     trace = file.network().telemetry()->tracer().ToJson();
   };

@@ -254,7 +254,10 @@ TEST(NetworkTelemetryTest, CountersAndTraceFollowTraffic) {
 
   net.Send(a, b, std::make_unique<PingMsg>());
   net.RunUntilIdle();
-  EXPECT_EQ(t->metrics().FindCounter("net.sent_messages")->value(), 1u);
+  // Sends are counted once, by MessageStats; the registry holds delivery
+  // metrics only until ExportTo copies the traffic counts in.
+  EXPECT_EQ(net.stats().total_messages(), 1u);
+  EXPECT_EQ(t->metrics().FindCounter("net.sent_messages"), nullptr);
   EXPECT_EQ(t->metrics().FindCounter("net.deliveries")->value(), 1u);
   EXPECT_EQ(t->metrics().FindHistogram("net.delivery_latency_us")->count(),
             1u);

@@ -1,8 +1,9 @@
-// Workload-generator tests: seeded determinism (same seed => byte-identical
-// per-session op streams, however the runner interleaves sessions), the
-// read-modify-write pairing invariant, and the Zipfian empirical frequency
-// check.
+// Workload-generator tests: the Zipf sampler, option validation, seeded
+// determinism (same seed => byte-identical per-session op streams, however
+// the runner interleaves sessions), the read-modify-write pairing
+// invariant, and the Zipfian empirical frequency check.
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <optional>
@@ -22,6 +23,48 @@ using workload::DigestOp;
 using workload::GeneratorOptions;
 using workload::kFnvOffsetBasis;
 using workload::WorkloadGenerator;
+using workload::ZipfSampler;
+
+TEST(ZipfSamplerTest, SkewsTowardLowIndices) {
+  ZipfSampler zipf(1000, 0.99);
+  Rng rng(1);
+  std::vector<int> hits(1000, 0);
+  for (int i = 0; i < 100000; ++i) ++hits[zipf.Sample(rng)];
+  // Index 0 must be much hotter than index 500.
+  EXPECT_GT(hits[0], 20 * std::max(1, hits[500]));
+  // And the head (top 10%) should carry the majority of accesses.
+  int head = 0;
+  for (int i = 0; i < 100; ++i) head += hits[i];
+  EXPECT_GT(head, 50000);
+}
+
+TEST(ZipfSamplerTest, ThetaZeroIsUniform) {
+  ZipfSampler zipf(100, 0.0);
+  Rng rng(2);
+  std::vector<int> hits(100, 0);
+  for (int i = 0; i < 100000; ++i) ++hits[zipf.Sample(rng)];
+  for (int h : hits) {
+    EXPECT_GT(h, 600);
+    EXPECT_LT(h, 1400);
+  }
+}
+
+TEST(WorkloadSpecTest, Validation) {
+  GeneratorOptions opts;
+  EXPECT_TRUE(opts.Valid());
+  opts.insert_fraction = 0.9;
+  EXPECT_FALSE(opts.Valid());  // Sums to > 1.
+  opts = GeneratorOptions{};
+  opts.search_fraction = 1.2;
+  opts.rmw_fraction = -0.3;
+  EXPECT_FALSE(opts.Valid());  // Sums to 1 with a negative share.
+  opts = GeneratorOptions{};
+  opts.sessions = 0;
+  EXPECT_FALSE(opts.Valid());
+  opts = GeneratorOptions{};
+  opts.keyspace = 0;
+  EXPECT_FALSE(opts.Valid());
+}
 
 GeneratorOptions SmallOptions() {
   GeneratorOptions opts;
