@@ -5,10 +5,12 @@
 // with ByteSize() equal to their encoded length, truncated frames decode
 // to null, and a seeded corruption fuzz (byte flips, garbage, valid frames
 // re-tagged as other kinds) never crashes the decoder (run under
-// ASan/UBSan in CI's sanitize job).
+// ASan/UBSan in CI's sanitize job). CtrlFrameTest pins the cluster control
+// frames the same way against a layout table written out in this file.
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -28,6 +30,7 @@
 #include "lhstar/messages.h"
 #include "net/fields.h"
 #include "net/stats.h"
+#include "transport/cluster_proto.h"
 #include "transport/wire.h"
 
 namespace lhrs::transport {
@@ -486,6 +489,231 @@ TEST_F(WireTest, SeededCorruptionNeverCrashesDecoder) {
   for (int iter = 0; iter < 2000; ++iter) {
     const Bytes garbage = rng.RandomBytes(rng.Uniform(512));
     try_decode(samples[rng.Uniform(samples.size())].codec, garbage);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Control frames (coordinator <-> member, transport/cluster_proto.h).
+
+constexpr uint32_t kCtrlMagic = 0x4C43544C;  // "LCTL"
+
+/// The wire layout of one control frame after its magic word and type, one
+/// character per field: '2', '4', '8' a little-endian integer of that many
+/// bytes, 'b' a bool byte, 's' a u32 length plus bytes, 'E' a u32 count
+/// plus that many endpoints (u32 ip, u16 udp port, u16 tcp port), 'N' a
+/// u32 count plus that many 4-byte node ids.
+struct CtrlLayout {
+  CtrlType type;
+  std::string_view fields;
+};
+
+constexpr CtrlLayout kCtrlLayouts[] = {
+    {CtrlType::kHello, "4422"},
+    {CtrlType::kWelcome, "E4s"},
+    {CtrlType::kReady, ""},
+    {CtrlType::kActivateNode, "4bb444"},
+    {CtrlType::kAllocUpdate, "8N"},
+    {CtrlType::kSetAvailable, "4b"},
+    {CtrlType::kRunPhase, "4"},
+    {CtrlType::kPhaseDone, "4b888888"},
+    {CtrlType::kStop, ""},
+    {CtrlType::kGoodbye, ""},
+    {CtrlType::kQuiesce, ""},
+    {CtrlType::kQuiesced, "4"},
+};
+
+void PutLe(Bytes& out, uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+}
+
+/// A control payload (no length prefix) of `layout` with seeded values:
+/// every integer odd (so never its default of 0), every list and string
+/// non-empty, every bool drawn from the seed.
+Bytes CtrlPayload(const CtrlLayout& layout, uint64_t seed) {
+  Rng rng(seed);
+  const auto odd = [&] { return rng.Next64() | 1; };
+  Bytes out;
+  PutLe(out, kCtrlMagic, 4);
+  PutLe(out, static_cast<uint32_t>(layout.type), 4);
+  for (const char c : layout.fields) {
+    switch (c) {
+      case '2':
+      case '4':
+      case '8':
+        PutLe(out, odd(), c - '0');
+        break;
+      case 'b':
+        PutLe(out, rng.Uniform(2), 1);
+        break;
+      case 's': {
+        const uint64_t n = 1 + rng.Uniform(12);
+        PutLe(out, n, 4);
+        for (uint64_t i = 0; i < n; ++i) PutLe(out, 'a' + rng.Uniform(26), 1);
+        break;
+      }
+      case 'E': {
+        const uint64_t n = 1 + rng.Uniform(6);
+        PutLe(out, n, 4);
+        for (uint64_t i = 0; i < n; ++i) {
+          PutLe(out, odd(), 4);
+          PutLe(out, odd(), 2);
+          PutLe(out, odd(), 2);
+        }
+        break;
+      }
+      case 'N': {
+        const uint64_t n = 1 + rng.Uniform(9);
+        PutLe(out, n, 4);
+        for (uint64_t i = 0; i < n; ++i) PutLe(out, odd(), 4);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::optional<CtrlMsg> DecodePayload(const Bytes& payload) {
+  return DecodeCtrl(payload.data(), payload.size());
+}
+
+Bytes WithLengthPrefix(const Bytes& payload) {
+  Bytes frame;
+  PutLe(frame, payload.size(), 4);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+std::string CtrlName(const CtrlLayout& layout, uint64_t seed) {
+  return "type " + std::to_string(static_cast<uint32_t>(layout.type)) +
+         " seed " + std::to_string(seed);
+}
+
+// Every type decodes from its layout and re-encodes to the same frame, so
+// each field it carries survives the round trip with a non-default value.
+TEST(CtrlFrameTest, EveryTypeRoundTripsByteIdentically) {
+  for (const CtrlLayout& layout : kCtrlLayouts) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      const Bytes payload = CtrlPayload(layout, seed);
+      const std::optional<CtrlMsg> msg = DecodePayload(payload);
+      ASSERT_TRUE(msg.has_value()) << CtrlName(layout, seed);
+      EXPECT_EQ(msg->type, layout.type);
+      EXPECT_EQ(EncodeCtrl(*msg), WithLengthPrefix(payload))
+          << CtrlName(layout, seed);
+    }
+  }
+}
+
+TEST(CtrlFrameTest, TruncatedFramesAreRejected) {
+  for (const CtrlLayout& layout : kCtrlLayouts) {
+    const Bytes payload = CtrlPayload(layout, 7);
+    for (size_t len = 0; len < payload.size(); ++len) {
+      EXPECT_FALSE(DecodeCtrl(payload.data(), len).has_value())
+          << CtrlName(layout, 7) << " accepted a " << len << "-byte prefix";
+    }
+  }
+}
+
+TEST(CtrlFrameTest, BadMagicIsRejected) {
+  for (const CtrlLayout& layout : kCtrlLayouts) {
+    Bytes payload = CtrlPayload(layout, 3);
+    payload[0] ^= 0x01;
+    EXPECT_FALSE(DecodePayload(payload).has_value()) << CtrlName(layout, 3);
+  }
+}
+
+TEST(CtrlFrameTest, UnknownTypesAreRejected) {
+  for (const uint32_t type : {0u, 13u, 0xFFFFFFFFu}) {
+    Bytes payload;
+    PutLe(payload, kCtrlMagic, 4);
+    PutLe(payload, type, 4);
+    EXPECT_FALSE(DecodePayload(payload).has_value()) << "type " << type;
+    PutLe(payload, 1, 4);  // A field, as if the type carried one.
+    EXPECT_FALSE(DecodePayload(payload).has_value()) << "type " << type;
+  }
+}
+
+TEST(CtrlFrameTest, TrailingByteIsRejected) {
+  for (const CtrlLayout& layout : kCtrlLayouts) {
+    Bytes payload = CtrlPayload(layout, 5);
+    payload.push_back(0);
+    EXPECT_FALSE(DecodePayload(payload).has_value()) << CtrlName(layout, 5);
+  }
+}
+
+// A Welcome or AllocUpdate whose list count promises more elements than
+// the frame's remaining bytes can hold is refused before any element is
+// read or any list is sized.
+TEST(CtrlFrameTest, CountLargerThanTheFrameIsRejected) {
+  for (const uint32_t count : {3u, 1000u, 1u << 20, 0xFFFFFFFFu}) {
+    Bytes welcome;
+    PutLe(welcome, kCtrlMagic, 4);
+    PutLe(welcome, static_cast<uint32_t>(CtrlType::kWelcome), 4);
+    PutLe(welcome, count, 4);
+    PutLe(welcome, 0x7F000001, 4);  // One endpoint.
+    PutLe(welcome, 4000, 2);
+    PutLe(welcome, 4001, 2);
+    PutLe(welcome, 0, 4);  // field_choice.
+    PutLe(welcome, 2, 4);  // code "rs".
+    welcome.push_back('r');
+    welcome.push_back('s');
+    EXPECT_FALSE(DecodePayload(welcome).has_value()) << "count " << count;
+
+    Bytes alloc;
+    PutLe(alloc, kCtrlMagic, 4);
+    PutLe(alloc, static_cast<uint32_t>(CtrlType::kAllocUpdate), 4);
+    PutLe(alloc, 9, 8);  // version.
+    PutLe(alloc, count, 4);
+    PutLe(alloc, 1, 4);  // Two entries.
+    PutLe(alloc, 2, 4);
+    EXPECT_FALSE(DecodePayload(alloc).has_value()) << "count " << count;
+  }
+}
+
+// Seeded corruption fuzz of the control decoder: bit flips in valid
+// frames, and garbage with and without a valid magic-and-type head. A
+// rejected frame is fine; a crash or an out-of-bounds read is not (ASan
+// and UBSan in CI), and an accepted frame must re-encode. Same seed
+// variables as WireTest.SeededCorruptionNeverCrashesDecoder.
+TEST(CtrlFrameTest, SeededCorruptionNeverCrashesDecoder) {
+  const char* env = std::getenv("LHRS_WIRE_FUZZ_SEED");
+  if (env == nullptr) env = std::getenv("LHRS_FUZZ_SEED");
+  if (env == nullptr) {
+    GTEST_SKIP() << "set LHRS_WIRE_FUZZ_SEED to run the corruption fuzz";
+  }
+  const uint64_t seed = std::strtoull(env, nullptr, 10);
+  std::printf("control frame corruption fuzz seed: %llu\n",
+              static_cast<unsigned long long>(seed));
+  Rng rng(seed);
+  const auto try_decode = [](const Bytes& payload) {
+    if (std::optional<CtrlMsg> msg = DecodePayload(payload)) {
+      (void)EncodeCtrl(*msg);  // Must not crash.
+    }
+  };
+  const auto some_layout = [&]() -> const CtrlLayout& {
+    return kCtrlLayouts[rng.Uniform(std::size(kCtrlLayouts))];
+  };
+
+  for (int iter = 0; iter < 2000; ++iter) {
+    Bytes payload = CtrlPayload(some_layout(), rng.Next64());
+    const uint32_t flips = 1 + static_cast<uint32_t>(rng.Uniform(4));
+    for (uint32_t f = 0; f < flips; ++f) {
+      payload[rng.Uniform(payload.size())] ^=
+          static_cast<uint8_t>(1 << rng.Uniform(8));
+    }
+    try_decode(payload);
+  }
+
+  for (int iter = 0; iter < 2000; ++iter) {
+    Bytes payload;
+    if (rng.Uniform(2) == 0) {
+      PutLe(payload, kCtrlMagic, 4);
+      PutLe(payload, static_cast<uint32_t>(some_layout().type), 4);
+    }
+    const Bytes garbage = rng.RandomBytes(rng.Uniform(96));
+    payload.insert(payload.end(), garbage.begin(), garbage.end());
+    try_decode(payload);
   }
 }
 
