@@ -11,8 +11,8 @@
 // (transport/wire.h), and the seeded samples of the wire tests. The
 // vocabulary a Fields() body may use:
 //
-//   v(x)            one field: bool (1 byte, 0 or 1 on the wire), a 4- or
-//                   8-byte integer (little-endian), a BufferView,
+//   v(x)            one field: bool (1 byte, 0 or 1 on the wire), a 2-, 4-
+//                   or 8-byte integer (little-endian), a BufferView,
 //                   std::string or Bytes (u32 length + bytes), a
 //                   std::optional<T> (presence byte + T, T{} when absent),
 //                   or a nested struct with its own Fields().
@@ -55,7 +55,7 @@ struct IsOptional<std::optional<T>> : std::true_type {};
 /// A fixed-width integer field (bool is its own one-byte field).
 template <class T>
 concept WireInt = std::is_integral_v<T> && !std::is_same_v<T, bool> &&
-                  (sizeof(T) == 4 || sizeof(T) == 8);
+                  (sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8);
 
 /// Sums the wire size of a Fields() list. Header-only and allocation-free,
 /// with no virtual call per field: MessageBody::ByteSize() runs it on every

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,7 +103,7 @@ void PumpUntilQuiet(ClusterRuntime& runtime, uint64_t budget_ms,
   while (NowUs() < deadline && calm < quiet_iters) {
     const size_t activity = runtime.Pump(2);
     if (service && !service()) return;
-    if (activity == 0 && runtime.TransportQuiescent()) {
+    if (activity == 0 && runtime.transport().Quiescent()) {
       ++calm;
     } else {
       calm = 0;
@@ -120,12 +122,15 @@ Status ConnectControl(uint16_t port, ControlConn* out, uint64_t deadline) {
   }
 }
 
-/// Installs the deterministic lossy shim requested by the member options:
-/// the full-stack duplicate/drop resilience test (client retry +
-/// DuplicateFilter above, ack + bounded retransmit below).
-void InstallLossShim(ClusterRuntime& runtime,
+/// Binds the data-plane sockets and installs the deterministic lossy shim
+/// the options ask for: the full-stack duplicate/drop resilience test
+/// (client retry + DuplicateFilter above, ack + bounded retransmit below).
+Status OpenTransport(ClusterRuntime& runtime,
                      const ClusterMemberOptions& options) {
-  if (options.loss_drop_every == 0 && options.loss_dup_every == 0) return;
+  if (Status s = runtime.transport().Open(); !s.ok()) return s;
+  if (options.loss_drop_every == 0 && options.loss_dup_every == 0) {
+    return Status::OK();
+  }
   runtime.transport().SetLossShim(
       [n = uint64_t{0}, drop = options.loss_drop_every,
        dup = options.loss_dup_every](bool is_ack, uint64_t) mutable {
@@ -136,6 +141,19 @@ void InstallLossShim(ClusterRuntime& runtime,
         if (dup != 0 && n % dup == 0) action.duplicates = 1;
         return action;
       });
+  return Status::OK();
+}
+
+/// Wires a runtime to the cluster's endpoint table: one peer per rank, a
+/// stub per global id, telemetry for the network and the transport's ack
+/// round trips, and this process's context replica.
+MemberContexts Assemble(ClusterRuntime& runtime,
+                        const std::vector<Endpoint>& endpoints,
+                        const ClusterLayout& layout) {
+  runtime.SetEndpoints(endpoints);
+  runtime.BuildStubs();
+  runtime.transport().AttachTelemetry(runtime.network().EnableTelemetry());
+  return MakeContexts(layout);
 }
 
 uint64_t Percentile(std::vector<uint64_t>& sorted_latencies, int p) {
@@ -147,36 +165,29 @@ uint64_t Percentile(std::vector<uint64_t>& sorted_latencies, int p) {
   return sorted_latencies[idx];
 }
 
-/// Writes the member's telemetry RunReport. The report must be complete
-/// valid JSON even when the member is shutting down on SIGTERM — the
-/// graceful-shutdown test parses it back.
-bool WriteMemberReport(ClusterRuntime& runtime,
-                       const ClusterMemberOptions& options,
-                       const std::string& role, int rank, bool ok) {
-  if (options.report_path.empty()) return true;
+/// Writes the telemetry RunReport of one cluster process (members and the
+/// coordinator alike): its role, rank and transport, whatever `extra`
+/// adds, then the registry with the network's and the transport's counts.
+/// The report must be complete valid JSON even when the process is
+/// shutting down on SIGTERM — the graceful-shutdown test parses it back.
+bool WriteReport(
+    ClusterRuntime& runtime, const std::string& path, const std::string& role,
+    int rank, bool ok,
+    const std::function<void(telemetry::RunReport&)>& extra = {}) {
+  if (path.empty()) return true;
   telemetry::RunReport report("cluster_" + role);
   report.AddParam("role", role);
   report.AddParam("rank", static_cast<int64_t>(rank));
   report.AddParam("transport", runtime.transport().name());
   report.AddParam("clean_shutdown", ok ? "true" : "false");
-  const SocketTransportStats& ts = runtime.transport().stats();
-  report.AddMetric("transport.udp_datagrams_sent", ts.udp_datagrams_sent);
-  report.AddMetric("transport.udp_bytes_sent", ts.udp_bytes_sent);
-  report.AddMetric("transport.udp_datagrams_received",
-                   ts.udp_datagrams_received);
-  report.AddMetric("transport.retransmits", ts.retransmits);
-  report.AddMetric("transport.send_failures", ts.send_failures);
-  report.AddMetric("transport.dup_suppressed", ts.dup_suppressed);
-  report.AddMetric("transport.tcp_frames_sent", ts.tcp_frames_sent);
-  report.AddMetric("transport.tcp_bytes_sent", ts.tcp_bytes_sent);
-  report.AddMetric("transport.tcp_frames_received", ts.tcp_frames_received);
-  report.AddMetric("transport.decode_failures", ts.decode_failures);
+  if (extra) extra(report);
   report.AddMetric("sim.messages", runtime.network().stats().total_messages());
   if (telemetry::Telemetry* t = runtime.network().telemetry()) {
     runtime.network().stats().ExportTo(&t->metrics());
+    runtime.transport().stats().ExportTo(&t->metrics());
     report.AddRegistry(t->metrics());
   }
-  return report.WriteFile(options.report_path);
+  return report.WriteFile(path);
 }
 
 /// The drain half of a graceful shutdown: in-flight operations finish
@@ -186,21 +197,144 @@ void DrainRuntime(ClusterRuntime& runtime, uint64_t budget_ms) {
   PumpUntilQuiet(runtime, budget_ms, /*quiet_iters=*/25);
 }
 
-/// Answers a coordinator kQuiesce barrier: pump until this process's
-/// transport has nothing in flight (bounded), then ack with our rank.
-void QuiesceAndAck(ClusterRuntime& runtime, ControlConn& ctrl, int rank) {
-  PumpUntilQuiet(runtime, /*budget_ms=*/2000, /*quiet_iters=*/10);
-  CtrlMsg ack;
-  ack.type = CtrlType::kQuiesced;
-  ack.rank = static_cast<uint32_t>(rank);
-  ctrl.SendMsg(ack);
-}
-
 void LogVerbose(const ClusterMemberOptions& options, const std::string& who,
                 const std::string& what) {
   if (!options.verbose) return;
   std::fprintf(stderr, "[%s] %s\n", who.c_str(), what.c_str());
 }
+
+/// The lifecycle both member roles share. Join connects to the
+/// coordinator, trades a Hello for the Welcome, adopts its code and
+/// endpoint table and assembles the runtime; the role then makes its own
+/// nodes resident and calls Ready. Serve obeys the control messages every
+/// member obeys and hands the rest to the role; Leave drains, writes the
+/// report and says Goodbye.
+class Member {
+ public:
+  using RoleHandler = std::function<void(const CtrlMsg&)>;
+
+  Member(const ClusterMemberOptions& options, int rank, std::string role,
+         const std::atomic<bool>& stop_requested)
+      : layout(options.layout),
+        runtime(options.layout, rank, options.net),
+        options_(options),
+        rank_(rank),
+        role_(std::move(role)),
+        who_(role_ + std::to_string(rank)),
+        deadline_(NowUs() + options.deadline_ms * 1000),
+        stop_requested_(stop_requested) {}
+
+  /// 0 once joined; otherwise the exit code: 2 when the transport or the
+  /// coordinator is unreachable, 3 without a usable Welcome.
+  int Join() {
+    IgnoreSigpipe();
+    if (!OpenTransport(runtime, options_).ok()) return 2;
+    if (!ConnectControl(options_.control_port, &ctrl, deadline_).ok()) {
+      return 2;
+    }
+    ctrl.SendMsg({.type = CtrlType::kHello,
+                  .rank = static_cast<uint32_t>(rank_),
+                  .endpoint = runtime.transport().local()});
+
+    std::optional<CtrlMsg> welcome;
+    while (!welcome.has_value()) {
+      if (std::optional<CtrlMsg> m = ctrl.Poll();
+          m.has_value() && m->type == CtrlType::kWelcome) {
+        welcome = std::move(m);
+      } else if (ctrl.closed() || NowUs() >= deadline_) {
+        return 3;
+      } else {
+        usleep(1000);
+      }
+    }
+    if (Status s = ApplyWelcomeCode(*welcome, &layout); !s.ok()) {
+      LHRS_LOG(Warning) << who_ << ": " << s;
+      return 3;
+    }
+    if (welcome->endpoints.empty()) return 3;
+    contexts = Assemble(runtime, welcome->endpoints, layout);
+    return 0;
+  }
+
+  void Ready() {
+    ctrl.SendMsg({.type = CtrlType::kReady});
+    Log("ready");
+  }
+
+  /// Pumps and services the control plane until Stop, a lost coordinator
+  /// or RequestStop. Returns 0, or 4 when the deadline passes first.
+  int Serve(const RoleHandler& role_msg) {
+    while (Service(role_msg)) {
+      if (NowUs() > deadline_) return 4;
+      runtime.Pump(2);
+    }
+    return 0;
+  }
+
+  /// Obeys kAllocUpdate, kSetAvailable, kQuiesce and kStop, and hands every
+  /// other message to `role_msg`. False once the member must stop.
+  bool Service(const RoleHandler& role_msg = {}) {
+    ctrl.Flush();
+    while (std::optional<CtrlMsg> msg = ctrl.Poll()) {
+      switch (msg->type) {
+        case CtrlType::kAllocUpdate:
+          contexts.ctx->allocation.Restore(msg->entries, msg->version);
+          break;
+        case CtrlType::kSetAvailable:
+          runtime.network().SetAvailable(msg->node, msg->up);
+          break;
+        case CtrlType::kQuiesce: {
+          // The coordinator's barrier: pump until this process's transport
+          // has nothing in flight (bounded), then ack with our rank.
+          PumpUntilQuiet(runtime, /*budget_ms=*/2000, /*quiet_iters=*/10);
+          ctrl.SendMsg({.type = CtrlType::kQuiesced,
+                        .rank = static_cast<uint32_t>(rank_)});
+          break;
+        }
+        case CtrlType::kStop:
+          stop_ = true;
+          break;
+        default:
+          if (role_msg) role_msg(*msg);
+          break;
+      }
+    }
+    // A lost coordinator or RequestStop drains and exits like a Stop.
+    if (ctrl.closed() || stop_requested_.load()) stop_ = true;
+    return !stop_;
+  }
+
+  /// Drains, writes the report, says Goodbye; returns the exit code.
+  int Leave(int exit_code) {
+    Log("draining");
+    DrainRuntime(runtime, /*budget_ms=*/500);
+    const bool wrote = WriteReport(runtime, options_.report_path, role_,
+                                   rank_, exit_code == 0);
+    ctrl.SendMsg({.type = CtrlType::kGoodbye});
+    ctrl.Flush();
+    return wrote ? exit_code : 5;
+  }
+
+  void Log(const std::string& what) const {
+    LogVerbose(options_, who_, what);
+  }
+  uint64_t deadline() const { return deadline_; }
+
+  // Public state the roles build on.
+  ClusterLayout layout;  ///< The options' layout with the Welcome's code.
+  ClusterRuntime runtime;
+  ControlConn ctrl;
+  MemberContexts contexts;
+
+ private:
+  const ClusterMemberOptions& options_;
+  const int rank_;
+  const std::string role_;
+  const std::string who_;
+  const uint64_t deadline_;
+  const std::atomic<bool>& stop_requested_;
+  bool stop_ = false;
+};
 
 }  // namespace
 
@@ -266,8 +400,6 @@ ClusterRuntime::ClusterRuntime(const ClusterLayout& layout, int my_rank,
 
 ClusterRuntime::~ClusterRuntime() { network_.SetRemoteRouter(nullptr); }
 
-Status ClusterRuntime::OpenTransport() { return transport_.Open(); }
-
 void ClusterRuntime::SetEndpoints(const std::vector<Endpoint>& endpoints) {
   for (size_t rank = 0; rank < endpoints.size(); ++rank) {
     if (static_cast<int>(rank) == my_rank_) continue;
@@ -326,116 +458,35 @@ ClusterServer::ClusterServer(ClusterMemberOptions options, int rank)
     : options_(std::move(options)), rank_(rank) {}
 
 int ClusterServer::Run() {
-  const std::string who = "server" + std::to_string(rank_);
-  const uint64_t deadline = NowUs() + options_.deadline_ms * 1000;
-  IgnoreSigpipe();
-
-  ClusterRuntime runtime(options_.layout, rank_, options_.net);
-  if (!runtime.OpenTransport().ok()) return 2;
-  InstallLossShim(runtime, options_);
-  ControlConn ctrl;
-  if (!ConnectControl(options_.control_port, &ctrl, deadline).ok()) return 2;
-
-  CtrlMsg hello;
-  hello.type = CtrlType::kHello;
-  hello.rank = static_cast<uint32_t>(rank_);
-  hello.endpoint = runtime.local();
-  ctrl.SendMsg(hello);
-
-  // Wait for the Welcome carrying every rank's data-plane endpoints and
-  // the authoritative erasure-code choice.
-  std::vector<Endpoint> endpoints;
-  while (NowUs() < deadline) {
-    if (std::optional<CtrlMsg> m = ctrl.Poll();
-        m.has_value() && m->type == CtrlType::kWelcome) {
-      if (Status s = ApplyWelcomeCode(*m, &options_.layout); !s.ok()) {
-        LHRS_LOG(Warning) << who << ": " << s;
-        return 3;
-      }
-      endpoints = m->endpoints;
-      break;
-    }
-    if (ctrl.closed()) return 3;
-    usleep(1000);
-  }
-  if (endpoints.empty()) return 3;
-
-  runtime.SetEndpoints(endpoints);
-  runtime.BuildStubs();
-  MemberContexts m = MakeContexts(options_.layout);
-  telemetry::Telemetry* telemetry = runtime.network().EnableTelemetry();
-  runtime.transport().AttachTelemetry(telemetry);
+  Member member(options_, rank_, "server", stop_requested_);
+  if (const int code = member.Join(); code != 0) return code;
+  const std::shared_ptr<LhrsContext>& lhrs = member.contexts.lhrs;
 
   // The initial buckets striped onto this rank exist from the start,
   // pre-initialized — exactly as in the single-process facade.
-  for (uint32_t b = 0; b < options_.layout.file.initial_buckets; ++b) {
-    if (options_.layout.ServerRankOfBucket(b) != rank_) continue;
-    runtime.MakeResident(
+  for (uint32_t b = 0; b < member.layout.file.initial_buckets; ++b) {
+    if (member.layout.ServerRankOfBucket(b) != rank_) continue;
+    member.runtime.MakeResident(
         static_cast<NodeId>(1 + b),
-        std::make_unique<RsDataBucketNode>(m.lhrs, b, /*level=*/0,
+        std::make_unique<RsDataBucketNode>(lhrs, b, /*level=*/0,
                                            /*pre_initialized=*/true));
   }
+  member.Ready();
 
-  CtrlMsg ready;
-  ready.type = CtrlType::kReady;
-  ctrl.SendMsg(ready);
-  LogVerbose(options_, who, "ready");
-
-  bool stop = false;
-  int exit_code = 0;
-  while (!stop) {
-    if (NowUs() > deadline) {
-      exit_code = 4;
-      break;
+  const int exit_code = member.Serve([&](const CtrlMsg& msg) {
+    if (msg.type != CtrlType::kActivateNode) return;
+    std::unique_ptr<Node> node;
+    if (msg.is_parity) {
+      node = std::make_unique<ParityBucketNode>(lhrs, msg.bucket, msg.level,
+                                                msg.k, msg.pre_initialized);
+    } else {
+      node = std::make_unique<RsDataBucketNode>(lhrs, msg.bucket, msg.level,
+                                                msg.pre_initialized);
     }
-    runtime.Pump(2);
-    ctrl.Flush();
-    while (std::optional<CtrlMsg> msg = ctrl.Poll()) {
-      switch (msg->type) {
-        case CtrlType::kActivateNode: {
-          std::unique_ptr<Node> node;
-          if (msg->is_parity) {
-            node = std::make_unique<ParityBucketNode>(
-                m.lhrs, msg->bucket, msg->level, msg->k,
-                msg->pre_initialized);
-          } else {
-            node = std::make_unique<RsDataBucketNode>(
-                m.lhrs, msg->bucket, msg->level, msg->pre_initialized);
-          }
-          runtime.MakeResident(msg->node, std::move(node));
-          LogVerbose(options_, who,
-                     "activated node " + std::to_string(msg->node));
-          break;
-        }
-        case CtrlType::kAllocUpdate:
-          m.ctx->allocation.Restore(msg->entries, msg->version);
-          break;
-        case CtrlType::kSetAvailable:
-          runtime.network().SetAvailable(msg->node, msg->up);
-          break;
-        case CtrlType::kQuiesce:
-          QuiesceAndAck(runtime, ctrl, rank_);
-          break;
-        case CtrlType::kStop:
-          stop = true;
-          break;
-        default:
-          break;
-      }
-    }
-    if (ctrl.closed()) stop = true;  // Coordinator gone: drain and exit.
-    if (stop_requested_.load()) stop = true;
-  }
-
-  LogVerbose(options_, who, "draining");
-  DrainRuntime(runtime, /*budget_ms=*/500);
-  const bool wrote =
-      WriteMemberReport(runtime, options_, "server", rank_, exit_code == 0);
-  CtrlMsg bye;
-  bye.type = CtrlType::kGoodbye;
-  ctrl.SendMsg(bye);
-  ctrl.Flush();
-  return wrote ? exit_code : 5;
+    member.runtime.MakeResident(msg.node, std::move(node));
+    member.Log("activated node " + std::to_string(msg.node));
+  });
+  return member.Leave(exit_code);
 }
 
 // ---------------------------------------------------------------------------
@@ -611,160 +662,57 @@ ClusterClient::ClusterClient(ClusterMemberOptions options, int rank,
       keys_per_session_(keys_per_session) {}
 
 int ClusterClient::Run() {
-  const std::string who = "client" + std::to_string(rank_);
-  const uint64_t deadline = NowUs() + options_.deadline_ms * 1000;
-  IgnoreSigpipe();
-
-  ClusterLayout layout = options_.layout;  // Code choice patched by Welcome.
+  const ClusterLayout& layout = options_.layout;
   const int client_index = rank_ - 1 - static_cast<int>(layout.server_ranks);
   LHRS_CHECK(client_index >= 0 &&
              client_index < static_cast<int>(layout.client_ranks));
 
-  ClusterRuntime runtime(layout, rank_, options_.net);
-  if (!runtime.OpenTransport().ok()) return 2;
-  InstallLossShim(runtime, options_);
-  ControlConn ctrl;
-  if (!ConnectControl(options_.control_port, &ctrl, deadline).ok()) return 2;
-
-  CtrlMsg hello;
-  hello.type = CtrlType::kHello;
-  hello.rank = static_cast<uint32_t>(rank_);
-  hello.endpoint = runtime.local();
-  ctrl.SendMsg(hello);
-
-  std::vector<Endpoint> endpoints;
-  while (NowUs() < deadline) {
-    if (std::optional<CtrlMsg> m = ctrl.Poll();
-        m.has_value() && m->type == CtrlType::kWelcome) {
-      if (Status s = ApplyWelcomeCode(*m, &layout); !s.ok()) {
-        LHRS_LOG(Warning) << who << ": " << s;
-        return 3;
-      }
-      endpoints = m->endpoints;
-      break;
-    }
-    if (ctrl.closed()) return 3;
-    usleep(1000);
-  }
-  if (endpoints.empty()) return 3;
-
-  runtime.SetEndpoints(endpoints);
-  runtime.BuildStubs();
-  MemberContexts m = MakeContexts(layout);
-  telemetry::Telemetry* telemetry = runtime.network().EnableTelemetry();
-  runtime.transport().AttachTelemetry(telemetry);
+  Member member(options_, rank_, "client", stop_requested_);
+  if (const int code = member.Join(); code != 0) return code;
 
   // Resident client sessions, each with the at-least-once retry layer on:
   // a real transport loses and duplicates, and the bounded-resend /
   // coordinator-escalation machinery is what absorbs it.
   std::vector<ClientNode*> sessions;
   for (uint32_t s = 0; s < layout.sessions_per_client; ++s) {
-    auto client = std::make_unique<ClientNode>(m.ctx);
+    auto client = std::make_unique<ClientNode>(member.contexts.ctx);
     ClientNode* ptr = client.get();
     ClientRetryPolicy policy;
     policy.enabled = true;
     policy.request_timeout_us = 50'000;  // Wall-clock now; loopback is fast.
     policy.max_backoff_us = 100'000;
     policy.seed = 42 + static_cast<uint64_t>(rank_) * 100 + s;
-    runtime.MakeResident(
+    member.runtime.MakeResident(
         layout.first_client_id(static_cast<uint32_t>(client_index)) +
             static_cast<NodeId>(s),
         std::move(client));
     ptr->SetRetryPolicy(policy);
     sessions.push_back(ptr);
   }
-
-  CtrlMsg ready;
-  ready.type = CtrlType::kReady;
-  ctrl.SendMsg(ready);
-  LogVerbose(options_, who, "ready");
+  member.Ready();
 
   const Key key_base =
       (static_cast<Key>(client_index) + 1) * 1'000'000ULL;
   const uint32_t total_keys =
       keys_per_session_ * layout.sessions_per_client;
 
-  bool stop = false;
-  int exit_code = 0;
-  // Mid-phase control upkeep; Stop or a dead coordinator aborts the phase.
-  const auto service = [&]() {
-    ctrl.Flush();
-    while (std::optional<CtrlMsg> msg = ctrl.Poll()) {
-      switch (msg->type) {
-        case CtrlType::kAllocUpdate:
-          m.ctx->allocation.Restore(msg->entries, msg->version);
-          break;
-        case CtrlType::kSetAvailable:
-          runtime.network().SetAvailable(msg->node, msg->up);
-          break;
-        case CtrlType::kStop:
-          stop = true;
-          break;
-        default:
-          break;
-      }
-    }
-    if (ctrl.closed()) stop = true;
-    if (stop_requested_.load()) stop = true;
-    return !stop;
-  };
-
-  while (!stop) {
-    if (NowUs() > deadline) {
-      exit_code = 4;
-      break;
-    }
-    runtime.Pump(2);
-    ctrl.Flush();
-    std::optional<uint32_t> run_phase;
-    while (std::optional<CtrlMsg> msg = ctrl.Poll()) {
-      if (msg->type == CtrlType::kRunPhase) {
-        run_phase = msg->phase;
-      } else if (msg->type == CtrlType::kAllocUpdate) {
-        m.ctx->allocation.Restore(msg->entries, msg->version);
-      } else if (msg->type == CtrlType::kSetAvailable) {
-        runtime.network().SetAvailable(msg->node, msg->up);
-      } else if (msg->type == CtrlType::kQuiesce) {
-        QuiesceAndAck(runtime, ctrl, rank_);
-      } else if (msg->type == CtrlType::kStop) {
-        stop = true;
-      }
-    }
-    if (ctrl.closed() || stop_requested_.load()) stop = true;
-    if (stop || !run_phase.has_value()) continue;
-
-    LogVerbose(options_, who, "phase " + std::to_string(*run_phase));
-    const auto passes = *run_phase == 1
-                            ? MixedScript(key_base, total_keys)
-                            : VerifyScript(key_base, total_keys);
-    PhaseResult result = RunPasses(runtime, sessions, passes,
-                                   /*window=*/4, deadline, service);
-    CtrlMsg done;
-    done.type = CtrlType::kPhaseDone;
-    done.phase = *run_phase;
-    done.ok = result.ok;
-    done.ops = result.ops;
-    done.failures = result.failures;
-    done.elapsed_us = result.elapsed_us;
-    done.p50_us = result.p50_us;
-    done.p95_us = result.p95_us;
-    done.p99_us = result.p99_us;
-    ctrl.SendMsg(done);
-    LogVerbose(options_, who,
-               "phase " + std::to_string(*run_phase) + " done: " +
-                   std::to_string(result.ops) + " ops, " +
-                   std::to_string(result.failures) + " failures");
-  }
-
-  LogVerbose(options_, who, "draining");
-  DrainRuntime(runtime, /*budget_ms=*/500);
-  const bool wrote =
-      WriteMemberReport(runtime, options_, "client", rank_, exit_code == 0);
-  CtrlMsg bye;
-  bye.type = CtrlType::kGoodbye;
-  ctrl.SendMsg(bye);
-  ctrl.Flush();
-  return wrote ? exit_code : 5;
+  const int exit_code = member.Serve([&](const CtrlMsg& msg) {
+    if (msg.type != CtrlType::kRunPhase) return;
+    member.Log("phase " + std::to_string(msg.phase));
+    const auto passes = msg.phase == 1 ? MixedScript(key_base, total_keys)
+                                       : VerifyScript(key_base, total_keys);
+    // Mid-phase upkeep serves the shared messages only, so a Stop or a
+    // lost coordinator aborts the phase.
+    const PhaseResult result =
+        RunPasses(member.runtime, sessions, passes, /*window=*/4,
+                  member.deadline(), [&] { return member.Service(); });
+    member.ctrl.SendMsg(
+        {.type = CtrlType::kPhaseDone, .phase = msg.phase, .result = result});
+    member.Log("phase " + std::to_string(msg.phase) + " done: " +
+               std::to_string(result.ops) + " ops, " +
+               std::to_string(result.failures) + " failures");
+  });
+  return member.Leave(exit_code);
 }
 
 // ---------------------------------------------------------------------------
@@ -784,12 +732,14 @@ int ClusterCoordinator::Run() {
   options_.control_port = listener.port();
 
   ClusterRuntime runtime(layout, /*my_rank=*/0, options_.net);
-  if (!runtime.OpenTransport().ok()) return 2;
-  InstallLossShim(runtime, options_);
+  if (!OpenTransport(runtime, options_).ok()) return 2;
 
-  // Accept and identify every member.
-  std::map<int, ControlConn> members;       // rank -> control connection.
-  std::map<int, Endpoint> member_endpoints; // rank -> data-plane address.
+  // Accept and identify every member. A Hello naming the coordinator's
+  // rank, a rank outside the layout or a rank already identified is
+  // refused and its connection closed.
+  std::map<int, ControlConn> members;  // rank -> control connection.
+  std::vector<Endpoint> endpoints(layout.total_ranks());  // By rank.
+  endpoints[0] = runtime.transport().local();
   std::vector<ControlConn> unidentified;
   const size_t expected = layout.total_ranks() - 1;
   while (members.size() < expected) {
@@ -801,8 +751,13 @@ int ClusterCoordinator::Run() {
       std::optional<CtrlMsg> msg = it->Poll();
       if (msg.has_value() && msg->type == CtrlType::kHello) {
         const int rank = static_cast<int>(msg->rank);
-        member_endpoints[rank] = msg->endpoint;
-        members.emplace(rank, std::move(*it));
+        if (msg->rank == 0 || msg->rank >= layout.total_ranks() ||
+            members.contains(rank)) {
+          LHRS_LOG(Warning) << "coord: refused Hello from rank " << msg->rank;
+        } else {
+          endpoints[msg->rank] = msg->endpoint;
+          members.emplace(rank, std::move(*it));
+        }
         it = unidentified.erase(it);
       } else if (it->closed()) {
         it = unidentified.erase(it);
@@ -814,24 +769,15 @@ int ClusterCoordinator::Run() {
   }
   LogVerbose(options_, who, "all members connected");
 
+  const auto broadcast = [&](const CtrlMsg& msg) {
+    for (auto& [rank, conn] : members) conn.SendMsg(msg);
+  };
   // Welcome everyone with the full endpoint table.
-  std::vector<Endpoint> endpoints(layout.total_ranks());
-  endpoints[0] = runtime.local();
-  for (const auto& [rank, ep] : member_endpoints) {
-    endpoints[static_cast<size_t>(rank)] = ep;
-  }
-  CtrlMsg welcome;
-  welcome.type = CtrlType::kWelcome;
-  welcome.endpoints = endpoints;
-  welcome.field_choice = static_cast<uint32_t>(layout.field);
-  welcome.code = layout.code.Name();
-  for (auto& [rank, conn] : members) conn.SendMsg(welcome);
-
-  runtime.SetEndpoints(endpoints);
-  runtime.BuildStubs();
-  MemberContexts m = MakeContexts(layout);
-  telemetry::Telemetry* telemetry = runtime.network().EnableTelemetry();
-  runtime.transport().AttachTelemetry(telemetry);
+  broadcast({.type = CtrlType::kWelcome,
+             .endpoints = endpoints,
+             .field_choice = static_cast<uint32_t>(layout.field),
+             .code = layout.code.Name()});
+  MemberContexts m = Assemble(runtime, endpoints, layout);
 
   // Spare-slot allocator: round-robin across the server ranks' pools.
   std::vector<uint32_t> spare_used(layout.server_ranks, 0);
@@ -854,28 +800,22 @@ int ClusterCoordinator::Run() {
   RsCoordinatorNode* rs = coordinator.get();
   rs->SetBucketFactory([&](BucketNo bucket, Level level) {
     const auto [id, rank] = pop_spare();
-    CtrlMsg activate;
-    activate.type = CtrlType::kActivateNode;
-    activate.node = id;
-    activate.is_parity = false;
-    activate.pre_initialized = false;
-    activate.bucket = bucket;
-    activate.level = level;
-    members.at(rank).SendMsg(activate);
+    members.at(rank).SendMsg({.type = CtrlType::kActivateNode,
+                              .node = id,
+                              .bucket = bucket,
+                              .level = level});
     return id;
   });
   rs->SetParityFactory(
       [&](uint32_t group, uint32_t parity_index, uint32_t k, bool spare) {
         const auto [id, rank] = pop_spare();
-        CtrlMsg activate;
-        activate.type = CtrlType::kActivateNode;
-        activate.node = id;
-        activate.is_parity = true;
-        activate.pre_initialized = !spare;
-        activate.bucket = group;
-        activate.level = parity_index;
-        activate.k = k;
-        members.at(rank).SendMsg(activate);
+        members.at(rank).SendMsg({.type = CtrlType::kActivateNode,
+                                  .node = id,
+                                  .is_parity = true,
+                                  .pre_initialized = !spare,
+                                  .bucket = group,
+                                  .level = parity_index,
+                                  .k = k});
         return id;
       });
   runtime.MakeResident(0, std::move(coordinator));
@@ -902,12 +842,10 @@ int ClusterCoordinator::Run() {
   // collect phase reports.
   uint64_t last_alloc_version = 0;
   const auto broadcast_alloc = [&]() {
-    CtrlMsg update;
-    update.type = CtrlType::kAllocUpdate;
-    update.version = m.ctx->allocation.version();
-    update.entries = m.ctx->allocation.entries();
-    for (auto& [rank, conn] : members) conn.SendMsg(update);
-    last_alloc_version = update.version;
+    last_alloc_version = m.ctx->allocation.version();
+    broadcast({.type = CtrlType::kAllocUpdate,
+               .version = last_alloc_version,
+               .entries = m.ctx->allocation.entries()});
   };
   std::set<int> quiesced;
   const auto service = [&]() {
@@ -920,15 +858,7 @@ int ClusterCoordinator::Run() {
         if (msg->type == CtrlType::kQuiesced) {
           quiesced.insert(rank);
         } else if (msg->type == CtrlType::kPhaseDone) {
-          PhaseResult r;
-          r.ok = msg->ok;
-          r.ops = msg->ops;
-          r.failures = msg->failures;
-          r.elapsed_us = msg->elapsed_us;
-          r.p50_us = msg->p50_us;
-          r.p95_us = msg->p95_us;
-          r.p99_us = msg->p99_us;
-          results_[{msg->phase, rank}] = r;
+          results_[{msg->phase, rank}] = msg->result;
         } else if (msg->type == CtrlType::kGoodbye) {
           goodbyes_.insert(rank);
         }
@@ -947,14 +877,12 @@ int ClusterCoordinator::Run() {
   // cluster-mode equivalent.
   const auto quiesce_members = [&]() {
     quiesced.clear();
-    CtrlMsg q;
-    q.type = CtrlType::kQuiesce;
-    for (auto& [rank, conn] : members) conn.SendMsg(q);
+    broadcast({.type = CtrlType::kQuiesce});
     while (NowUs() < deadline && !stop_requested_.load()) {
       runtime.Pump(2);
       if (!service()) return false;
       if (quiesced.size() == members.size() &&
-          runtime.TransportQuiescent()) {
+          runtime.transport().Quiescent()) {
         return true;
       }
     }
@@ -973,10 +901,9 @@ int ClusterCoordinator::Run() {
     return ranks;
   }();
   const auto run_phase = [&](uint32_t phase) {
-    CtrlMsg msg;
-    msg.type = CtrlType::kRunPhase;
-    msg.phase = phase;
-    for (int rank : client_ranks) members.at(rank).SendMsg(msg);
+    for (int rank : client_ranks) {
+      members.at(rank).SendMsg({.type = CtrlType::kRunPhase, .phase = phase});
+    }
     while (NowUs() < deadline && !stop_requested_.load()) {
       runtime.Pump(2);
       if (!service()) break;
@@ -1016,11 +943,7 @@ int ClusterCoordinator::Run() {
     LogVerbose(options_, who,
                "crashing bucket " + std::to_string(victim_bucket) +
                    " (node " + std::to_string(victim) + ")");
-    CtrlMsg crash;
-    crash.type = CtrlType::kSetAvailable;
-    crash.node = victim;
-    crash.up = false;
-    for (auto& [rank, conn] : members) conn.SendMsg(crash);
+    broadcast({.type = CtrlType::kSetAvailable, .node = victim, .up = false});
     runtime.network().SetAvailable(victim, false);
 
     const uint64_t recoveries_before = rs->recoveries_completed();
@@ -1056,9 +979,7 @@ int ClusterCoordinator::Run() {
   }
 
   // Stop everyone, wait for the goodbyes (members drain + write reports).
-  CtrlMsg stop;
-  stop.type = CtrlType::kStop;
-  for (auto& [rank, conn] : members) conn.SendMsg(stop);
+  broadcast({.type = CtrlType::kStop});
   const uint64_t bye_deadline = std::min(deadline, NowUs() + 5'000'000);
   while (goodbyes_.size() < expected && NowUs() < bye_deadline) {
     runtime.Pump(2);
@@ -1066,9 +987,7 @@ int ClusterCoordinator::Run() {
   }
 
   DrainRuntime(runtime, /*budget_ms=*/300);
-  if (!options_.report_path.empty()) {
-    telemetry::RunReport report("cluster_coordinator");
-    report.AddParam("transport", runtime.transport().name());
+  const auto coordinator_report = [&](telemetry::RunReport& report) {
     report.AddParam("server_ranks", static_cast<int64_t>(layout.server_ranks));
     report.AddParam("client_ranks", static_cast<int64_t>(layout.client_ranks));
     report.AddParam("group_size", static_cast<int64_t>(layout.group_size));
@@ -1088,12 +1007,10 @@ int ClusterCoordinator::Run() {
       report.AddMetric(prefix + "elapsed_us", result.elapsed_us);
       report.AddMetric(prefix + "p99_us", result.p99_us);
     }
-    if (telemetry != nullptr) {
-      runtime.network().stats().ExportTo(&telemetry->metrics());
-      report.AddRegistry(telemetry->metrics());
-    }
-    report.AddParam("clean_shutdown", ok ? "true" : "false");
-    if (!report.WriteFile(options_.report_path)) ok = false;
+  };
+  if (!WriteReport(runtime, options_.report_path, "coordinator", /*rank=*/0,
+                   ok, coordinator_report)) {
+    ok = false;
   }
   LogVerbose(options_, who, ok ? "success" : "FAILED");
   return ok ? 0 : 1;

@@ -20,16 +20,6 @@ namespace {
 
 constexpr uint32_t kCtrlMagic = 0x4C43544C;  // "LCTL"
 
-void PutEndpoint(WireWriter& w, const Endpoint& ep) {
-  w.U32(ep.ip);
-  w.U16(ep.udp_port);
-  w.U16(ep.tcp_port);
-}
-
-bool GetEndpoint(WireReader& r, Endpoint* ep) {
-  return r.U32(&ep->ip) && r.U16(&ep->udp_port) && r.U16(&ep->tcp_port);
-}
-
 void SetNonBlockingFd(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   LHRS_CHECK(flags >= 0);
@@ -40,141 +30,24 @@ void SetNonBlockingFd(int fd) {
 
 Bytes EncodeCtrl(const CtrlMsg& msg) {
   WireWriter w;
+  w.U32(static_cast<uint32_t>(4 + WireSize(msg)));
   w.U32(kCtrlMagic);
-  w.U32(static_cast<uint32_t>(msg.type));
-  switch (msg.type) {
-    case CtrlType::kHello:
-      w.U32(msg.rank);
-      PutEndpoint(w, msg.endpoint);
-      break;
-    case CtrlType::kWelcome:
-      w.U32(static_cast<uint32_t>(msg.endpoints.size()));
-      for (const Endpoint& ep : msg.endpoints) PutEndpoint(w, ep);
-      w.U32(msg.field_choice);
-      w.Str(msg.code);
-      break;
-    case CtrlType::kReady:
-    case CtrlType::kStop:
-    case CtrlType::kGoodbye:
-    case CtrlType::kQuiesce:
-      break;
-    case CtrlType::kQuiesced:
-      w.U32(msg.rank);
-      break;
-    case CtrlType::kActivateNode:
-      w.I32(msg.node);
-      w.Bool(msg.is_parity);
-      w.Bool(msg.pre_initialized);
-      w.U32(msg.bucket);
-      w.U32(msg.level);
-      w.U32(msg.k);
-      break;
-    case CtrlType::kAllocUpdate:
-      w.U64(msg.version);
-      w.U32(static_cast<uint32_t>(msg.entries.size()));
-      for (NodeId id : msg.entries) w.I32(id);
-      break;
-    case CtrlType::kSetAvailable:
-      w.I32(msg.node);
-      w.Bool(msg.up);
-      break;
-    case CtrlType::kRunPhase:
-      w.U32(msg.phase);
-      break;
-    case CtrlType::kPhaseDone:
-      w.U32(msg.phase);
-      w.Bool(msg.ok);
-      w.U64(msg.ops);
-      w.U64(msg.failures);
-      w.U64(msg.elapsed_us);
-      w.U64(msg.p50_us);
-      w.U64(msg.p95_us);
-      w.U64(msg.p99_us);
-      break;
-  }
-  const Bytes payload = w.Flatten();
-  Bytes frame(4);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    frame[i] = static_cast<uint8_t>(len >> (8 * i));
-  }
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
+  FieldEncoder encoder(w);
+  encoder(const_cast<CtrlMsg&>(msg));
+  return w.Flatten();
 }
 
 std::optional<CtrlMsg> DecodeCtrl(const uint8_t* data, size_t size) {
   WireReader r(BufferView(data, size));
   uint32_t magic = 0;
-  uint32_t type = 0;
-  if (!r.U32(&magic) || magic != kCtrlMagic || !r.U32(&type)) {
+  if (!r.U32(&magic) || magic != kCtrlMagic) return std::nullopt;
+  CtrlMsg msg;
+  FieldDecoder decoder(r);
+  decoder(msg);
+  if (!r.AtEnd() || msg.type < CtrlType::kHello ||
+      msg.type > CtrlType::kQuiesced) {
     return std::nullopt;
   }
-  CtrlMsg msg;
-  msg.type = static_cast<CtrlType>(type);
-  switch (msg.type) {
-    case CtrlType::kHello:
-      r.U32(&msg.rank);
-      GetEndpoint(r, &msg.endpoint);
-      break;
-    case CtrlType::kWelcome: {
-      uint32_t n = 0;
-      if (!r.U32(&n) || n > 4096) return std::nullopt;
-      for (uint32_t i = 0; i < n && r.ok(); ++i) {
-        Endpoint ep;
-        if (GetEndpoint(r, &ep)) msg.endpoints.push_back(ep);
-      }
-      r.U32(&msg.field_choice);
-      r.Str(&msg.code);
-      break;
-    }
-    case CtrlType::kReady:
-    case CtrlType::kStop:
-    case CtrlType::kGoodbye:
-    case CtrlType::kQuiesce:
-      break;
-    case CtrlType::kQuiesced:
-      r.U32(&msg.rank);
-      break;
-    case CtrlType::kActivateNode:
-      r.I32(&msg.node);
-      r.Bool(&msg.is_parity);
-      r.Bool(&msg.pre_initialized);
-      r.U32(&msg.bucket);
-      r.U32(&msg.level);
-      r.U32(&msg.k);
-      break;
-    case CtrlType::kAllocUpdate: {
-      uint32_t n = 0;
-      if (!r.U64(&msg.version) || !r.U32(&n) || n > (1u << 20)) {
-        return std::nullopt;
-      }
-      for (uint32_t i = 0; i < n && r.ok(); ++i) {
-        NodeId id = kInvalidNode;
-        if (r.I32(&id)) msg.entries.push_back(id);
-      }
-      break;
-    }
-    case CtrlType::kSetAvailable:
-      r.I32(&msg.node);
-      r.Bool(&msg.up);
-      break;
-    case CtrlType::kRunPhase:
-      r.U32(&msg.phase);
-      break;
-    case CtrlType::kPhaseDone:
-      r.U32(&msg.phase);
-      r.Bool(&msg.ok);
-      r.U64(&msg.ops);
-      r.U64(&msg.failures);
-      r.U64(&msg.elapsed_us);
-      r.U64(&msg.p50_us);
-      r.U64(&msg.p95_us);
-      r.U64(&msg.p99_us);
-      break;
-    default:
-      return std::nullopt;
-  }
-  if (!r.ok() || !r.AtEnd()) return std::nullopt;
   return msg;
 }
 

@@ -33,21 +33,47 @@ enum class CtrlType : uint32_t {
   kQuiesced = 12,     ///< member -> coord: transport drained (rank).
 };
 
+/// Aggregated result of one workload phase on one client process.
+struct PhaseResult {
+  bool ok = true;
+  uint64_t ops = 0;
+  uint64_t failures = 0;
+  uint64_t elapsed_us = 0;
+  uint64_t p50_us = 0;
+  uint64_t p95_us = 0;
+  uint64_t p99_us = 0;
+
+  template <class V>
+  void Fields(V& v) {
+    v(ok);
+    v(ops);
+    v(failures);
+    v(elapsed_us);
+    v(p50_us);
+    v(p95_us);
+    v(p99_us);
+  }
+};
+
 /// One control message, all variants flattened (control frames are a few
-/// dozen bytes; a tagged struct keeps the encode/decode table trivial).
+/// dozen bytes). Fields() lists each type's wire fields once, after the
+/// type itself (net/fields.h). Every member has an initializer, so a
+/// message reads as one designated initializer:
+/// `CtrlMsg{.type = CtrlType::kRunPhase, .phase = 2}`.
 struct CtrlMsg {
   CtrlType type = CtrlType::kHello;
 
-  // kHello:
+  // kHello, kQuiesced:
   uint32_t rank = 0;
-  Endpoint endpoint;
+  // kHello:
+  Endpoint endpoint{};
 
   // kWelcome: data-plane endpoints indexed by rank, plus the coordinator's
   // authoritative erasure-code choice (decoded via parity::CodeSpec::Parse;
   // a member must not guess the scheme from its own CLI flags).
-  std::vector<Endpoint> endpoints;
+  std::vector<Endpoint> endpoints{};
   uint32_t field_choice = 0;  ///< static_cast<uint32_t>(FieldChoice).
-  std::string code;           ///< parity::CodeSpec::Name() spelling.
+  std::string code{};         ///< parity::CodeSpec::Name() spelling.
 
   // kActivateNode:
   NodeId node = kInvalidNode;
@@ -59,7 +85,7 @@ struct CtrlMsg {
 
   // kAllocUpdate:
   uint64_t version = 0;
-  std::vector<NodeId> entries;
+  std::vector<NodeId> entries{};
 
   // kSetAvailable (reuses `node`):
   bool up = false;
@@ -67,20 +93,69 @@ struct CtrlMsg {
   // kRunPhase / kPhaseDone (the coordinator knows the reporting member's
   // rank from its control connection):
   uint32_t phase = 0;
-  bool ok = true;
-  uint64_t ops = 0;
-  uint64_t failures = 0;
-  uint64_t elapsed_us = 0;
-  uint64_t p50_us = 0;
-  uint64_t p95_us = 0;
-  uint64_t p99_us = 0;
+  PhaseResult result{};
+
+  template <class V>
+  void Fields(V& v) {
+    // The type travels as a u32. Only the decoder changes `wire_type`, so
+    // the sizer and the encoder never write through Fields().
+    auto wire_type = static_cast<uint32_t>(type);
+    v(wire_type);
+    if (wire_type != static_cast<uint32_t>(type)) {
+      type = static_cast<CtrlType>(wire_type);
+    }
+    switch (type) {
+      case CtrlType::kHello:
+        v(rank);
+        v(endpoint);
+        break;
+      case CtrlType::kWelcome:
+        v.Count(endpoints);
+        for (Endpoint& e : endpoints) v(e);
+        v(field_choice);
+        v(code);
+        break;
+      case CtrlType::kActivateNode:
+        v(node);
+        v(is_parity);
+        v(pre_initialized);
+        v(bucket);
+        v(level);
+        v(k);
+        break;
+      case CtrlType::kAllocUpdate:
+        v(version);
+        v.Count(entries);
+        for (NodeId& id : entries) v(id);
+        break;
+      case CtrlType::kSetAvailable:
+        v(node);
+        v(up);
+        break;
+      case CtrlType::kRunPhase:
+        v(phase);
+        break;
+      case CtrlType::kPhaseDone:
+        v(phase);
+        v(result);
+        break;
+      case CtrlType::kQuiesced:
+        v(rank);
+        break;
+      case CtrlType::kReady:
+      case CtrlType::kStop:
+      case CtrlType::kGoodbye:
+      case CtrlType::kQuiesce:
+        break;
+    }
+  }
 };
 
 /// Serializes `msg` into a length-prefixed control frame.
 Bytes EncodeCtrl(const CtrlMsg& msg);
 
 /// Decodes one control frame payload (without the length prefix); nullopt
-/// on malformed input.
+/// on malformed input, an unknown type or trailing bytes.
 std::optional<CtrlMsg> DecodeCtrl(const uint8_t* data, size_t size);
 
 /// One non-blocking, length-prefix-framed control connection.

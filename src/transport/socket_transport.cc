@@ -167,17 +167,31 @@ void SocketTransport::SetPeer(int rank, const Endpoint& endpoint) {
   peers_[rank] = endpoint;
 }
 
+void SocketTransportStats::ExportTo(
+    telemetry::MetricsRegistry* registry) const {
+  const std::pair<const char*, uint64_t> counts[] = {
+      {"transport.udp_datagrams_sent", udp_datagrams_sent},
+      {"transport.udp_bytes_sent", udp_bytes_sent},
+      {"transport.udp_datagrams_received", udp_datagrams_received},
+      {"transport.retransmits", retransmits},
+      {"transport.send_failures", send_failures},
+      {"transport.dup_suppressed", dup_suppressed},
+      {"transport.acks_sent", acks_sent},
+      {"transport.tcp_frames_sent", tcp_frames_sent},
+      {"transport.tcp_bytes_sent", tcp_bytes_sent},
+      {"transport.tcp_frames_received", tcp_frames_received},
+      {"transport.decode_failures", decode_failures},
+  };
+  for (const auto& [name, count] : counts) {
+    registry->GetCounter(name).Add(count);
+  }
+}
+
 void SocketTransport::AttachTelemetry(telemetry::Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry_ == nullptr) return;
-  telemetry::MetricsRegistry& m = telemetry_->metrics();
-  tm_udp_sent_ = &m.GetCounter("transport.udp.datagrams_sent");
-  tm_udp_bytes_ = &m.GetCounter("transport.udp.bytes_sent");
-  tm_retransmits_ = &m.GetCounter("transport.udp.retransmits");
-  tm_send_failures_ = &m.GetCounter("transport.send_failures");
-  tm_dup_suppressed_ = &m.GetCounter("transport.udp.dup_suppressed");
-  tm_tcp_bytes_ = &m.GetCounter("transport.tcp.bytes_sent");
-  tm_ack_rtt_us_ = &m.GetHistogram("transport.udp.ack_rtt_us");
+  ack_rtt_us_ = telemetry == nullptr
+                    ? nullptr
+                    : &telemetry->metrics().GetHistogram(
+                          "transport.udp.ack_rtt_us");
 }
 
 void SocketTransport::Send(NodeId from, NodeId to,
@@ -191,7 +205,6 @@ void SocketTransport::Send(NodeId from, NodeId to,
   }
   auto fail_now = [&](std::unique_ptr<MessageBody> b) {
     ++stats_.send_failures;
-    if (tm_send_failures_ != nullptr) tm_send_failures_->Add();
     if (fail_ != nullptr) fail_(from, to, std::move(b));
   };
   if (peer < 0 || peers_.find(peer) == peers_.end()) {
@@ -283,10 +296,6 @@ void SocketTransport::TransmitUdp(const PendingUdp& pending, uint64_t seq) {
     (void)sendmsg(udp_fd_, &msg, 0);
     ++stats_.udp_datagrams_sent;
     stats_.udp_bytes_sent += bytes;
-    if (tm_udp_sent_ != nullptr) {
-      tm_udp_sent_->Add();
-      tm_udp_bytes_->Add(bytes);
-    }
   }
 }
 
@@ -337,7 +346,6 @@ void SocketTransport::FlushTcpConn(TcpConn& conn) {
                             front.size() - conn.out_offset);
     if (n <= 0) return;  // EAGAIN; POLLOUT will resume.
     stats_.tcp_bytes_sent += static_cast<size_t>(n);
-    if (tm_tcp_bytes_ != nullptr) tm_tcp_bytes_->Add(static_cast<size_t>(n));
     conn.out_offset += static_cast<size_t>(n);
     if (conn.out_offset == front.size()) {
       conn.out.pop_front();
@@ -363,8 +371,8 @@ void SocketTransport::AcceptTcp() {
 void SocketTransport::HandleAck(uint64_t seq, uint64_t now_us) {
   auto it = pending_.find(seq);
   if (it != pending_.end()) {
-    if (it->second.attempts == 1 && tm_ack_rtt_us_ != nullptr) {
-      tm_ack_rtt_us_->Record(now_us - it->second.first_sent_us);
+    if (it->second.attempts == 1 && ack_rtt_us_ != nullptr) {
+      ack_rtt_us_->Record(now_us - it->second.first_sent_us);
     }
     pending_.erase(it);
     return;
@@ -378,7 +386,6 @@ void SocketTransport::HandleNack(uint64_t seq) {
   PendingTcp pending = std::move(it->second);
   pending_tcp_.erase(it);
   ++stats_.send_failures;
-  if (tm_send_failures_ != nullptr) tm_send_failures_->Add();
   if (fail_ != nullptr) {
     fail_(pending.from, pending.to, std::move(pending.body));
   }
@@ -422,7 +429,6 @@ size_t SocketTransport::ReadUdp(size_t* delivered) {
     // protocol-level DuplicateFilter guards the residual window overflow).
     if (dedup.Contains(header.seq)) {
       ++stats_.dup_suppressed;
-      if (tm_dup_suppressed_ != nullptr) tm_dup_suppressed_->Add();
       SendAck(peer, header.seq);
       continue;
     }
@@ -519,7 +525,6 @@ void SocketTransport::RetransmitPass(uint64_t now_us) {
     pending.rto_us = std::min(pending.rto_us * 2, options_.max_rto_us);
     pending.next_deadline_us = now_us + pending.rto_us;
     ++stats_.retransmits;
-    if (tm_retransmits_ != nullptr) tm_retransmits_->Add();
     TransmitUdp(pending, seq);
   }
   for (uint64_t seq : failed) {
@@ -527,7 +532,6 @@ void SocketTransport::RetransmitPass(uint64_t now_us) {
     PendingUdp pending = std::move(it->second);
     pending_.erase(it);
     ++stats_.send_failures;
-    if (tm_send_failures_ != nullptr) tm_send_failures_->Add();
     if (fail_ != nullptr) {
       fail_(pending.from, pending.to, std::move(pending.body));
     }

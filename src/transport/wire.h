@@ -137,6 +137,8 @@ class FieldEncoder {
       x.Fields(*this);
     } else if constexpr (std::is_same_v<T, bool>) {
       w_.Bool(x);
+    } else if constexpr (WireInt<T> && sizeof(T) == 2) {
+      w_.U16(static_cast<uint16_t>(x));
     } else if constexpr (WireInt<T> && sizeof(T) == 4) {
       w_.U32(static_cast<uint32_t>(x));
     } else if constexpr (WireInt<T>) {
@@ -193,6 +195,9 @@ class FieldDecoder {
       x.Fields(*this);
     } else if constexpr (std::is_same_v<T, bool>) {
       r_.Bool(&x);
+    } else if constexpr (WireInt<T> && sizeof(T) == 2) {
+      uint16_t u = 0;
+      if (r_.U16(&u)) x = static_cast<T>(u);
     } else if constexpr (WireInt<T> && sizeof(T) == 4) {
       uint32_t u = 0;
       if (r_.U32(&u)) x = static_cast<T>(u);
