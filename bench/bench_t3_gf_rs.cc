@@ -106,6 +106,20 @@ void RunKernelTiers(BenchReport& rep) {
               [&] { k->matrix_row_apply_8(d, srcs.data(), c8, 4, n); });
     KernelRow(rep, "rowapply4_gf16" + suffix, 4 * n,
               [&] { k->matrix_row_apply_16(d, srcs.data(), c16, 4, n); });
+    // The degraded-read shape: one 1 KiB record folded from four
+    // survivors, with new coefficients on every call (each record's
+    // erasure pattern brings its own), so per-call set-up shows.
+    const size_t record = 1024;
+    uint32_t step = 0;
+    KernelRow(rep, std::string("rowapply4_gf8/") + k->name + "/1024",
+              4 * record, [&] {
+                uint8_t rotating[4];
+                for (uint32_t s = 0; s < 4; ++s) {
+                  rotating[s] = static_cast<uint8_t>(1 + (step + 64 * s) % 255);
+                }
+                ++step;
+                k->matrix_row_apply_8(d, srcs.data(), rotating, 4, record);
+              });
   }
 }
 

@@ -64,23 +64,4 @@ void GF256::MulAddRow(uint8_t* dst, const uint8_t* const* srcs,
   ActiveKernels().matrix_row_apply_8(dst, srcs, coeffs, num_srcs, n);
 }
 
-void GF256::MulBuffer(uint8_t* dst, const uint8_t* src, size_t n,
-                      Symbol coeff) {
-  if (n == 0) return;
-  if (coeff == 0) {
-    for (size_t i = 0; i < n; ++i) dst[i] = 0;
-    return;
-  }
-  if (coeff == 1) {
-    for (size_t i = 0; i < n; ++i) dst[i] = src[i];
-    return;
-  }
-  uint8_t row[256];
-  row[0] = 0;
-  const Tables& t = tables();
-  const uint32_t lc = t.log[coeff];
-  for (uint32_t b = 1; b < 256; ++b) row[b] = t.exp[lc + t.log[b]];
-  for (size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
-}
-
 }  // namespace lhrs

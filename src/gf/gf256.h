@@ -62,16 +62,12 @@ class GF256 {
   static void MulAddRow(uint8_t* dst, const uint8_t* const* srcs,
                         const Symbol* coeffs, size_t num_srcs, size_t n);
 
-  /// dst[i] = coeff * src[i] over GF(2^8), for n bytes.
-  static void MulBuffer(uint8_t* dst, const uint8_t* src, size_t n,
-                        Symbol coeff);
-
  private:
   struct Tables {
     uint8_t exp[512];   // exp[i] = alpha^i, doubled to skip the mod-255.
     uint16_t log[256];  // log[0] unused.
-    // mul_row[c] built lazily would cost 64 KiB; instead each bulk call
-    // builds its own 256-byte row, which stays L1-resident.
+    // No product rows here: the bulk kernels read the 8 KiB of prebuilt
+    // 4-bit split tables in gf/kernels_internal.h instead.
   };
   static const Tables& tables();
 };

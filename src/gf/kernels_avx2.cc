@@ -76,8 +76,7 @@ void Avx2MulAdd8(uint8_t* dst, const uint8_t* src, size_t n, uint8_t coeff) {
     Avx2Xor(dst, src, n);
     return;
   }
-  Nib8Tables t;
-  BuildNib8(coeff, &t);
+  const Nib8Tables& t = PrebuiltNib8()[coeff];
   const __m256i tlo = Broadcast128(t.lo);
   const __m256i thi = Broadcast128(t.hi);
   const __m256i nib_mask = _mm256_set1_epi8(0x0F);
@@ -183,17 +182,18 @@ constexpr size_t kFusedBatch = 16;
 
 void Avx2RowApply8(uint8_t* dst, const uint8_t* const* srcs,
                    const uint8_t* coeffs, size_t num_srcs, size_t n) {
+  const Nib8Tables* nib8 = PrebuiltNib8();
   for (size_t base = 0; base < num_srcs; base += kFusedBatch) {
     const size_t batch = std::min(kFusedBatch, num_srcs - base);
-    Nib8Tables tabs[kFusedBatch];
+    const Nib8Tables* tabs[kFusedBatch];
     __m256i tlo[kFusedBatch], thi[kFusedBatch];
     const uint8_t* use[kFusedBatch];
     size_t used = 0;
     for (size_t s = 0; s < batch; ++s) {
       if (coeffs[base + s] == 0) continue;
-      BuildNib8(coeffs[base + s], &tabs[used]);
-      tlo[used] = Broadcast128(tabs[used].lo);
-      thi[used] = Broadcast128(tabs[used].hi);
+      tabs[used] = &nib8[coeffs[base + s]];
+      tlo[used] = Broadcast128(tabs[used]->lo);
+      thi[used] = Broadcast128(tabs[used]->hi);
       use[used] = srcs[base + s];
       ++used;
     }
@@ -227,7 +227,7 @@ void Avx2RowApply8(uint8_t* dst, const uint8_t* const* srcs,
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), d);
     }
     for (size_t s = 0; s < used; ++s) {
-      MulAdd8TailNib(dst + i, use[s] + i, n - i, tabs[s]);
+      MulAdd8TailNib(dst + i, use[s] + i, n - i, *tabs[s]);
     }
   }
 }

@@ -18,10 +18,11 @@ namespace lhrs::gfk {
 inline constexpr uint32_t kPoly8 = 0x11D;    // x^8+x^4+x^3+x^2+1.
 inline constexpr uint32_t kPoly16 = 0x1100B;  // x^16+x^12+x^3+x+1.
 
-/// Carry-less shift-and-add multiply, used only to build lookup tables
-/// (a few dozen to a few hundred products per bulk call, amortized over
-/// the buffer). Matches GF256::Mul / GF65536::Mul by construction: same
-/// polynomials, same bit order.
+/// Carry-less shift-and-add multiply, used only to build lookup tables:
+/// the prebuilt GF(2^8) split tables once per process, the scalar tier's
+/// product row and the GF(2^16) tables once per bulk call. Matches
+/// GF256::Mul / GF65536::Mul by construction: same polynomials, same bit
+/// order.
 inline uint8_t GfMul8(uint8_t a, uint8_t b) {
   uint32_t acc = 0;
   uint32_t aa = a;
@@ -44,12 +45,12 @@ inline uint16_t GfMul16(uint16_t a, uint16_t b) {
   return static_cast<uint16_t>(acc);
 }
 
-/// row[b] = coeff * b for all 256 bytes — the word-wise GF(2^8) kernel's
-/// L1-resident product row.
+/// row[b] = coeff * b for all 256 bytes, one GfMul8 per entry — the
+/// scalar tier's product row. That tier is the oracle every other tier is
+/// checked against, so it builds its row bitwise instead of reading the
+/// prebuilt split tables the other tiers share.
 inline void BuildRow8(uint8_t coeff, uint8_t row[256]) {
   row[0] = 0;
-  // alpha = 2 generates the field: fill by repeated doubling of the
-  // coefficient row index instead of 255 full multiplies.
   for (uint32_t b = 1; b < 256; ++b) {
     row[b] = GfMul8(coeff, static_cast<uint8_t>(b));
   }
@@ -62,12 +63,14 @@ struct Nib8Tables {
   uint8_t hi[16];
 };
 
-inline void BuildNib8(uint8_t coeff, Nib8Tables* t) {
-  for (uint32_t i = 0; i < 16; ++i) {
-    t->lo[i] = GfMul8(coeff, static_cast<uint8_t>(i));
-    t->hi[i] = GfMul8(coeff, static_cast<uint8_t>(i << 4));
-  }
-}
+/// The split tables of every GF(2^8) coefficient, indexed by coefficient:
+/// 256 x 32 B = 8 KiB, filled with GfMul8 on first use (thread-safe static
+/// initialization) and read-only afterwards. The SIMD tiers and the
+/// word-wise tier read their tables from here, so a kernel call costs no
+/// table set-up however short its buffer. Defined in kernels_portable.cc,
+/// which is compiled without ISA flags, so the one-time fill runs on any
+/// CPU.
+const Nib8Tables* PrebuiltNib8();
 
 /// 4-bit split tables for GF(2^16). A symbol s = hi_byte:lo_byte splits
 /// into four nibbles; the product accumulates one 16-bit contribution per

@@ -50,8 +50,7 @@ void NeonMulAdd8(uint8_t* dst, const uint8_t* src, size_t n, uint8_t coeff) {
     NeonXor(dst, src, n);
     return;
   }
-  Nib8Tables t;
-  BuildNib8(coeff, &t);
+  const Nib8Tables& t = PrebuiltNib8()[coeff];
   const uint8x16_t tlo = vld1q_u8(t.lo);
   const uint8x16_t thi = vld1q_u8(t.hi);
   size_t i = 0;
@@ -130,17 +129,18 @@ constexpr size_t kFusedBatch = 16;
 
 void NeonRowApply8(uint8_t* dst, const uint8_t* const* srcs,
                    const uint8_t* coeffs, size_t num_srcs, size_t n) {
+  const Nib8Tables* nib8 = PrebuiltNib8();
   for (size_t base = 0; base < num_srcs; base += kFusedBatch) {
     const size_t batch = std::min(kFusedBatch, num_srcs - base);
-    Nib8Tables tabs[kFusedBatch];
+    const Nib8Tables* tabs[kFusedBatch];
     uint8x16_t tlo[kFusedBatch], thi[kFusedBatch];
     const uint8_t* use[kFusedBatch];
     size_t used = 0;
     for (size_t s = 0; s < batch; ++s) {
       if (coeffs[base + s] == 0) continue;
-      BuildNib8(coeffs[base + s], &tabs[used]);
-      tlo[used] = vld1q_u8(tabs[used].lo);
-      thi[used] = vld1q_u8(tabs[used].hi);
+      tabs[used] = &nib8[coeffs[base + s]];
+      tlo[used] = vld1q_u8(tabs[used]->lo);
+      thi[used] = vld1q_u8(tabs[used]->hi);
       use[used] = srcs[base + s];
       ++used;
     }
@@ -158,7 +158,7 @@ void NeonRowApply8(uint8_t* dst, const uint8_t* const* srcs,
       vst1q_u8(dst + i + 16, d1);
     }
     for (size_t s = 0; s < used; ++s) {
-      MulAdd8TailNib(dst + i, use[s] + i, n - i, tabs[s]);
+      MulAdd8TailNib(dst + i, use[s] + i, n - i, *tabs[s]);
     }
   }
 }

@@ -9,7 +9,11 @@
 // "wordwise": PR 3's uint64-at-a-time kernels (XOR and the GF(2^8) product
 // row gather), plus an 8-bit split-table GF(2^16) gather. The portable
 // floor: selected when no SIMD tier is compiled in or supported.
+//
+// This file also holds the prebuilt GF(2^8) split tables every tier but
+// "scalar" reads.
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -17,6 +21,23 @@
 #include "gf/kernels_internal.h"
 
 namespace lhrs::gfk {
+
+const Nib8Tables* PrebuiltNib8() {
+  static const std::array<Nib8Tables, 256> kTables = [] {
+    std::array<Nib8Tables, 256> tables{};
+    for (uint32_t c = 0; c < 256; ++c) {
+      for (uint32_t i = 0; i < 16; ++i) {
+        tables[c].lo[i] = GfMul8(static_cast<uint8_t>(c),
+                                 static_cast<uint8_t>(i));
+        tables[c].hi[i] = GfMul8(static_cast<uint8_t>(c),
+                                 static_cast<uint8_t>(i << 4));
+      }
+    }
+    return tables;
+  }();
+  return kTables.data();
+}
+
 namespace {
 
 // --- scalar tier -----------------------------------------------------------
@@ -132,15 +153,20 @@ inline uint64_t GatherRow8(const uint8_t* src, const uint8_t* row) {
 
 // The gathers are inherently byte lookups, but accumulating them into a
 // word halves the loads/stores on dst: one read-xor-write of 8 bytes
-// instead of eight. The 256-byte product row stays L1-resident.
+// instead of eight. The 256-byte product row stays L1-resident; it is
+// expanded from the coefficient's prebuilt split tables (256 XORs, no
+// field multiplies).
 void WordMulAdd8(uint8_t* dst, const uint8_t* src, size_t n, uint8_t coeff) {
   if (coeff == 0 || n == 0) return;
   if (coeff == 1) {
     WordXor(dst, src, n);
     return;
   }
+  const Nib8Tables& t = PrebuiltNib8()[coeff];
   uint8_t row[256];
-  BuildRow8(coeff, row);
+  for (uint32_t b = 0; b < 256; ++b) {
+    row[b] = static_cast<uint8_t>(t.lo[b & 15] ^ t.hi[b >> 4]);
+  }
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     uint64_t d0, d1;

@@ -73,10 +73,9 @@ void Ssse3MulAdd8(uint8_t* dst, const uint8_t* src, size_t n,
     Ssse3Xor(dst, src, n);
     return;
   }
-  Nib8Tables t;
-  BuildNib8(coeff, &t);
-  const __m128i tlo = _mm_loadu_si128(reinterpret_cast<__m128i*>(t.lo));
-  const __m128i thi = _mm_loadu_si128(reinterpret_cast<__m128i*>(t.hi));
+  const Nib8Tables& t = PrebuiltNib8()[coeff];
+  const __m128i tlo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo));
+  const __m128i thi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi));
   const __m128i nib_mask = _mm_set1_epi8(0x0F);
   size_t i = 0;
   for (; i + 32 <= n; i += 32) {
@@ -187,14 +186,15 @@ constexpr size_t kFusedBatch = 16;
 
 void Ssse3RowApply8(uint8_t* dst, const uint8_t* const* srcs,
                     const uint8_t* coeffs, size_t num_srcs, size_t n) {
+  const Nib8Tables* nib8 = PrebuiltNib8();
   for (size_t base = 0; base < num_srcs; base += kFusedBatch) {
     const size_t batch = std::min(kFusedBatch, num_srcs - base);
-    Nib8Tables tabs[kFusedBatch];
+    const Nib8Tables* tabs[kFusedBatch];
     const uint8_t* use[kFusedBatch];
     size_t used = 0;
     for (size_t s = 0; s < batch; ++s) {
       if (coeffs[base + s] == 0) continue;
-      BuildNib8(coeffs[base + s], &tabs[used]);
+      tabs[used] = &nib8[coeffs[base + s]];
       use[used] = srcs[base + s];
       ++used;
     }
@@ -208,9 +208,9 @@ void Ssse3RowApply8(uint8_t* dst, const uint8_t* const* srcs,
           reinterpret_cast<const __m128i*>(dst + i + 16));
       for (size_t s = 0; s < used; ++s) {
         const __m128i tlo = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(tabs[s].lo));
+            reinterpret_cast<const __m128i*>(tabs[s]->lo));
         const __m128i thi = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(tabs[s].hi));
+            reinterpret_cast<const __m128i*>(tabs[s]->hi));
         const __m128i s0 = _mm_loadu_si128(
             reinterpret_cast<const __m128i*>(use[s] + i));
         const __m128i s1 = _mm_loadu_si128(
@@ -222,7 +222,7 @@ void Ssse3RowApply8(uint8_t* dst, const uint8_t* const* srcs,
       _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i + 16), d1);
     }
     for (size_t s = 0; s < used; ++s) {
-      MulAdd8TailNib(dst + i, use[s] + i, n - i, tabs[s]);
+      MulAdd8TailNib(dst + i, use[s] + i, n - i, *tabs[s]);
     }
   }
 }

@@ -1012,95 +1012,120 @@ void RsCoordinatorNode::OnFindRankReply(const FindRankReplyMsg& reply) {
   ContinueDegradedRead(task);
 }
 
+void RsCoordinatorNode::AppendKnownZeroSlots(
+    const DegradedReadTask& task, std::vector<uint32_t>* out) const {
+  const uint32_t existing = ExistingSlots(task.group);
+  for (uint32_t slot = 0; slot < existing; ++slot) {
+    if (slot != task.target_slot && !task.meta.keys[slot].has_value() &&
+        !task.columns.contains(slot)) {
+      out->push_back(slot);
+    }
+  }
+  for (uint32_t slot = existing; slot < lhrs_ctx_->m; ++slot) {
+    out->push_back(slot);
+  }
+}
+
+RsCoordinatorNode::ReadSet RsCoordinatorNode::PlanReadSet(
+    const parity::ParityCode& code, const ReadSetKey& key) {
+  const uint32_t m = code.m();
+  // A rank tracker over column identities answers "do the columns in hand
+  // (or in flight) determine the target slot?". Known-zero columns come
+  // free. Columns that do not raise the rank are never considered.
+  auto tracker = code.NewProgressiveDecoder({key.target_slot}, {});
+  for (uint32_t col : key.have) tracker->AddColumn(col, BufferView());
+  std::vector<uint32_t> candidates;
+  for (uint32_t col : key.eligible) {
+    if (col >= m || tracker->Ready()) break;
+    if (tracker->AddColumn(col, BufferView())) candidates.push_back(col);
+  }
+  for (uint32_t j : code.ParityPreference(key.target_slot)) {
+    if (tracker->Ready()) break;
+    if (!std::binary_search(key.eligible.begin(), key.eligible.end(),
+                            m + j)) {
+      continue;
+    }
+    if (tracker->AddColumn(m + j, BufferView())) candidates.push_back(m + j);
+  }
+  ReadSet out;
+  out.ready = tracker->Ready();
+  if (!out.ready) return out;
+
+  // Prune, least-preferred first: a candidate whose remaining peers still
+  // determine the target is never read. An MDS code keeps every
+  // rank-raising column (its read set is already minimal), but an LRC
+  // drops the siblings outside the target's local group.
+  std::vector<bool> dropped(candidates.size(), false);
+  for (size_t i = candidates.size(); i-- > 0;) {
+    std::vector<uint32_t> cols = key.have;
+    for (size_t j = 0; j < candidates.size(); ++j) {
+      if (!dropped[j] && j != i) cols.push_back(candidates[j]);
+    }
+    if (code.CanDecodeFrom(cols, {key.target_slot})) dropped[i] = true;
+  }
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (!dropped[i]) out.reads.push_back(candidates[i]);
+  }
+  return out;
+}
+
 void RsCoordinatorNode::ContinueDegradedRead(DegradedReadTask& task) {
   const uint32_t m = lhrs_ctx_->m;
   const uint32_t g = task.group;
   const GroupInfo& info = groups_[g];
   const uint32_t existing = ExistingSlots(g);
-  const parity::ParityCode& code = lhrs_ctx_->coders->ForK(info.k);
 
-  // A rank tracker over column identities answers "do the columns in hand
-  // (or in flight) determine the target slot?". Known-zero columns — slots
-  // beyond the file edge and slots with no member at this rank — come free.
-  std::vector<uint32_t> known_zero;
+  // The memo key: the columns in hand, in flight or known zero, and the
+  // columns that may still be read — alive member siblings that are not
+  // being rebuilt, and live parity columns not yet used.
+  ReadSetKey key{info.k, task.target_slot, {}, {}};
+  AppendKnownZeroSlots(task, &key.have);
+  for (const auto& [col, payload] : task.columns) key.have.push_back(col);
+  for (uint32_t col : task.awaiting) key.have.push_back(col);
+  std::sort(key.have.begin(), key.have.end());
   for (uint32_t slot = 0; slot < existing; ++slot) {
-    if (slot != task.target_slot && !task.meta.keys[slot].has_value() &&
-        !task.columns.contains(slot)) {
-      known_zero.push_back(slot);
-    }
-  }
-  for (uint32_t slot = existing; slot < m; ++slot) known_zero.push_back(slot);
-  auto tracker =
-      code.NewProgressiveDecoder({task.target_slot}, known_zero);
-  for (const auto& [col, payload] : task.columns) {
-    tracker->AddColumn(col, BufferView());
-  }
-  for (uint32_t col : task.awaiting) tracker->AddColumn(col, BufferView());
-
-  // Collect candidate columns until the rank suffices, cheapest first:
-  // alive member siblings in slot order, then parity columns in the
-  // code's preference order for the target. Columns that do not raise the
-  // rank are never considered.
-  struct Candidate {
-    uint32_t column;
-    NodeId node;
-  };
-  std::vector<Candidate> candidates;
-  for (uint32_t slot = 0; slot < existing && !tracker->Ready(); ++slot) {
     if (slot == task.target_slot) continue;
     if (!task.meta.keys[slot].has_value()) continue;
     if (task.columns.contains(slot) || task.awaiting.contains(slot)) {
       continue;
     }
     const BucketNo b = g * m + slot;
-    const NodeId node = ctx_->allocation.Lookup(b);
-    if (IsRecoveringData(b) || !NodeUp(node)) continue;
-    if (!tracker->AddColumn(slot, BufferView())) continue;
-    candidates.push_back({slot, node});
+    if (IsRecoveringData(b) || !NodeUp(ctx_->allocation.Lookup(b))) continue;
+    key.eligible.push_back(slot);
   }
-  for (uint32_t j : code.ParityPreference(task.target_slot)) {
-    if (tracker->Ready()) break;
+  for (uint32_t j = 0; j < info.k; ++j) {
     if (task.used_parity.contains(j)) continue;
     if (recovering_parity_.contains({g, j}) ||
         !NodeUp(info.parity_nodes[j])) {
       continue;
     }
-    if (!tracker->AddColumn(m + j, BufferView())) continue;
-    candidates.push_back({m + j, info.parity_nodes[j]});
+    key.eligible.push_back(m + j);
   }
-  if (!tracker->Ready()) {
+
+  auto it = read_set_memo_.find(key);
+  if (it != read_set_memo_.end()) {
+    ++degraded_memo_hits_;
+  } else {
+    ReadSet read_set = PlanReadSet(lhrs_ctx_->coders->ForK(info.k), key);
+    if (read_set_memo_.size() >= kDegradedMemoEntries) read_set_memo_.clear();
+    it = read_set_memo_.emplace(std::move(key), std::move(read_set)).first;
+  }
+  const ReadSet& read_set = it->second;
+  if (!read_set.ready) {
     FailDegradedRead(task,
                      Status::DataLoss("not enough live columns to "
                                       "reconstruct the record"));
     return;
   }
 
-  // Prune, least-preferred first: a candidate whose remaining peers still
-  // determine the target is never read. An MDS code keeps every
-  // rank-raising column (its read set is already minimal), but an LRC
-  // drops the siblings outside the target's local group.
-  std::vector<uint32_t> in_hand = known_zero;
-  for (const auto& [col, payload] : task.columns) in_hand.push_back(col);
-  for (uint32_t col : task.awaiting) in_hand.push_back(col);
-  std::vector<bool> dropped(candidates.size(), false);
-  for (size_t i = candidates.size(); i-- > 0;) {
-    std::vector<uint32_t> cols = in_hand;
-    for (size_t j = 0; j < candidates.size(); ++j) {
-      if (!dropped[j] && j != i) cols.push_back(candidates[j].column);
-    }
-    if (code.CanDecodeFrom(cols, {task.target_slot})) dropped[i] = true;
-  }
-
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (dropped[i]) continue;
-    const auto& [column, node] = candidates[i];
+  for (uint32_t column : read_set.reads) {
     if (column < m) {
       auto read = std::make_unique<RecordReadRequestMsg>();
       read->task_id = task.id;
       read->rank = task.meta.rank;
       read->column = column;
       task.awaiting.insert(column);
-      Send(node, std::move(read));
+      Send(ctx_->allocation.Lookup(g * m + column), std::move(read));
     } else {
       auto read = std::make_unique<ParityRecordRequestMsg>();
       read->task_id = task.id;
@@ -1108,7 +1133,7 @@ void RsCoordinatorNode::ContinueDegradedRead(DegradedReadTask& task) {
       read->column = column;
       task.awaiting.insert(column);
       task.used_parity.insert(column - m);
-      Send(node, std::move(read));
+      Send(info.parity_nodes[column - m], std::move(read));
     }
   }
   MaybeFinishDegradedRead(task);
@@ -1139,32 +1164,36 @@ void RsCoordinatorNode::OnDegradedColumn(uint64_t task_id, uint32_t column,
 
 void RsCoordinatorNode::MaybeFinishDegradedRead(DegradedReadTask& task) {
   if (!task.have_meta || !task.awaiting.empty()) return;
-  const uint32_t m = lhrs_ctx_->m;
-  const uint32_t existing = ExistingSlots(task.group);
   const GroupInfo& info = groups_[task.group];
 
-  std::vector<std::pair<size_t, BufferView>> available;
-  for (const auto& [col, payload] : task.columns) {
-    available.emplace_back(col, payload);
-  }
-  const BufferView kEmpty;
-  for (uint32_t slot = 0; slot < existing; ++slot) {
-    if (slot == task.target_slot) continue;
-    if (!task.meta.keys[slot].has_value() && !task.columns.contains(slot)) {
-      available.emplace_back(slot, kEmpty);
+  // The plan depends only on which columns are available (in hand or
+  // known zero), so one plan serves every record with this pattern.
+  PlanKey key{info.k, task.target_slot, {}};
+  for (const auto& [col, payload] : task.columns) key.available.push_back(col);
+  AppendKnownZeroSlots(task, &key.available);
+  std::sort(key.available.begin(), key.available.end());
+  auto it = plan_memo_.find(key);
+  if (it != plan_memo_.end()) {
+    ++degraded_memo_hits_;
+  } else {
+    auto plan = lhrs_ctx_->coders->ForK(info.k).PlanDecode(
+        key.available, {task.target_slot});
+    if (!plan.ok()) {
+      FailDegradedRead(task, plan.status());
+      return;
     }
+    if (plan_memo_.size() >= kDegradedMemoEntries) plan_memo_.clear();
+    it = plan_memo_.emplace(std::move(key), std::move(plan).value()).first;
   }
-  for (uint32_t slot = existing; slot < m; ++slot) {
-    available.emplace_back(slot, kEmpty);
+  const parity::DecodePlan& plan = *it->second;
+  // Known-zero inputs have no payload: nullptr is a zero column.
+  std::vector<const BufferView*> payloads;
+  payloads.reserve(plan.inputs().size());
+  for (uint32_t col : plan.inputs()) {
+    auto c = task.columns.find(col);
+    payloads.push_back(c == task.columns.end() ? nullptr : &c->second);
   }
-
-  const parity::ParityCode& coder = lhrs_ctx_->coders->ForK(info.k);
-  auto decoded = coder.DecodeData(available, {task.target_slot});
-  if (!decoded.ok()) {
-    FailDegradedRead(task, decoded.status());
-    return;
-  }
-  Bytes value = std::move((*decoded)[0]);
+  Bytes value = std::move(plan.Decode(payloads)[0]);
   const uint32_t len = task.meta.lengths[task.target_slot];
   LHRS_CHECK_LE(len, value.size());
   value.resize(len);

@@ -1,6 +1,7 @@
 #ifndef LHRS_LHRS_RS_COORDINATOR_H_
 #define LHRS_LHRS_RS_COORDINATOR_H_
 
+#include <compare>
 #include <functional>
 #include <map>
 #include <memory>
@@ -105,6 +106,15 @@ class RsCoordinatorNode : public CoordinatorNode {
   uint64_t recoveries_completed() const { return recoveries_completed_; }
   uint64_t columns_recovered() const { return columns_recovered_; }
   uint64_t degraded_reads_served() const { return degraded_reads_served_; }
+  /// Degraded-read decisions (read sets and decode plans) answered from
+  /// the memo instead of being computed.
+  uint64_t degraded_memo_hits() const { return degraded_memo_hits_; }
+  /// Empties the degraded-read memo, so the next reads compute their
+  /// decisions afresh. Tests use it to compare cold and warm reads.
+  void ClearDegradedReadMemoForTesting() {
+    read_set_memo_.clear();
+    plan_memo_.clear();
+  }
   uint64_t groups_lost() const { return groups_lost_; }
 
  protected:
@@ -166,6 +176,44 @@ class RsCoordinatorNode : public CoordinatorNode {
     uint64_t started_us = 0;                  // Telemetry timestamp.
   };
 
+  // A degraded read's decisions depend only on column identities, so they
+  // are memoized per erasure pattern (DESIGN.md §14.3). Keys hold sorted
+  // column lists, so any m + k the file accepts fits. Each memo holds at
+  // most kDegradedMemoEntries entries and is cleared when full.
+  static constexpr size_t kDegradedMemoEntries = 4096;
+
+  /// Which columns a degraded read should request next.
+  struct ReadSetKey {
+    uint32_t k = 0;
+    uint32_t target_slot = 0;
+    std::vector<uint32_t> have;      ///< In hand, in flight or known zero.
+    std::vector<uint32_t> eligible;  ///< Live columns that may be read.
+    auto operator<=>(const ReadSetKey&) const = default;
+  };
+  struct ReadSet {
+    bool ready = false;           ///< have + reads determine the target.
+    std::vector<uint32_t> reads;  ///< Columns to request, in send order.
+  };
+  /// The plan that decodes the target from the available columns.
+  struct PlanKey {
+    uint32_t k = 0;
+    uint32_t target_slot = 0;
+    std::vector<uint32_t> available;  ///< In hand or known zero.
+    auto operator<=>(const PlanKey&) const = default;
+  };
+
+  /// Computes a read set (the memo's cold path): candidate columns that
+  /// raise the rank of `key.have`, cheapest first — live siblings in slot
+  /// order, then parity columns in the code's preference order for the
+  /// target — pruned of every candidate the others make redundant.
+  static ReadSet PlanReadSet(const parity::ParityCode& code,
+                             const ReadSetKey& key);
+  /// Appends the data slots of the task's record group whose value is
+  /// known to be zero: slots past the file edge and slots with no member
+  /// at this rank (the target excepted).
+  void AppendKnownZeroSlots(const DegradedReadTask& task,
+                            std::vector<uint32_t>* out) const;
+
   /// Data buckets of group g that exist right now: [g*m, min((g+1)*m, M)).
   uint32_t ExistingSlots(uint32_t g) const;
   bool NodeUp(NodeId node) const;
@@ -220,6 +268,8 @@ class RsCoordinatorNode : public CoordinatorNode {
   std::map<BucketNo, MergeRecordsMsg> pending_merge_records_;
 
   std::map<uint64_t, DegradedReadTask> degraded_;
+  std::map<ReadSetKey, ReadSet> read_set_memo_;
+  std::map<PlanKey, std::unique_ptr<const parity::DecodePlan>> plan_memo_;
   std::map<uint64_t, ScrubTask> scrubs_;
   ScrubReport scrub_report_;
 
@@ -239,6 +289,7 @@ class RsCoordinatorNode : public CoordinatorNode {
   uint64_t recoveries_completed_ = 0;
   uint64_t columns_recovered_ = 0;
   uint64_t degraded_reads_served_ = 0;
+  uint64_t degraded_memo_hits_ = 0;
   uint64_t groups_lost_ = 0;
   uint64_t next_probe_id_ = 1;
   std::map<uint64_t, NodeId> probes_;  // probe id -> probed node.

@@ -29,7 +29,7 @@ class RsCodeT final : public LinearCodeT<F> {
   /// rows keep the matrix mostly trivial) and inverts their generator
   /// submatrix; the plan's rows are the inverse's columns for the wanted
   /// slots. Cheaper per plan than the incremental solver at the group
-  /// sizes LH*RS runs, and degraded reads plan once per record.
+  /// sizes LH*RS runs; degraded reads plan once per erasure pattern.
   Result<std::unique_ptr<const DecodePlan>> PlanDecode(
       const std::vector<uint32_t>& columns,
       const std::vector<uint32_t>& wanted_data) const override {

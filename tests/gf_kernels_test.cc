@@ -5,8 +5,9 @@
 // reference tier, across random lengths (including odd tails and sub-word
 // sizes), unaligned source/destination offsets, and the full coefficient
 // space (exhaustive for GF(2^8), edge cases plus random samples for
-// GF(2^16)). CI additionally runs this binary twice with LHRS_KERNEL_ISA
-// forced to "scalar" and "native" to cover the env-override path end to end.
+// GF(2^16)). CI additionally runs this binary with LHRS_KERNEL_ISA forced
+// to "scalar", "wordwise" and "native" to cover the env-override path end
+// to end.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
 #include "gf/kernels.h"
+#include "gf/kernels_internal.h"
 
 namespace lhrs {
 namespace {
@@ -223,6 +225,57 @@ TEST_F(GfKernelsTest, MatrixRowApply16MatchesSequentialScalar) {
         }
         ASSERT_EQ(got, want)
             << "tier=" << k->name << " num_srcs=" << num_srcs << " n=" << n;
+      }
+    }
+  }
+}
+
+// The process-wide split tables every tier but "scalar" reads: each
+// coefficient's 16 low-nibble and 16 high-nibble products, against the
+// bitwise multiply that fills them and the log/antilog field.
+TEST_F(GfKernelsTest, PrebuiltSplitTablesMatchGfMul8) {
+  const gfk::Nib8Tables* tables = gfk::PrebuiltNib8();
+  EXPECT_EQ(gfk::PrebuiltNib8(), tables) << "the tables are built once";
+  for (uint32_t c = 0; c < 256; ++c) {
+    const auto coeff = static_cast<uint8_t>(c);
+    for (uint32_t i = 0; i < 16; ++i) {
+      const auto lo = static_cast<uint8_t>(i);
+      const auto hi = static_cast<uint8_t>(i << 4);
+      ASSERT_EQ(tables[c].lo[i], gfk::GfMul8(coeff, lo)) << c << " " << i;
+      ASSERT_EQ(tables[c].lo[i], GF256::Mul(coeff, lo)) << c << " " << i;
+      ASSERT_EQ(tables[c].hi[i], gfk::GfMul8(coeff, hi)) << c << " " << i;
+      ASSERT_EQ(tables[c].hi[i], GF256::Mul(coeff, hi)) << c << " " << i;
+    }
+  }
+}
+
+// The degraded-read shape: four 1 KiB sources (and a ragged 1 KiB + 17),
+// with the coefficients changing on every call. Over 255 calls each source
+// position steps through every non-zero coefficient.
+TEST_F(GfKernelsTest, MatrixRowApply8AllCoefficientsMatchScalar) {
+  Rng rng(0x0dd5eed);
+  constexpr size_t kSrcs = 4;
+  for (size_t n : {size_t{1024}, size_t{1024 + 17}}) {
+    std::vector<Bytes> store;
+    std::vector<const uint8_t*> srcs;
+    for (size_t s = 0; s < kSrcs; ++s) {
+      store.push_back(rng.RandomBytes(n));
+      srcs.push_back(store.back().data());
+    }
+    const Bytes dst_init = rng.RandomBytes(n);
+    for (const GfKernels* k : AvailableKernels()) {
+      for (uint32_t step = 0; step < 255; ++step) {
+        uint8_t coeffs[kSrcs];
+        for (size_t s = 0; s < kSrcs; ++s) {
+          coeffs[s] = static_cast<uint8_t>(1 + (step + 64 * s) % 255);
+        }
+        Bytes got = dst_init;
+        Bytes want = dst_init;
+        k->matrix_row_apply_8(got.data(), srcs.data(), coeffs, kSrcs, n);
+        Scalar().matrix_row_apply_8(want.data(), srcs.data(), coeffs, kSrcs,
+                                    n);
+        ASSERT_EQ(got, want) << "tier=" << k->name << " n=" << n
+                             << " step=" << step;
       }
     }
   }

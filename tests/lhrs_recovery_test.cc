@@ -2,6 +2,7 @@
 // spares, degraded-mode record recovery, multi-failure k-availability and
 // the data-loss boundary beyond k failures.
 
+#include <bit>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,7 +11,9 @@
 
 #include "common/rng.h"
 #include "lhrs/lhrs_file.h"
+#include "lhrs/messages.h"
 #include "lhrs/recovery.h"
+#include "telemetry/metrics.h"
 
 namespace lhrs {
 namespace {
@@ -438,6 +441,190 @@ INSTANTIATE_TEST_SUITE_P(Codes, CodedRecoveryTest,
                            }
                            return name;
                          });
+
+// ---------------------------------------------------------------------------
+// The degraded-read memo: the coordinator computes each erasure pattern's
+// read set and decode plan once. Whether a search's decisions are computed
+// (cold memo) or looked up (warm memo) must change nothing a client or the
+// network sees: the value, the messages and the bytes moved.
+
+struct MemoGeometry {
+  const char* code;
+  uint32_t m;
+  uint32_t k;
+};
+
+/// What one search returned and what it cost.
+struct MeasuredSearch {
+  StatusCode code = StatusCode::kOk;
+  Bytes value;
+  uint64_t messages = 0;
+  uint64_t bytes_moved = 0;
+};
+
+uint64_t DegradedBytesMoved(const LhrsFile& file) {
+  const telemetry::Counter* moved =
+      file.network().telemetry()->metrics().FindCounter(
+          "degraded_read.bytes_moved");
+  return moved == nullptr ? 0 : moved->value();
+}
+
+MeasuredSearch MeasureSearch(LhrsFile& file, Key key) {
+  const uint64_t messages = file.network().stats().total_messages();
+  const uint64_t moved = DegradedBytesMoved(file);
+  auto got = file.Search(key);
+  MeasuredSearch out;
+  out.code = got.status().code();
+  if (got.ok()) out.value = *got;
+  out.messages = file.network().stats().total_messages() - messages;
+  out.bytes_moved = DegradedBytesMoved(file) - moved;
+  return out;
+}
+
+LhrsFile::Options MemoOpts(const char* code, uint32_t m, uint32_t k,
+                           size_t capacity) {
+  LhrsFile::Options opts = Opts(m, k, capacity);
+  auto spec = parity::CodeSpec::Parse(code);
+  EXPECT_TRUE(spec.ok()) << spec.status();
+  if (spec.ok()) opts.code = *spec;
+  opts.auto_recover = false;
+  return opts;
+}
+
+class DegradedReadMemoTest : public ::testing::TestWithParam<MemoGeometry> {};
+
+TEST_P(DegradedReadMemoTest, ColdAndWarmSearchesAgree) {
+  const MemoGeometry geo = GetParam();
+  // Every set of up to k crashed data buckets in group 0.
+  for (uint32_t crashed = 1; crashed < (1u << geo.m); ++crashed) {
+    if (static_cast<uint32_t>(std::popcount(crashed)) > geo.k) continue;
+    SCOPED_TRACE("crashed bucket mask " + std::to_string(crashed));
+    LhrsFile file(MemoOpts(geo.code, geo.m, geo.k, /*capacity=*/10));
+    file.network().EnableTelemetry({.trace_messages = false});
+    const std::vector<Key> keys = Populate(file, 120, 70 + crashed);
+    ASSERT_GE(file.bucket_count(), geo.m);
+    std::vector<Key> lost;
+    for (Key key : keys) {
+      const BucketNo b = file.coordinator().state().Address(key);
+      if (b < geo.m && (crashed >> b & 1) != 0) lost.push_back(key);
+    }
+    ASSERT_FALSE(lost.empty());
+    for (BucketNo b = 0; b < geo.m; ++b) {
+      if ((crashed >> b & 1) != 0) file.CrashDataBucket(b);
+    }
+
+    // Each key twice: first on an emptied memo, then again with the
+    // memo holding exactly that search's decisions.
+    RsCoordinatorNode& coord = file.rs_coordinator();
+    std::vector<MeasuredSearch> cold;
+    for (Key key : lost) {
+      SCOPED_TRACE("key " + std::to_string(key));
+      coord.ClearDegradedReadMemoForTesting();
+      const uint64_t hits = coord.degraded_memo_hits();
+      cold.push_back(MeasureSearch(file, key));
+      EXPECT_EQ(coord.degraded_memo_hits(), hits);
+      const MeasuredSearch warm = MeasureSearch(file, key);
+      EXPECT_EQ(warm.code, cold.back().code);
+      EXPECT_EQ(warm.value, cold.back().value);
+      EXPECT_EQ(warm.messages, cold.back().messages);
+      EXPECT_EQ(warm.bytes_moved, cold.back().bytes_moved);
+      if (warm.code == StatusCode::kOk) {
+        EXPECT_EQ(warm.value, Val("value-" + std::to_string(key)));
+        // The warm search looked up both its read set and its plan.
+        EXPECT_EQ(coord.degraded_memo_hits(), hits + 2);
+      } else {
+        // Only the non-MDS code may meet a record it cannot decode; then
+        // the read set alone is looked up.
+        EXPECT_EQ(warm.code, StatusCode::kDataLoss);
+        EXPECT_STRNE(geo.code, "rs");
+        EXPECT_EQ(coord.degraded_memo_hits(), hits + 1);
+      }
+    }
+    // Once more with the memo accumulating every key's patterns: a lookup
+    // must never answer one pattern with another's decisions.
+    coord.ClearDegradedReadMemoForTesting();
+    for (size_t i = 0; i < lost.size(); ++i) {
+      const MeasuredSearch shared = MeasureSearch(file, lost[i]);
+      EXPECT_EQ(shared.code, cold[i].code) << "key " << lost[i];
+      EXPECT_EQ(shared.value, cold[i].value) << "key " << lost[i];
+      EXPECT_EQ(shared.messages, cold[i].messages) << "key " << lost[i];
+      EXPECT_EQ(shared.bytes_moved, cold[i].bytes_moved) << "key " << lost[i];
+    }
+    EXPECT_EQ(coord.recoveries_completed(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, DegradedReadMemoTest,
+    // lrc2 needs one parity column per local pair of slots, so its k=1
+    // geometry is a single local group (m=2).
+    ::testing::Values(MemoGeometry{"rs", 4, 1}, MemoGeometry{"rs", 4, 2},
+                      MemoGeometry{"rs", 4, 3}, MemoGeometry{"lrc2", 2, 1},
+                      MemoGeometry{"lrc2", 4, 2},
+                      MemoGeometry{"lrc2", 4, 3}),
+    [](const auto& info) {
+      return std::string(info.param.code) + "_m" +
+             std::to_string(info.param.m) + "_k" +
+             std::to_string(info.param.k);
+    });
+
+// A read target that crashes after the coordinator asked it for its column
+// bounces the request, so the read set is computed again from a new key
+// (the target gone from the eligible columns).
+class DegradedReadReplanTest : public ::testing::TestWithParam<const char*> {
+};
+
+TEST_P(DegradedReadReplanTest, ReadTargetCrashingMidReadIsReplanned) {
+  LhrsFile::Options opts = MemoOpts(GetParam(), 4, 3, /*capacity=*/1000);
+  opts.file.initial_buckets = 4;
+  LhrsFile file(opts);
+  file.network().EnableTelemetry({.trace_messages = false});
+  // Keys 0..7: bucket b holds keys b (rank 1) and b + 4 (rank 2).
+  for (Key key = 0; key < 8; ++key) {
+    ASSERT_EQ(file.coordinator().state().Address(key), key % 4);
+    ASSERT_TRUE(file.Insert(key, Val("value-" + std::to_string(key))).ok());
+  }
+  file.CrashDataBucket(0);
+
+  const MessageStats& stats = file.network().stats();
+  const uint64_t record_reads =
+      stats.ForKind(LhrsMsg::kRecordReadRequest).messages;
+  const uint64_t parity_reads =
+      stats.ForKind(LhrsMsg::kParityRecordRequest).messages;
+  const sdds::OpToken search = file.Submit(0, OpType::kSearch, 0, {});
+  // Both codes read sibling 1 first; crash it while its read is in flight.
+  while (stats.ForKind(LhrsMsg::kRecordReadRequest).messages ==
+         record_reads) {
+    ASSERT_TRUE(file.network().Step());
+  }
+  file.CrashDataBucket(1);
+  file.network().RunUntilIdle();
+  ASSERT_TRUE(file.Poll(search));
+  auto out = file.Take(search);
+  ASSERT_TRUE(out.ok());
+  ASSERT_TRUE(out->status.ok()) << out->status;
+  EXPECT_EQ(out->value.ToBytes(), Val("value-0"));
+  // The second read set had to reach for a parity column the first did
+  // not need.
+  EXPECT_GT(stats.ForKind(LhrsMsg::kParityRecordRequest).messages,
+            parity_reads);
+  EXPECT_GE(stats.delivery_failures(), 1u);
+
+  // Both crashed buckets stay readable through their parity.
+  for (Key key : {Key{0}, Key{1}, Key{4}, Key{5}}) {
+    auto got = file.Search(key);
+    ASSERT_TRUE(got.ok()) << "key " << key << ": " << got.status();
+    EXPECT_EQ(*got, Val("value-" + std::to_string(key)));
+  }
+  EXPECT_EQ(file.rs_coordinator().degraded_reads_served(), 5u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Codes, DegradedReadReplanTest,
+                         ::testing::Values("rs", "lrc2"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
 
 // Pure-logic reconstruction tests (no network).
 TEST(ReconstructColumnsTest, RejectsInsufficientSurvivors) {
