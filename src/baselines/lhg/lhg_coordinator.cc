@@ -47,10 +47,6 @@ void LhgCoordinatorNode::RecoverParityBucket(BucketNo f2_bucket) {
   }
 }
 
-void LhgCoordinatorNode::ParkOp(const ClientOpViaCoordinatorMsg& op) {
-  parked_[state_.Address(op.key)].push_back(op);
-}
-
 void LhgCoordinatorNode::HandleClientOpFallback(
     const ClientOpViaCoordinatorMsg& op) {
   if (op.client == id()) {
@@ -89,21 +85,15 @@ void LhgCoordinatorNode::HandleClientOpFallback(
   DeliverViaState(op);
 }
 
-void LhgCoordinatorNode::OnOpDeliveryFailure(const OpRequestMsg& req) {
-  if (req.client == id()) {
+void LhgCoordinatorNode::OnOpDeliveryFailure(
+    const ClientOpViaCoordinatorMsg& op) {
+  if (op.client == id()) {
     // An internal recovery/degraded-mode search hit another dead bucket:
     // multiple failures, which 1-available LH*g cannot mask.
-    FailInternalSearch(req.op_id);
+    FailInternalSearch(op.op_id);
     return;
   }
-  ClientOpViaCoordinatorMsg op;
-  op.op = req.op;
-  op.op_id = req.op_id;
-  op.client = req.client;
-  op.intended_bucket = req.intended_bucket;
-  op.key = req.key;
-  op.value = req.value;
-  const BucketNo a = req.intended_bucket;
+  const BucketNo a = op.intended_bucket;
   if (auto_recover_) StartDataRecovery(a);
   if (lost_buckets_.contains(a)) {
     FailClientOp(op, StatusCode::kDataLoss,
@@ -147,20 +137,10 @@ void LhgCoordinatorNode::FailInternalSearch(uint64_t op_id) {
 void LhgCoordinatorNode::MarkBucketLost(BucketNo bucket) {
   if (!lost_buckets_.insert(bucket).second) return;
   recovering_data_.erase(bucket);
-  // Stand the half-built spare down: it bounces its queued ops back here,
-  // where the lost-bucket check fails them loudly.
-  auto stand_down = std::make_unique<SelfCheckReplyMsg>();
-  stand_down->bucket = bucket;
-  stand_down->still_owner = false;
-  Send(ctx_->allocation.Lookup(bucket), std::move(stand_down));
-  auto parked = parked_.find(bucket);
-  if (parked != parked_.end()) {
-    for (const auto& op : parked->second) {
-      FailClientOp(op, StatusCode::kDataLoss,
-                   "multiple bucket failures exceed LH*g 1-availability");
-    }
-    parked_.erase(parked);
-  }
+  // The spare bounces its queued ops back here, where the lost-bucket check
+  // fails them loudly.
+  LoseBucket(bucket, /*stand_down=*/true,
+             "multiple bucket failures exceed LH*g 1-availability");
   MaybeStartSplit();
 }
 
@@ -193,9 +173,8 @@ void LhgCoordinatorNode::StartDataRecovery(BucketNo bucket) {
   DataRecoveryTask task;
   task.id = next_task_id_++;
   task.bucket = bucket;
-  if (auto it = pending_split_orders_.find(bucket);
-      it != pending_split_orders_.end()) {
-    task.also_bucket = it->second.new_bucket;
+  if (const SplitOrderMsg* order = StalledSplitOrder(bucket)) {
+    task.also_bucket = order->new_bucket;
   }
   task.level = state_.BucketLevel(bucket);
   task.spare = CreateBucketNode(bucket, task.level);
@@ -298,9 +277,9 @@ void LhgCoordinatorNode::StartParityRecovery(BucketNo f2_bucket) {
   ParityRecoveryTask task;
   task.id = next_task_id_++;
   task.f2_bucket = f2_bucket;
-  if (auto it = pending_f2_split_orders_.find(f2_bucket);
-      it != pending_f2_split_orders_.end()) {
-    task.also_bucket = it->second.new_bucket;
+  if (const SplitOrderMsg* order =
+          f2_coordinator_->StalledSplitOrder(f2_bucket)) {
+    task.also_bucket = order->new_bucket;
   }
   task.level = f2_coordinator_->state().BucketLevel(f2_bucket);
   task.spare = parity_factory_(f2_bucket, task.level);
@@ -387,75 +366,20 @@ void LhgCoordinatorNode::FinishDegradedRead(DegradedTask& task) {
 void LhgCoordinatorNode::FinishRecovery(BucketNo bucket) {
   recovering_data_.erase(bucket);
   ++recoveries_completed_;
-  auto parked = parked_.find(bucket);
-  if (parked != parked_.end()) {
-    std::vector<ClientOpViaCoordinatorMsg> ops = std::move(parked->second);
-    parked_.erase(parked);
-    for (const auto& op : ops) DeliverViaState(op);
-  }
-  // Resume restructuring stalled on this bucket.
-  if (auto it = pending_split_orders_.find(bucket);
-      it != pending_split_orders_.end()) {
-    Send(ctx_->allocation.Lookup(bucket),
-         std::make_unique<SplitOrderMsg>(it->second));
-    pending_split_orders_.erase(it);
-  }
-  if (orphaned_moves_.erase(bucket) > 0) {
-    // The split's records were rebuilt into the recovered bucket straight
-    // from parity (LH*g never retires group parity on splits), so the
-    // split is effectively complete; release the restructuring latch that
-    // the lost SplitDone would have cleared.
-    AbortRestructure();
-  }
-  MaybeStartSplit();
+  ReleaseBuckets({bucket});
 }
 
-void LhgCoordinatorNode::OnSplitOrderDeliveryFailure(
-    const SplitOrderMsg& order, NodeId victim_node) {
-  (void)victim_node;
-  const BucketNo victim =
-      order.new_bucket -
-      (BucketNo{ctx_->config.initial_buckets} << (order.new_level - 1));
-  pending_split_orders_[victim] = order;
-  StartDataRecovery(victim);
+bool LhgCoordinatorNode::RecoverBucket(BucketNo bucket) {
+  // A split target lost with its movers rebuilds them too: their record
+  // groups' parity is intact (LH*g splits never touch parity).
+  StartDataRecovery(bucket);
+  return true;
 }
 
-void LhgCoordinatorNode::OnOrphanedMoveRecords(const MoveRecordsMsg& move) {
-  // The split target died with the movers in flight — but their record
-  // groups' parity is intact (LH*g splits never touch parity), so the A4
-  // recovery of the new bucket rebuilds them from F2 + sibling reads; the
-  // in-flight copy is redundant and dropped.
-  orphaned_moves_.insert(move.bucket);
-  StartDataRecovery(move.bucket);
-}
-
-void LhgCoordinatorNode::OnParitySplitVictimDown(const SplitOrderMsg& order,
-                                                 BucketNo victim) {
-  pending_f2_split_orders_[victim] = order;
-  StartParityRecovery(victim);
-}
-
-void LhgCoordinatorNode::OnParityMoveOrphaned(BucketNo f2_target) {
-  // The F2 split target died holding nothing; its content (the parity
-  // records that hash to it under the advanced F2 state) rebuilds from F1.
-  orphaned_f2_moves_.insert(f2_target);
-  StartParityRecovery(f2_target);
-}
-
-void LhgParityCoordinatorNode::OnSplitOrderDeliveryFailure(
-    const SplitOrderMsg& order, NodeId victim_node) {
-  (void)victim_node;
+bool LhgParityCoordinatorNode::RecoverBucket(BucketNo bucket) {
   LHRS_CHECK(main_ != nullptr);
-  const BucketNo victim =
-      order.new_bucket -
-      (BucketNo{ctx_->config.initial_buckets} << (order.new_level - 1));
-  main_->OnParitySplitVictimDown(order, victim);
-}
-
-void LhgParityCoordinatorNode::OnOrphanedMoveRecords(
-    const MoveRecordsMsg& move) {
-  LHRS_CHECK(main_ != nullptr);
-  main_->OnParityMoveOrphaned(move.bucket);
+  main_->RecoverParityBucket(bucket);
+  return true;
 }
 
 // --- Message plumbing --------------------------------------------------------
@@ -507,19 +431,9 @@ void LhgCoordinatorNode::HandleSubclassMessage(const Message& msg) {
         recovering_parity_.erase(f2_bucket);
         ++recoveries_completed_;
         parity_tasks_.erase(it);
-        // Resume a stalled F2 split on the recovered victim, or complete
-        // one whose record move was orphaned.
-        if (auto pending = pending_f2_split_orders_.find(f2_bucket);
-            pending != pending_f2_split_orders_.end()) {
-          Send(f2_ctx_->allocation.Lookup(f2_bucket),
-               std::make_unique<SplitOrderMsg>(pending->second));
-          pending_f2_split_orders_.erase(pending);
-        }
-        if (orphaned_f2_moves_.erase(f2_bucket) > 0) {
-          // The F2 split's content was rebuilt straight from F1; release
-          // the latch the lost SplitDone would have cleared.
-          f2_coordinator_->AbortRestructure();
-        }
+        // Resumes a stalled F2 split on the recovered victim, or completes
+        // one whose movers were rebuilt straight from F1.
+        f2_coordinator_->ReleaseBuckets({f2_bucket});
         MaybeStartSplit();
         return;
       }

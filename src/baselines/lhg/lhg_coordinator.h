@@ -41,24 +41,17 @@ class LhgCoordinatorNode : public CoordinatorNode {
   void RecoverDataBucket(BucketNo bucket);
   void RecoverParityBucket(BucketNo f2_bucket);
 
-  /// Escalations from the parity file's split coordinator: an F2
-  /// restructuring participant was down. Recovers it and resumes (or
-  /// completes) the F2 split.
-  void OnParitySplitVictimDown(const SplitOrderMsg& order, BucketNo victim);
-  void OnParityMoveOrphaned(BucketNo f2_target);
-
   uint64_t recoveries_completed() const { return recoveries_completed_; }
   uint64_t degraded_reads_served() const { return degraded_reads_served_; }
 
  protected:
   void HandleUnavailableReport(const UnavailableReportMsg& report) override;
   void HandleClientOpFallback(const ClientOpViaCoordinatorMsg& op) override;
-  void OnOpDeliveryFailure(const OpRequestMsg& request) override;
+  void OnOpDeliveryFailure(const ClientOpViaCoordinatorMsg& op) override;
   void HandleSubclassMessage(const Message& msg) override;
   void HandleSubclassDeliveryFailure(const Message& msg) override;
-  void OnSplitOrderDeliveryFailure(const SplitOrderMsg& order,
-                                   NodeId victim_node) override;
-  void OnOrphanedMoveRecords(const MoveRecordsMsg& move) override;
+  /// (A4) rebuild of one F1 bucket.
+  bool RecoverBucket(BucketNo bucket) override;
   bool CanSplitNow() const override {
     return data_tasks_.empty() && parity_tasks_.empty();
   }
@@ -117,7 +110,6 @@ class LhgCoordinatorNode : public CoordinatorNode {
   void InstallParityTask(ParityRecoveryTask& task);
   void StartDegradedRead(const ClientOpViaCoordinatorMsg& op);
   void FinishDegradedRead(DegradedTask& task);
-  void ParkOp(const ClientOpViaCoordinatorMsg& op);
   void FinishRecovery(BucketNo bucket);
   /// Declares `bucket` unrecoverable: fails its parked ops, stands its
   /// half-built spare down (which bounces queued ops back here).
@@ -138,11 +130,6 @@ class LhgCoordinatorNode : public CoordinatorNode {
   std::set<BucketNo> recovering_data_;
   std::set<BucketNo> recovering_parity_;
   std::set<BucketNo> lost_buckets_;  ///< Unrecoverable (>1 group failure).
-  std::map<BucketNo, SplitOrderMsg> pending_split_orders_;
-  std::set<BucketNo> orphaned_moves_;  ///< Split targets rebuilt via A4.
-  std::map<BucketNo, SplitOrderMsg> pending_f2_split_orders_;
-  std::set<BucketNo> orphaned_f2_moves_;  ///< F2 targets rebuilt via A5.
-  std::map<BucketNo, std::vector<ClientOpViaCoordinatorMsg>> parked_;
 
   uint64_t next_internal_op_ = 1;
   struct InternalSearch {
@@ -157,9 +144,10 @@ class LhgCoordinatorNode : public CoordinatorNode {
 };
 
 /// Split coordinator of the LH*g parity file F2. Splits/merges run exactly
-/// as in plain LH*; failures of F2 restructuring participants are
-/// escalated to the main LH*g coordinator, which owns the recovery
-/// machinery (the paper's single-coordinator model).
+/// as in plain LH*, and it stalls the steps whose participant is down like
+/// any coordinator; the rebuild of that F2 bucket (A5) is the main LH*g
+/// coordinator's, which owns the recovery machinery (the paper's
+/// single-coordinator model) and releases the bucket here.
 class LhgParityCoordinatorNode : public CoordinatorNode {
  public:
   explicit LhgParityCoordinatorNode(std::shared_ptr<SystemContext> f2_ctx)
@@ -169,9 +157,7 @@ class LhgParityCoordinatorNode : public CoordinatorNode {
   const char* role() const override { return "lhg-parity-coordinator"; }
 
  protected:
-  void OnSplitOrderDeliveryFailure(const SplitOrderMsg& order,
-                                   NodeId victim_node) override;
-  void OnOrphanedMoveRecords(const MoveRecordsMsg& move) override;
+  bool RecoverBucket(BucketNo bucket) override;
 
  private:
   LhgCoordinatorNode* main_ = nullptr;

@@ -38,9 +38,9 @@ void LhmBucketNode::HandleSubclassMessage(const Message& msg) {
   }
 }
 
-void LhmCoordinatorNode::RecoverBucket(BucketNo bucket) {
-  if (recovering_.contains(bucket)) return;
-  if (net()->available(ctx_->allocation.Lookup(bucket))) return;
+bool LhmCoordinatorNode::RecoverBucket(BucketNo bucket) {
+  if (recovering_.contains(bucket)) return true;
+  if (net()->available(ctx_->allocation.Lookup(bucket))) return true;
   LHRS_CHECK(sibling_ != nullptr);
   recovering_.insert(bucket);
 
@@ -51,27 +51,10 @@ void LhmCoordinatorNode::RecoverBucket(BucketNo bucket) {
   task.spare = CreateBucketNode(bucket, task.level);
   ctx_->allocation.Set(bucket, task.spare);
 
-  // Mirror addressing: the replicas split independently, so our bucket's
-  // keys can sit in the same-numbered sibling bucket or any of its split
-  // descendants. A key of our bucket satisfies k = bucket (mod 2^j N)
-  // where j is our bucket's level; every sibling bucket x with
-  // x = bucket (mod 2^j N) holds only such keys (levels never decrease),
-  // so reading exactly those buckets yields the full set with no filter.
-  // When this recovery resumes a stalled split (the victim died between
-  // the order and its execution), the bucket must be rebuilt with the
-  // records of the whole *pre-split* congruence class — the retried split
-  // partitions them afterwards. The per-record filter below keeps only
-  // what belongs (harmlessly a no-op in the ordinary case).
-  Level congruence_level = task.level;
-  if (pending_split_orders_.contains(bucket) ||
-      orphaned_moves_.contains(bucket)) {
-    LHRS_CHECK_GT(congruence_level, 0u);
-    --congruence_level;
-  }
-  const BucketNo stride =
-      BucketNo{ctx_->config.initial_buckets} << congruence_level;
-  const BucketNo sibling_extent = sibling_->state().bucket_count();
-  for (BucketNo x = bucket % stride; x < sibling_extent; x += stride) {
+  // The replicas split independently, so the bucket's keys sit in the
+  // same-numbered sibling bucket or any of its split descendants.
+  for (BucketNo x :
+       ReplicaBucketsFor(bucket, sibling_->state().bucket_count())) {
     auto read = std::make_unique<MirrorReadMsg>();
     read->task_id = task.id;
     read->bucket = x;
@@ -80,24 +63,7 @@ void LhmCoordinatorNode::RecoverBucket(BucketNo bucket) {
   }
   LHRS_CHECK_GT(task.awaiting, 0u);
   tasks_.emplace(task.id, std::move(task));
-}
-
-void LhmCoordinatorNode::OnSplitOrderDeliveryFailure(
-    const SplitOrderMsg& order, NodeId victim_node) {
-  (void)victim_node;
-  const BucketNo victim =
-      order.new_bucket -
-      (BucketNo{ctx_->config.initial_buckets} << (order.new_level - 1));
-  pending_split_orders_[victim] = order;
-  RecoverBucket(victim);
-}
-
-void LhmCoordinatorNode::OnOrphanedMoveRecords(const MoveRecordsMsg& move) {
-  // The split target died with the movers in flight; its content rebuilds
-  // entirely from the sibling replica (congruence read), so the in-flight
-  // copy is redundant.
-  orphaned_moves_.insert(move.bucket);
-  RecoverBucket(move.bucket);
+  return true;
 }
 
 void LhmCoordinatorNode::ServeFromSibling(
@@ -121,7 +87,7 @@ void LhmCoordinatorNode::HandleClientOpFallback(
     if (op.op == OpType::kSearch) {
       ServeFromSibling(op);
     } else {
-      parked_[a].push_back(op);
+      ParkOp(op);
     }
     return;
   }
@@ -130,21 +96,15 @@ void LhmCoordinatorNode::HandleClientOpFallback(
     if (op.op == OpType::kSearch) {
       ServeFromSibling(op);
     } else {
-      parked_[a].push_back(op);
+      ParkOp(op);
     }
     return;
   }
   DeliverViaState(op);
 }
 
-void LhmCoordinatorNode::OnOpDeliveryFailure(const OpRequestMsg& req) {
-  ClientOpViaCoordinatorMsg op;
-  op.op = req.op;
-  op.op_id = req.op_id;
-  op.client = req.client;
-  op.intended_bucket = req.intended_bucket;
-  op.key = req.key;
-  op.value = req.value;
+void LhmCoordinatorNode::OnOpDeliveryFailure(
+    const ClientOpViaCoordinatorMsg& op) {
   HandleClientOpFallback(op);
 }
 
@@ -156,21 +116,9 @@ void LhmCoordinatorNode::HandleSubclassMessage(const Message& msg) {
       if (it == tasks_.end()) return;
       CopyTask& task = it->second;
       for (const auto& rec : reply.records) {
-        // Keep only the records that belong in the bucket being rebuilt
-        // (the pre-split congruence read may over-fetch; for a pending
-        // split the movers re-partition when the split retries, so they
-        // DO belong here at the pre-split level — hence filter at the
-        // level the bucket will actually serve next, which is the
-        // pre-split one when a split order is pending).
-        const Level filter_level =
-            pending_split_orders_.contains(task.bucket) ? task.level - 1
-                                                        : task.level;
-        if (HashL(rec.key, filter_level, ctx_->config.initial_buckets) !=
-            task.bucket % (BucketNo{ctx_->config.initial_buckets}
-                           << filter_level)) {
-          continue;
+        if (BelongsInRebuild(task.bucket, rec.key)) {
+          task.records.push_back(rec);
         }
-        task.records.push_back(rec);
       }
       LHRS_CHECK_GT(task.awaiting, 0u);
       if (--task.awaiting > 0) return;
@@ -190,25 +138,7 @@ void LhmCoordinatorNode::HandleSubclassMessage(const Message& msg) {
       tasks_.erase(it);
       recovering_.erase(bucket);
       ++recoveries_completed_;
-      auto parked = parked_.find(bucket);
-      if (parked != parked_.end()) {
-        std::vector<ClientOpViaCoordinatorMsg> ops =
-            std::move(parked->second);
-        parked_.erase(parked);
-        for (const auto& op : ops) DeliverViaState(op);
-      }
-      if (auto pending = pending_split_orders_.find(bucket);
-          pending != pending_split_orders_.end()) {
-        Send(ctx_->allocation.Lookup(bucket),
-             std::make_unique<SplitOrderMsg>(pending->second));
-        pending_split_orders_.erase(pending);
-      }
-      if (orphaned_moves_.erase(bucket) > 0) {
-        // The split's content arrived via the sibling copy; release the
-        // latch the lost SplitDone would have cleared.
-        AbortRestructure();
-      }
-      MaybeStartSplit();
+      ReleaseBuckets({bucket});
       return;
     }
     default:

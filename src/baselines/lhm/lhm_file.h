@@ -121,16 +121,14 @@ class LhmCoordinatorNode : public CoordinatorNode {
     sibling_ctx_ = std::move(sibling_ctx);
   }
 
-  void RecoverBucket(BucketNo bucket);
+  /// Rebuilds `bucket` by bulk copy from the sibling replica.
+  bool RecoverBucket(BucketNo bucket) override;
   uint64_t recoveries_completed() const { return recoveries_completed_; }
 
  protected:
   void HandleClientOpFallback(const ClientOpViaCoordinatorMsg& op) override;
-  void OnOpDeliveryFailure(const OpRequestMsg& request) override;
+  void OnOpDeliveryFailure(const ClientOpViaCoordinatorMsg& op) override;
   void HandleSubclassMessage(const Message& msg) override;
-  void OnSplitOrderDeliveryFailure(const SplitOrderMsg& order,
-                                   NodeId victim_node) override;
-  void OnOrphanedMoveRecords(const MoveRecordsMsg& move) override;
   bool CanSplitNow() const override { return tasks_.empty(); }
 
  private:
@@ -153,9 +151,6 @@ class LhmCoordinatorNode : public CoordinatorNode {
   uint64_t next_task_id_ = 1;
   std::map<uint64_t, CopyTask> tasks_;
   std::set<BucketNo> recovering_;
-  std::map<BucketNo, std::vector<ClientOpViaCoordinatorMsg>> parked_;
-  std::map<BucketNo, SplitOrderMsg> pending_split_orders_;
-  std::set<BucketNo> orphaned_moves_;
   uint64_t recoveries_completed_ = 0;
 };
 

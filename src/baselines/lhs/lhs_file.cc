@@ -24,6 +24,13 @@ uint32_t GetLength(const Bytes& stripe) {
   return len;
 }
 
+OpOutcome Outcome(Status status, BufferView value = {}) {
+  OpOutcome out;
+  out.status = std::move(status);
+  out.value = std::move(value);
+  return out;
+}
+
 }  // namespace
 
 std::vector<Bytes> LhsFile::StripeValue(const Bytes& value,
@@ -175,9 +182,9 @@ void LhsBucketNode::HandleSubclassMessage(const Message& msg) {
   }
 }
 
-void LhsCoordinatorNode::RecoverBucket(BucketNo bucket) {
-  if (recovering_.contains(bucket)) return;
-  if (net()->available(ctx_->allocation.Lookup(bucket))) return;
+bool LhsCoordinatorNode::RecoverBucket(BucketNo bucket) {
+  if (recovering_.contains(bucket)) return true;
+  if (net()->available(ctx_->allocation.Lookup(bucket))) return true;
   LHRS_CHECK(!fleet_.empty());
   recovering_.insert(bucket);
 
@@ -188,18 +195,23 @@ void LhsCoordinatorNode::RecoverBucket(BucketNo bucket) {
   task.spare = CreateBucketNode(bucket, task.level);
   ctx_->allocation.Set(bucket, task.spare);
 
-  // All k+1 files hold every key in the same-numbered bucket (identical
-  // key sets -> identical split schedules), so the k sibling dumps XOR to
-  // the lost stripe.
+  // All k+1 files hold the same keys, so the k sibling dumps XOR to the
+  // lost stripe. Each file splits on its own schedule, so a sibling may
+  // hold the bucket's keys in its split descendants — or, while this
+  // bucket's own split is stalled, in the bucket it has not split yet.
   for (uint32_t f = 0; f <= stripe_count_; ++f) {
     if (f == file_index_) continue;
-    auto read = std::make_unique<StripeReadMsg>();
-    read->task_id = task.id;
-    read->bucket = bucket;
-    ++task.awaiting;
-    Send(fleet_[f]->allocation.Lookup(bucket), std::move(read));
+    const AllocationTable& sibling = fleet_[f]->allocation;
+    for (BucketNo x : ReplicaBucketsFor(bucket, sibling.size())) {
+      auto read = std::make_unique<StripeReadMsg>();
+      read->task_id = task.id;
+      read->bucket = x;
+      ++task.awaiting;
+      Send(sibling.Lookup(x), std::move(read));
+    }
   }
   tasks_.emplace(task.id, std::move(task));
+  return true;
 }
 
 void LhsCoordinatorNode::HandleClientOpFallback(
@@ -214,7 +226,7 @@ void LhsCoordinatorNode::HandleClientOpFallback(
   if (recovering_.contains(a) ||
       !net()->available(ctx_->allocation.Lookup(a))) {
     RecoverBucket(a);
-    parked_[a].push_back(op);  // Served right after the rebuild.
+    ParkOp(op);  // Served right after the rebuild.
     return;
   }
   DeliverViaState(op);
@@ -224,19 +236,9 @@ void LhsCoordinatorNode::MarkLost(RebuildTask& task) {
   const BucketNo bucket = task.bucket;
   lost_buckets_.insert(bucket);
   recovering_.erase(bucket);
-  // Stand the half-built spare down so queued ops bounce back here.
-  auto stand_down = std::make_unique<SelfCheckReplyMsg>();
-  stand_down->bucket = bucket;
-  stand_down->still_owner = false;
-  Send(task.spare, std::move(stand_down));
-  auto parked = parked_.find(bucket);
-  if (parked != parked_.end()) {
-    for (const auto& op : parked->second) {
-      FailClientOp(op, StatusCode::kDataLoss,
-                   "two stripe columns lost: beyond LH*s 1-availability");
-    }
-    parked_.erase(parked);
-  }
+  // The spare bounces its queued ops back here, where they fail loudly.
+  LoseBucket(bucket, /*stand_down=*/true,
+             "two stripe columns lost: beyond LH*s 1-availability");
   tasks_.erase(task.id);
   MaybeStartSplit();
 }
@@ -252,14 +254,8 @@ void LhsCoordinatorNode::HandleSubclassDeliveryFailure(const Message& msg) {
   CoordinatorNode::HandleSubclassDeliveryFailure(msg);
 }
 
-void LhsCoordinatorNode::OnOpDeliveryFailure(const OpRequestMsg& req) {
-  ClientOpViaCoordinatorMsg op;
-  op.op = req.op;
-  op.op_id = req.op_id;
-  op.client = req.client;
-  op.intended_bucket = req.intended_bucket;
-  op.key = req.key;
-  op.value = req.value;
+void LhsCoordinatorNode::OnOpDeliveryFailure(
+    const ClientOpViaCoordinatorMsg& op) {
   HandleClientOpFallback(op);
 }
 
@@ -275,6 +271,7 @@ void LhsCoordinatorNode::HandleSubclassMessage(const Message& msg) {
         return;
       }
       for (const auto& rec : reply.records) {
+        if (!BelongsInRebuild(task.bucket, rec.key)) continue;
         auto [acc, fresh] = task.accumulator.try_emplace(rec.key, rec.value);
         if (fresh) continue;
         // XOR the chunk parts; the 4-byte length prefix is identical in
@@ -308,14 +305,7 @@ void LhsCoordinatorNode::HandleSubclassMessage(const Message& msg) {
       tasks_.erase(it);
       recovering_.erase(bucket);
       ++recoveries_completed_;
-      auto parked = parked_.find(bucket);
-      if (parked != parked_.end()) {
-        std::vector<ClientOpViaCoordinatorMsg> ops =
-            std::move(parked->second);
-        parked_.erase(parked);
-        for (const auto& op : ops) DeliverViaState(op);
-      }
-      MaybeStartSplit();
+      ReleaseBuckets({bucket});
       return;
     }
     default:
@@ -381,6 +371,15 @@ void LhsFile::OnSubOpComplete(uint32_t file_index, size_t session,
 void LhsFile::AdvanceWrite(sdds::OpToken token, LogicalOp& lop,
                            OpOutcome sub) {
   // k + 1 writes, one per stripe site (the LH*s write cost), fail-fast.
+  if (lop.op == OpType::kInsert && lop.next > 0 &&
+      sub.status.code() == StatusCode::kAlreadyExists) {
+    // Stripe 0 took the key, so it is new: this stripe holds a torn copy
+    // that a rebuild XORed from the stripes already written while the
+    // insert was parked on the dead bucket. Overwrite it.
+    StartSubOp(lop.next, lop.session, token, OpType::kUpdate, lop.key,
+               BufferView(lop.stripes[lop.next]));
+    return;
+  }
   if (!sub.status.ok()) {
     FinishOp(token, std::move(sub));
     return;
@@ -393,7 +392,7 @@ void LhsFile::AdvanceWrite(sdds::OpToken token, LogicalOp& lop,
                std::move(value));
     return;
   }
-  FinishOp(token, OpOutcome{Status::OK(), {}});
+  FinishOp(token, Outcome(Status::OK()));
 }
 
 void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
@@ -401,7 +400,7 @@ void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
   if (lop.parity_fetch) {
     // Degraded read: reconstruct the missing stripe from parity.
     if (!sub.status.ok()) {
-      FinishOp(token, OpOutcome{std::move(sub.status), {}});
+      FinishOp(token, Outcome(std::move(sub.status)));
       return;
     }
     std::vector<const Bytes*> present(stripe_count_, nullptr);
@@ -411,7 +410,7 @@ void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
     lop.stripes[lop.missing] =
         ReconstructStripe(present, sub.value, stripe_count_, lop.missing);
     Bytes assembled = AssembleValue(lop.stripes, stripe_count_);
-    FinishOp(token, OpOutcome{Status::OK(), BufferView(assembled)});
+    FinishOp(token, Outcome(Status::OK(), BufferView(assembled)));
     return;
   }
   // Gathering the k data stripes (k messages — the striping read penalty).
@@ -422,16 +421,14 @@ void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
   } else if (sub.status.IsNotFound()) {
     // Key absent everywhere: identical split schedules mean no stripe file
     // holds it, so the remaining fetches are skipped.
-    FinishOp(token, OpOutcome{std::move(sub.status), {}});
+    FinishOp(token, Outcome(std::move(sub.status)));
     return;
   } else if (lop.missing == stripe_count_) {
     lop.missing = s;  // First unavailable stripe: parity can cover it.
   } else {
     FinishOp(token,
-             OpOutcome{Status::DataLoss(
-                           "two stripes unavailable: beyond LH*s "
-                           "1-availability"),
-                       {}});
+             Outcome(Status::DataLoss("two stripes unavailable: beyond "
+                                      "LH*s 1-availability")));
     return;
   }
   ++lop.next;
@@ -441,7 +438,7 @@ void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
   }
   if (lop.missing == stripe_count_) {
     Bytes assembled = AssembleValue(lop.stripes, stripe_count_);
-    FinishOp(token, OpOutcome{Status::OK(), BufferView(assembled)});
+    FinishOp(token, Outcome(Status::OK(), BufferView(assembled)));
     return;
   }
   lop.parity_fetch = true;

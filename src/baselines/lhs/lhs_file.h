@@ -127,12 +127,13 @@ class LhsCoordinatorNode : public CoordinatorNode {
     fleet_ = std::move(fleet);
   }
 
-  void RecoverBucket(BucketNo bucket);
+  /// XOR-rebuilds `bucket` from the sibling stripe files.
+  bool RecoverBucket(BucketNo bucket) override;
   uint64_t recoveries_completed() const { return recoveries_completed_; }
 
  protected:
   void HandleClientOpFallback(const ClientOpViaCoordinatorMsg& op) override;
-  void OnOpDeliveryFailure(const OpRequestMsg& request) override;
+  void OnOpDeliveryFailure(const ClientOpViaCoordinatorMsg& op) override;
   void HandleSubclassMessage(const Message& msg) override;
   void HandleSubclassDeliveryFailure(const Message& msg) override;
   bool CanSplitNow() const override { return tasks_.empty(); }
@@ -159,7 +160,6 @@ class LhsCoordinatorNode : public CoordinatorNode {
   std::map<uint64_t, RebuildTask> tasks_;
   std::set<BucketNo> recovering_;
   std::set<BucketNo> lost_buckets_;
-  std::map<BucketNo, std::vector<ClientOpViaCoordinatorMsg>> parked_;
   uint64_t recoveries_completed_ = 0;
 };
 

@@ -334,25 +334,11 @@ void RsCoordinatorNode::MarkGroupLost(uint32_t g) {
     tasks_.erase(it->second);
     group_task_.erase(it);
   }
-  const uint32_t m = lhrs_ctx_->m;
   for (uint32_t slot = 0; slot < ExistingSlots(g); ++slot) {
-    const BucketNo b = g * m + slot;
-    if (recovering_data_.contains(b)) {
-      // Stand the half-built spare down so it bounces queued ops back
-      // here, where they fail loudly instead of hanging.
-      auto stand_down = std::make_unique<SelfCheckReplyMsg>();
-      stand_down->bucket = b;
-      stand_down->still_owner = false;
-      Send(ctx_->allocation.Lookup(b), std::move(stand_down));
-    }
-    auto parked = parked_.find(b);
-    if (parked == parked_.end()) continue;
-    for (const auto& op : parked->second) {
-      FailClientOp(op, StatusCode::kDataLoss,
-                   "bucket group lost more columns than its availability "
-                   "level tolerates");
-    }
-    parked_.erase(parked);
+    const BucketNo b = g * lhrs_ctx_->m + slot;
+    LoseBucket(b, /*stand_down=*/recovering_data_.contains(b),
+               "bucket group lost more columns than its availability "
+               "level tolerates");
   }
   std::vector<uint64_t> doomed;
   for (auto& [id, task] : degraded_) {
@@ -362,37 +348,6 @@ void RsCoordinatorNode::MarkGroupLost(uint32_t g) {
     FailDegradedRead(degraded_.at(id),
                      Status::DataLoss("bucket group lost"));
   }
-  // Restructuring steps stalled on buckets of the lost group can never
-  // resume; abandon them so the file keeps operating elsewhere.
-  bool dropped_restructure = false;
-  for (auto it = pending_split_orders_.begin();
-       it != pending_split_orders_.end();) {
-    if (GroupOf(it->first, m) == g) {
-      it = pending_split_orders_.erase(it);
-      dropped_restructure = true;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = pending_move_records_.begin();
-       it != pending_move_records_.end();) {
-    if (GroupOf(it->first, m) == g) {
-      it = pending_move_records_.erase(it);
-      dropped_restructure = true;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = pending_merge_records_.begin();
-       it != pending_merge_records_.end();) {
-    if (GroupOf(it->first, m) == g) {
-      it = pending_merge_records_.erase(it);
-      dropped_restructure = true;
-    } else {
-      ++it;
-    }
-  }
-  if (dropped_restructure) AbortRestructure();
   MaybeStartSplit();
 }
 
@@ -518,18 +473,12 @@ void RsCoordinatorNode::OnInstallDone(const InstallDoneMsg& done) {
 
 void RsCoordinatorNode::FinishTask(RecoveryTask& task) {
   const uint32_t m = lhrs_ctx_->m;
-  std::vector<ClientOpViaCoordinatorMsg> to_replay;
   std::vector<BucketNo> recovered_buckets;
   for (uint32_t col : task.missing_columns) {
     if (col < m) {
       const BucketNo b = task.group * m + col;
       recovering_data_.erase(b);
       recovered_buckets.push_back(b);
-      auto parked = parked_.find(b);
-      if (parked != parked_.end()) {
-        for (auto& op : parked->second) to_replay.push_back(std::move(op));
-        parked_.erase(parked);
-      }
     } else {
       recovering_parity_.erase({task.group, col - m});
     }
@@ -555,41 +504,12 @@ void RsCoordinatorNode::FinishTask(RecoveryTask& task) {
   }
   group_task_.erase(g);
   tasks_.erase(task.id);  // `task` is dead after this line.
-  for (const auto& op : to_replay) DeliverViaState(op);
-
-  // Resume restructuring steps that stalled on now-recovered buckets.
-  for (BucketNo b : recovered_buckets) {
-    if (auto it = pending_split_orders_.find(b);
-        it != pending_split_orders_.end()) {
-      Send(ctx_->allocation.Lookup(b),
-           std::make_unique<SplitOrderMsg>(it->second));
-      pending_split_orders_.erase(it);
-    }
-    if (auto it = pending_move_records_.find(b);
-        it != pending_move_records_.end()) {
-      Send(ctx_->allocation.Lookup(b),
-           std::make_unique<MoveRecordsMsg>(it->second));
-      pending_move_records_.erase(it);
-    }
-    if (auto it = pending_merge_records_.find(b);
-        it != pending_merge_records_.end()) {
-      Send(ctx_->allocation.Lookup(b),
-           std::make_unique<MergeRecordsMsg>(it->second));
-      pending_merge_records_.erase(it);
-    }
-  }
-  MaybeStartSplit();
+  ReleaseBuckets(recovered_buckets);
 }
 
-void RsCoordinatorNode::OnSplitOrderDeliveryFailure(const SplitOrderMsg& order,
-                                                    NodeId victim_node) {
-  // The split victim is down (undetected until now). Recover it, then
-  // retry the order; the state already advanced and the new bucket exists.
-  const BucketNo victim =
-      order.new_bucket -
-      (BucketNo{ctx_->config.initial_buckets} << (order.new_level - 1));
-  pending_split_orders_[victim] = order;
-  NotifyUnavailable(victim_node);
+bool RsCoordinatorNode::RecoverBucket(BucketNo bucket) {
+  StartRecovery(GroupOf(bucket, lhrs_ctx_->m));
+  return true;
 }
 
 void RsCoordinatorNode::OnOrphanedMoveRecords(const MoveRecordsMsg& move) {
@@ -607,7 +527,7 @@ void RsCoordinatorNode::OnOrphanedMoveRecords(const MoveRecordsMsg& move) {
   }
   // The split target died holding no state; the moved records live only in
   // this message. Recover the (empty) target, then deliver the move.
-  pending_move_records_[move.bucket] = move;
+  StallMove(move);
   if (!IsRecoveringData(move.bucket)) {
     StartRecovery(GroupOf(move.bucket, lhrs_ctx_->m));
   }
@@ -623,7 +543,7 @@ void RsCoordinatorNode::OnOrphanedMergeRecords(const MergeRecordsMsg& merge) {
       return;
     }
   }
-  pending_merge_records_[merge.parent_bucket] = merge;
+  StallMerge(merge);
   if (!IsRecoveringData(merge.parent_bucket)) {
     StartRecovery(GroupOf(merge.parent_bucket, lhrs_ctx_->m));
   }
@@ -644,7 +564,7 @@ void RsCoordinatorNode::WipeSoftStateAndResurvey() {
   recovering_parity_.clear();
   degraded_.clear();
   scrubs_.clear();
-  parked_.clear();
+  ClearParkedOps();
   probes_.clear();
   survey_rebuilt_ = false;
 
@@ -665,7 +585,6 @@ void RsCoordinatorNode::WipeSoftStateAndResurvey() {
 }
 
 void RsCoordinatorNode::FinishSurvey(SurveyState& survey) {
-  const uint32_t m = lhrs_ctx_->m;
   // Allocation table + (A6) file state from the data-bucket replies.
   Level min_level = ~Level{0};
   BucketNo max_bucket = 0;
@@ -878,11 +797,6 @@ void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
 
 // --- Client ops in degraded mode ------------------------------------------
 
-void RsCoordinatorNode::ParkOp(const ClientOpViaCoordinatorMsg& op) {
-  const BucketNo a = state_.Address(op.key);
-  parked_[a].push_back(op);
-}
-
 void RsCoordinatorNode::HandleClientOpFallback(
     const ClientOpViaCoordinatorMsg& op) {
   MaybeResetClientImage(op);
@@ -931,15 +845,9 @@ void RsCoordinatorNode::OnDataBucketUnreachable(
   }
 }
 
-void RsCoordinatorNode::OnOpDeliveryFailure(const OpRequestMsg& req) {
-  ClientOpViaCoordinatorMsg op;
-  op.op = req.op;
-  op.op_id = req.op_id;
-  op.client = req.client;
-  op.intended_bucket = req.intended_bucket;
-  op.key = req.key;
-  op.value = req.value;
-  OnDataBucketUnreachable(req.intended_bucket, &op);
+void RsCoordinatorNode::OnOpDeliveryFailure(
+    const ClientOpViaCoordinatorMsg& op) {
+  OnDataBucketUnreachable(op.intended_bucket, &op);
 }
 
 void RsCoordinatorNode::StartDegradedRead(

@@ -123,9 +123,9 @@ class RsCoordinatorNode : public CoordinatorNode {
   void HandleUnavailableReport(const UnavailableReportMsg& report) override;
   void HandleSubclassMessage(const Message& msg) override;
   void HandleSubclassDeliveryFailure(const Message& msg) override;
-  void OnOpDeliveryFailure(const OpRequestMsg& request) override;
-  void OnSplitOrderDeliveryFailure(const SplitOrderMsg& order,
-                                   NodeId victim_node) override;
+  void OnOpDeliveryFailure(const ClientOpViaCoordinatorMsg& op) override;
+  /// Recovers the bucket's group.
+  bool RecoverBucket(BucketNo bucket) override;
   void OnOrphanedMoveRecords(const MoveRecordsMsg& move) override;
   void OnOrphanedMergeRecords(const MergeRecordsMsg& merge) override;
   bool CanSplitNow() const override {
@@ -237,7 +237,6 @@ class RsCoordinatorNode : public CoordinatorNode {
   void TryDecodeAndInstall(RecoveryTask& task);
   void OnInstallDone(const InstallDoneMsg& done);
   void FinishTask(RecoveryTask& task);
-  void ParkOp(const ClientOpViaCoordinatorMsg& op);
   void OnDataBucketUnreachable(BucketNo bucket,
                                const ClientOpViaCoordinatorMsg* op);
 
@@ -260,12 +259,6 @@ class RsCoordinatorNode : public CoordinatorNode {
   std::map<uint32_t, uint64_t> group_task_;      // group -> active task id.
   std::set<BucketNo> recovering_data_;
   std::set<std::pair<uint32_t, uint32_t>> recovering_parity_;
-  std::map<BucketNo, std::vector<ClientOpViaCoordinatorMsg>> parked_;
-  /// Restructuring steps stalled on a dead participant, resumed when its
-  /// bucket finishes recovering. Keyed by that bucket.
-  std::map<BucketNo, SplitOrderMsg> pending_split_orders_;
-  std::map<BucketNo, MoveRecordsMsg> pending_move_records_;
-  std::map<BucketNo, MergeRecordsMsg> pending_merge_records_;
 
   std::map<uint64_t, DegradedReadTask> degraded_;
   std::map<ReadSetKey, ReadSet> read_set_memo_;

@@ -228,28 +228,30 @@ void CoordinatorNode::HandleUnavailableReport(const UnavailableReportMsg&) {
   // Plain LH* has no recovery machinery; reports are informational.
 }
 
-void CoordinatorNode::OnOpDeliveryFailure(const OpRequestMsg& req) {
-  ClientOpViaCoordinatorMsg op;
-  op.op = req.op;
-  op.op_id = req.op_id;
-  op.client = req.client;
-  op.intended_bucket = req.intended_bucket;
-  op.key = req.key;
-  op.value = req.value;
+void CoordinatorNode::OnOpDeliveryFailure(
+    const ClientOpViaCoordinatorMsg& op) {
   FailClientOp(op, StatusCode::kUnavailable,
                "bucket unavailable and file has no availability layer");
 }
 
-void CoordinatorNode::OnSplitOrderDeliveryFailure(const SplitOrderMsg& order,
-                                                  NodeId victim_node) {
-  (void)order;
-  (void)victim_node;
+bool CoordinatorNode::RecoverBucket(BucketNo) { return false; }
+
+void CoordinatorNode::OnSplitOrderDeliveryFailure(const SplitOrderMsg& order) {
+  const BucketNo victim =
+      order.new_bucket -
+      (BucketNo{ctx_->config.initial_buckets} << (order.new_level - 1));
+  stalled_split_orders_[victim] = order;
+  if (RecoverBucket(victim)) return;
+  stalled_split_orders_.erase(victim);
   LHRS_LOG(Warning) << "split victim unreachable; split abandoned "
                        "(no availability layer)";
   restructure_in_progress_ = false;
 }
 
 void CoordinatorNode::OnOrphanedMoveRecords(const MoveRecordsMsg& move) {
+  rebuilt_moves_.insert(move.bucket);
+  if (RecoverBucket(move.bucket)) return;
+  rebuilt_moves_.erase(move.bucket);
   LHRS_LOG(Warning) << "split target for bucket " << move.bucket
                     << " lost with " << move.records.size()
                     << " records in flight (no availability layer)";
@@ -263,14 +265,114 @@ void CoordinatorNode::OnOrphanedMergeRecords(const MergeRecordsMsg& merge) {
   restructure_in_progress_ = false;
 }
 
+// --- Unavailable buckets -----------------------------------------------------
+
+void CoordinatorNode::ParkOp(const ClientOpViaCoordinatorMsg& op) {
+  parked_[state_.Address(op.key)].push_back(op);
+}
+
+const SplitOrderMsg* CoordinatorNode::StalledSplitOrder(
+    BucketNo victim) const {
+  auto it = stalled_split_orders_.find(victim);
+  return it == stalled_split_orders_.end() ? nullptr : &it->second;
+}
+
+void CoordinatorNode::ReleaseBuckets(const std::vector<BucketNo>& buckets) {
+  for (BucketNo b : buckets) {
+    auto parked = parked_.find(b);
+    if (parked == parked_.end()) continue;
+    const std::vector<ClientOpViaCoordinatorMsg> ops =
+        std::move(parked->second);
+    parked_.erase(parked);
+    for (const auto& op : ops) DeliverViaState(op);
+  }
+  for (BucketNo b : buckets) {
+    const NodeId node = ctx_->allocation.Lookup(b);
+    if (auto it = stalled_split_orders_.find(b);
+        it != stalled_split_orders_.end()) {
+      Send(node, std::make_unique<SplitOrderMsg>(it->second));
+      stalled_split_orders_.erase(it);
+    }
+    if (auto it = stalled_moves_.find(b); it != stalled_moves_.end()) {
+      Send(node, std::make_unique<MoveRecordsMsg>(it->second));
+      stalled_moves_.erase(it);
+    }
+    if (auto it = stalled_merges_.find(b); it != stalled_merges_.end()) {
+      Send(node, std::make_unique<MergeRecordsMsg>(it->second));
+      stalled_merges_.erase(it);
+    }
+    // The lost movers were rebuilt into the bucket, so the split is done;
+    // release the latch its lost SplitDone would have cleared.
+    if (rebuilt_moves_.erase(b) > 0) AbortRestructure();
+  }
+  MaybeStartSplit();
+}
+
+void CoordinatorNode::LoseBucket(BucketNo bucket, bool stand_down,
+                                 const std::string& error) {
+  if (stand_down) {
+    auto reply = std::make_unique<SelfCheckReplyMsg>();
+    reply->bucket = bucket;
+    reply->still_owner = false;
+    Send(ctx_->allocation.Lookup(bucket), std::move(reply));
+  }
+  if (auto parked = parked_.find(bucket); parked != parked_.end()) {
+    for (const auto& op : parked->second) {
+      FailClientOp(op, StatusCode::kDataLoss, error);
+    }
+    parked_.erase(parked);
+  }
+  // A restructuring step stalled here can never resume; abandon it so the
+  // file keeps operating elsewhere.
+  if (stalled_split_orders_.erase(bucket) + stalled_moves_.erase(bucket) +
+          stalled_merges_.erase(bucket) + rebuilt_moves_.erase(bucket) >
+      0) {
+    AbortRestructure();
+  }
+}
+
+std::vector<BucketNo> CoordinatorNode::ReplicaBucketsFor(
+    BucketNo bucket, BucketNo replica_extent) const {
+  Level level = state_.BucketLevel(bucket);
+  if (stalled_split_orders_.contains(bucket) ||
+      rebuilt_moves_.contains(bucket)) {
+    LHRS_CHECK_GT(level, 0u);
+    --level;
+  }
+  // Levels never decrease, so every replica bucket x = bucket (mod 2^j N)
+  // holds only keys of the class, and together they hold all of them.
+  const BucketNo stride = BucketNo{ctx_->config.initial_buckets} << level;
+  std::vector<BucketNo> out;
+  for (BucketNo x = bucket % stride; x < replica_extent; x += stride) {
+    out.push_back(x);
+  }
+  return out;
+}
+
+bool CoordinatorNode::BelongsInRebuild(BucketNo bucket, Key key) const {
+  Level level = state_.BucketLevel(bucket);
+  if (stalled_split_orders_.contains(bucket)) --level;
+  const uint32_t n = ctx_->config.initial_buckets;
+  return HashL(key, level, n) == bucket % (BucketNo{n} << level);
+}
+
 void CoordinatorNode::HandleDeliveryFailure(const Message& msg) {
   switch (msg.body->kind()) {
-    case LhStarMsg::kOpRequest:
-      OnOpDeliveryFailure(static_cast<const OpRequestMsg&>(*msg.body));
+    case LhStarMsg::kOpRequest: {
+      const auto& req = static_cast<const OpRequestMsg&>(*msg.body);
+      ClientOpViaCoordinatorMsg op;
+      op.op = req.op;
+      op.op_id = req.op_id;
+      op.client = req.client;
+      op.intended_bucket = req.intended_bucket;
+      op.key = req.key;
+      op.value = req.value;
+      OnOpDeliveryFailure(op);
       return;
+    }
     case LhStarMsg::kSplitOrder:
       OnSplitOrderDeliveryFailure(
-          static_cast<const SplitOrderMsg&>(*msg.body), msg.to);
+          static_cast<const SplitOrderMsg&>(*msg.body));
       return;
     case LhStarMsg::kMergeOut: {
       // The merge victim is down: undo the state reversal (the merge never
