@@ -454,6 +454,12 @@ struct MemoGeometry {
   uint32_t k;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, which hold
+// the address of `code` and so change whenever the binary's layout does.
+void PrintTo(const MemoGeometry& geo, std::ostream* os) {
+  *os << geo.code << " m=" << geo.m << " k=" << geo.k;
+}
+
 /// What one search returned and what it cost.
 struct MeasuredSearch {
   StatusCode code = StatusCode::kOk;
