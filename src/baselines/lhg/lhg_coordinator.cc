@@ -525,12 +525,28 @@ void LhgCoordinatorNode::HandleSubclassMessage(const Message& msg) {
 
 void LhgCoordinatorNode::HandleSubclassDeliveryFailure(const Message& msg) {
   switch (msg.body->kind()) {
-    case LhgMsg::kCollectForData:
+    case LhgMsg::kCollectForData: {
+      // An F2 bucket is also down: a scan with deterministic termination
+      // terminates abnormally on unavailability (section 2.7), so the
+      // bucket cannot be rebuilt. Losing it fails its parked ops loudly.
+      const auto& req = static_cast<const CollectForDataMsg&>(*msg.body);
+      auto task = data_tasks_.find(req.task_id);
+      if (task == data_tasks_.end()) return;
+      LHRS_LOG(Warning) << "LH*g bucket recovery aborted: parity bucket "
+                           "down during recovery scan";
+      const BucketNo bucket = task->second.bucket;
+      data_tasks_.erase(task);
+      MarkBucketLost(bucket);
+      return;
+    }
     case LhgMsg::kFindParity: {
-      // An F2 bucket is also down: recover it first; the blocked task
-      // aborts (scans with deterministic termination terminate abnormally
-      // on unavailability, section 2.7).
-      LHRS_LOG(Warning) << "LH*g: parity bucket down during recovery scan";
+      // The same abnormal termination, for a degraded read's scan.
+      const auto& req = static_cast<const FindParityMsg&>(*msg.body);
+      auto task = degraded_.find(req.task_id);
+      if (task == degraded_.end()) return;
+      FailClientOp(task->second.op, StatusCode::kDataLoss,
+                   "multiple bucket failures exceed LH*g 1-availability");
+      degraded_.erase(task);
       return;
     }
     case LhgMsg::kCollectForParity:

@@ -91,6 +91,7 @@ class LhgScheme : public Scheme {
     return [] {};
   }
   Status Verify() override { return file_.VerifyParityInvariants(); }
+  lhg::LhgFile& lhg() { return file_; }
 
  private:
   static lhg::LhgFile::Options Options() {
@@ -287,6 +288,25 @@ TEST_P(BeyondToleranceTest, ParkedWritesFailLoudly) {
     ASSERT_TRUE(outcome.ok()) << outcome.status();
     EXPECT_TRUE(outcome->status.IsDataLoss()) << outcome->status;
   }
+}
+
+// LH*g: a parity bucket fails, then data bucket 0. Rebuilding bucket 0
+// scans every parity bucket, and the scan bounces off the dead one, so
+// bucket 0 is lost: an update and a search addressed to it fail with
+// kDataLoss instead of waiting forever.
+TEST_F(BeyondToleranceTest, LhgParityBucketDownBeforeDataBucket) {
+  LhgScheme scheme;
+  const std::map<Key, Bytes> contents = Populate(scheme, 60, 13);
+  Key resident = 0;
+  for (const auto& [key, value] : contents) {
+    if (scheme.state().Address(key) == 0) resident = key;
+  }
+  scheme.lhg().CrashParityBucket(0);
+  scheme.Crash(0);
+  const Status update = scheme.file().Update(resident, ValueOf(resident, 1));
+  EXPECT_TRUE(update.IsDataLoss()) << update;
+  const Status search = scheme.file().Search(resident).status();
+  EXPECT_TRUE(search.IsDataLoss()) << search;
 }
 
 TEST_P(UnavailableBucketTest, SplitVictimDownWhenOrderSent) {
