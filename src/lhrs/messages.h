@@ -1,9 +1,11 @@
 #ifndef LHRS_LHRS_MESSAGES_H_
 #define LHRS_LHRS_MESSAGES_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -143,6 +145,8 @@ struct RankedRecord {
 };
 
 /// Wire form of a parity record (the non-key part of parity record (g, r)).
+/// The single-record replies of degraded reads carry one; a column dump
+/// carries a ParityColumn, whose rows have this same wire form.
 struct WireParityRecord {
   Rank rank = 0;
   /// Per data slot: the member's key, or nullopt when the slot has no
@@ -159,6 +163,113 @@ struct WireParityRecord {
       v(keys[i]);
       v(lengths[i]);
     }
+    v(parity);
+  }
+};
+
+/// A whole parity column: the parity records of one parity bucket in
+/// ascending rank order, as flat arrays. Row i is record group
+/// (g, ranks[i]); its m member slots are cells [i * m, (i + 1) * m) of
+/// `keys` and `lengths`. A column of n rows is four allocations, not one
+/// heap object per record, and each parity value is a shared view.
+///
+/// On the wire each row is a WireParityRecord: rank, slot count m, m times
+/// (key with presence, length), parity. The row count travels as the
+/// enclosing message's `v.Count(column)`, the way a vector's does, so
+/// Fields() lists the rows only.
+struct ParityColumn {
+  uint32_t m = 0;                        ///< Member slots per row.
+  std::vector<Rank> ranks;               ///< [row], ascending.
+  std::vector<std::optional<Key>> keys;  ///< [row * m + slot].
+  std::vector<uint32_t> lengths;  ///< [row * m + slot]; 0 when no member.
+  std::vector<BufferView> parity;  ///< [row].
+
+  ParityColumn() = default;
+  explicit ParityColumn(uint32_t slots) : m(slots) {}
+
+  size_t size() const { return ranks.size(); }
+  size_t Cell(size_t row, uint32_t slot) const { return row * m + slot; }
+  void reserve(size_t rows) {
+    ranks.reserve(rows);
+    keys.reserve(rows * m);
+    lengths.reserve(rows * m);
+    parity.reserve(rows);
+  }
+  /// Appends a row with no members yet; returns its index.
+  size_t AddRow(Rank rank, BufferView row_parity) {
+    ranks.push_back(rank);
+    keys.resize(keys.size() + m);
+    lengths.resize(lengths.size() + m, 0);
+    parity.push_back(std::move(row_parity));
+    return ranks.size() - 1;
+  }
+
+  // The wire side (net/fields.h). `v.Count(column)` sizes the rows through
+  // value_type and resize(); each row's `v.Count` then sizes its cells.
+  using value_type = WireParityRecord;  ///< The smallest row on the wire.
+  /// Sizes an empty column (a decode or a test sample) to `rows` rows
+  /// whose cells arrive row by row.
+  void resize(size_t rows) {
+    ranks.resize(rows);
+    parity.resize(rows);
+  }
+
+  template <class V>
+  void Fields(V& v) {
+    for (size_t row = 0; row < ranks.size(); ++row) {
+      v(ranks[row]);
+      RowCells<std::optional<Key>> row_keys{keys, row, m};
+      RowCells<uint32_t> row_lengths{lengths, row, m};
+      v.Count(row_keys, row_lengths);
+      // A decode that failed before this row's cells exist visits none.
+      const size_t end = std::min(keys.size(), (row + 1) * size_t{m});
+      for (size_t cell = row * m; cell < end; ++cell) {
+        v(keys[cell]);
+        v(lengths[cell]);
+      }
+      v(parity[row]);
+    }
+  }
+
+ private:
+  /// One row's cells of a flat array, as `v.Count` sizes them: the first
+  /// row's count sets the column's width m, and every row gets m cells. A
+  /// later row that counts otherwise is refused (its size stays m), which
+  /// fails the decode.
+  template <class T>
+  struct RowCells {
+    std::vector<T>& cells;
+    size_t row;
+    uint32_t& width;
+
+    using value_type = T;
+    size_t size() const { return width; }
+    void resize(size_t n) {
+      if (row == 0) width = static_cast<uint32_t>(n);
+      cells.resize((row + 1) * width);
+    }
+  };
+};
+
+/// One surviving column's full dump, as a column read returns it: a data
+/// column's records or a parity column's rows, both in ascending rank
+/// order. The reply carries it behind a shared pointer, so the recovery
+/// task adopts it without a copy.
+struct ColumnDump {
+  uint32_t column = 0;  ///< 0..m-1 data slot, m..m+k-1 parity index + m.
+  Level level = 0;      ///< Data columns: the bucket's level j.
+  std::vector<RankedRecord> records;  ///< Data columns.
+  ParityColumn parity;                ///< Parity columns.
+
+  bool is_parity(uint32_t m) const { return column >= m; }
+
+  template <class V>
+  void Fields(V& v) {
+    v(column);
+    v(level);
+    v.Count(records);
+    v.Count(parity);
+    for (RankedRecord& r : records) v(r);
     v(parity);
   }
 };
@@ -180,29 +291,22 @@ struct ColumnReadRequestMsg : WireMessage<ColumnReadRequestMsg> {
   }
 };
 
-/// Survivor -> coordinator: full column dump. Exactly one of
-/// records/parity_records is populated, matching the sender's role.
+/// Survivor -> coordinator: full column dump.
 struct ColumnReadReplyMsg : WireMessage<ColumnReadReplyMsg> {
   static constexpr int kKind = LhrsMsg::kColumnReadReply;
   static constexpr char kName[] = "lhrs.ColumnReadReply";
 
   uint64_t task_id = 0;
-  uint32_t column = 0;  ///< 0..m-1 data slot, m..m+k-1 parity index + m.
-  std::vector<RankedRecord> records;
-  std::vector<WireParityRecord> parity_records;
-  Level level = 0;  ///< Data columns: the bucket's level j.
+  /// Immutable and shared: a resend or a chaos duplicate of this reply
+  /// shares the one body, and the coordinator keeps the pointer.
+  std::shared_ptr<const ColumnDump> dump;
 
   uint32_t attempt = 0;  ///< Transport metadata (resends); not in Fields().
 
   template <class V>
   void Fields(V& v) {
     v(task_id);
-    v(column);
-    v(level);
-    v.Count(records);
-    v.Count(parity_records);
-    for (RankedRecord& r : records) v(r);
-    for (WireParityRecord& p : parity_records) v(p);
+    v(dump);
   }
 };
 
@@ -235,16 +339,16 @@ struct InstallParityColumnMsg : WireMessage<InstallParityColumnMsg> {
   uint64_t task_id = 0;
   uint32_t group = 0;
   uint32_t parity_index = 0;
-  std::vector<WireParityRecord> parity_records;
+  ParityColumn parity;
 
   template <class V>
   void Fields(V& v) {
     v(task_id);
     v(group);
     v(parity_index);
-    v.Count(parity_records);
+    v.Count(parity);
     v.Pad(4);
-    for (WireParityRecord& p : parity_records) v(p);
+    v(parity);
   }
 };
 

@@ -20,8 +20,8 @@ namespace lhrs {
 /// Parity record of record group (g, rank) at one parity bucket,
 /// materialized from the bucket's rank-indexed columns: the member keys
 /// and lengths per data slot, and this parity column's Reed-Solomon
-/// parity bytes. A value type for wire dumps, invariant checks and tests;
-/// the bucket itself never stores one.
+/// parity bytes. A value type for single-record replies, invariant checks
+/// and tests; the bucket itself never stores one.
 struct ParityRecord {
   std::vector<std::optional<Key>> keys;  ///< size m.
   std::vector<uint32_t> lengths;         ///< size m; 0 when no member.
@@ -52,9 +52,11 @@ class ParityBucketNode : public Node {
   size_t parity_record_count() const { return live_ranks_; }
 
   /// The ranks that have a parity record, ascending, and one record
-  /// materialized (column dumps, invariant checks, tests).
+  /// materialized (invariant checks, tests).
   std::vector<Rank> ParityRanks() const;
   std::optional<ParityRecord> FindParityRecord(Rank rank) const;
+  /// The whole column in ascending rank order: a column read's dump.
+  ParityColumn Column() const;
 
   /// Test-only hooks injecting silent corruption that scrubbing must
   /// detect. Each returns false (and changes nothing) when the rank has no
@@ -117,7 +119,7 @@ class ParityBucketNode : public Node {
   std::vector<uint32_t> member_count_;  ///< [row]: members per group.
   /// [row]: copy-on-write parity view. Delta application mutates in place
   /// while the column is the sole owner, and detaches automatically when a
-  /// ToWire snapshot still shares the buffer (DESIGN.md section 10).
+  /// dump or reply snapshot still shares the buffer (DESIGN.md section 10).
   std::vector<BufferView> parity_;
   size_t live_ranks_ = 0;  ///< Rows with at least one member.
   /// Degraded-read index: key -> cell of keys_ (keys are unique across the

@@ -11,100 +11,95 @@
 
 namespace lhrs {
 
-namespace {
-
-/// The survivors collated into dense rank-indexed arrays: position i of
-/// every array describes record group `ranks[i]`. Collation shares the
-/// dump messages' records and payloads; it never copies a payload byte.
-struct Collation {
-  std::vector<Rank> ranks;  ///< Every rank some survivor holds, ascending.
-  /// [slot][i]: the survivor data column's record, or nullptr when the
-  /// rank has no member there. Empty for slots that are not survivors.
-  std::vector<std::vector<const RankedRecord*>> data;
-  /// [parity index][i]: the survivor parity column's record, or nullptr.
-  /// Empty for parity columns that are not survivors.
-  std::vector<std::vector<const WireParityRecord*>> parity;
-  /// [i]: the group's key/length directory at the rank, from the first
-  /// parity survivor (in request order) that holds it, or nullptr.
-  std::vector<const WireParityRecord*> meta;
-
-  size_t size() const { return ranks.size(); }
-
-  /// Value of codeword column `col` at rank position i; nullptr for a zero
-  /// column (known-zero slot, or no record there).
-  const BufferView* Payload(uint32_t col, uint32_t m, size_t i) const {
-    if (col < m) {
-      const auto& c = data[col];
-      return c.empty() || c[i] == nullptr ? nullptr : &c[i]->value;
+Collation::Collation(uint32_t m, uint32_t k,
+                     const std::vector<SharedDump>& dumps)
+    : m_(m), dump_(m + k, nullptr), row_(m + k) {
+  // One cursor per dump, in request order; the merge emits each rank any
+  // cursor holds once, smallest first.
+  struct Cursor {
+    const ColumnDump* dump;
+    bool parity;
+    size_t next;
+    size_t size;
+    Rank Head() const {
+      return parity ? dump->parity.ranks[next] : dump->records[next].rank;
     }
-    const auto& c = parity[col - m];
-    return c.empty() || c[i] == nullptr ? nullptr : &c[i]->parity;
-  }
-
-  /// Key of the slot's member at rank position i, if it has one.
-  std::optional<Key> KeyAt(uint32_t slot, size_t i) const {
-    if (meta[i] != nullptr) return meta[i]->keys[slot];
-    const auto& c = data[slot];
-    if (c.empty() || c[i] == nullptr) return std::nullopt;
-    return c[i]->key;
-  }
-
-  /// Recorded value length of the slot's member at rank position i.
-  uint32_t LengthAt(uint32_t slot, size_t i) const {
-    if (meta[i] != nullptr) return meta[i]->lengths[slot];
-    const auto& c = data[slot];
-    if (c.empty() || c[i] == nullptr) return 0;
-    return static_cast<uint32_t>(c[i]->value.size());
-  }
-};
-
-Collation Collate(const ReconstructionRequest& req, uint32_t k) {
-  const uint32_t m = req.m;
-  Collation c;
-  for (const auto& s : req.survivors) {
-    for (const auto& rec : s.records) c.ranks.push_back(rec.rank);
-    for (const auto& pr : s.parity_records) c.ranks.push_back(pr.rank);
-  }
-  std::sort(c.ranks.begin(), c.ranks.end());
-  c.ranks.erase(std::unique(c.ranks.begin(), c.ranks.end()), c.ranks.end());
-  const size_t n = c.ranks.size();
-  auto pos = [&](Rank r) {
-    return static_cast<size_t>(
-        std::lower_bound(c.ranks.begin(), c.ranks.end(), r) - c.ranks.begin());
   };
-
-  c.data.resize(m);
-  c.parity.resize(k);
-  c.meta.assign(n, nullptr);
-  for (const auto& s : req.survivors) {
-    LHRS_CHECK_LT(s.column, m + k);
-    if (s.is_parity(m)) {
-      auto& col = c.parity[s.column - m];
-      col.assign(n, nullptr);
-      for (const auto& pr : s.parity_records) {
-        const size_t i = pos(pr.rank);
-        col[i] = &pr;
-        if (c.meta[i] == nullptr) c.meta[i] = &pr;
+  std::vector<Cursor> cursors;
+  cursors.reserve(dumps.size());
+  size_t longest = 0;
+  for (const SharedDump& d : dumps) {
+    LHRS_CHECK_LT(d->column, m + k);
+    LHRS_CHECK(dump_[d->column] == nullptr)
+        << "column " << d->column << " dumped twice";
+    dump_[d->column] = d.get();
+    const bool parity = d->is_parity(m);
+    const size_t size = parity ? d->parity.size() : d->records.size();
+    if (parity && size != 0) {
+      LHRS_CHECK_EQ(d->parity.m, m);
+      LHRS_CHECK_EQ(d->parity.keys.size(), size * m);
+      LHRS_CHECK_EQ(d->parity.lengths.size(), size * m);
+    }
+    cursors.push_back(Cursor{d.get(), parity, 0, size});
+    longest = std::max(longest, size);
+  }
+  ranks_.reserve(longest);
+  directory_.reserve(longest);
+  for (const Cursor& c : cursors) row_[c.dump->column].reserve(longest);
+  for (;;) {
+    bool any = false;
+    Rank next = 0;
+    for (const Cursor& c : cursors) {
+      if (c.next == c.size) continue;
+      const Rank r = c.Head();
+      if (!any || r < next) next = r;
+      any = true;
+    }
+    if (!any) break;
+    LHRS_CHECK(ranks_.empty() || next > ranks_.back())
+        << "column dump not in ascending rank order";
+    ranks_.push_back(next);
+    uint32_t directory = kNone;
+    for (Cursor& c : cursors) {
+      std::vector<uint32_t>& rows = row_[c.dump->column];
+      if (c.next == c.size || c.Head() != next) {
+        rows.push_back(kNone);
+        continue;
       }
-    } else {
-      auto& col = c.data[s.column];
-      col.assign(n, nullptr);
-      for (const auto& rec : s.records) col[pos(rec.rank)] = &rec;
+      rows.push_back(static_cast<uint32_t>(c.next++));
+      if (c.parity && directory == kNone) directory = c.dump->column;
     }
+    directory_.push_back(directory);
   }
-  // Cross-check data-dump keys against the parity directory.
-  for (const auto& s : req.survivors) {
-    if (s.is_parity(m)) continue;
-    const auto& col = c.data[s.column];
-    for (size_t i = 0; i < n; ++i) {
-      if (col[i] == nullptr || c.meta[i] == nullptr) continue;
-      const std::optional<Key>& key = c.meta[i]->keys[s.column];
-      LHRS_CHECK(key.has_value() && *key == col[i]->key)
-          << "parity metadata disagrees with data column " << s.column;
-    }
-  }
-  return c;
 }
+
+const BufferView* Collation::Payload(uint32_t col, size_t i) const {
+  const uint32_t row = RowAt(col, i);
+  if (row == kNone) return nullptr;
+  return col < m_ ? &dump_[col]->records[row].value
+                  : &dump_[col]->parity.parity[row];
+}
+
+std::optional<Key> Collation::KeyAt(uint32_t slot, size_t i) const {
+  if (const uint32_t dir = directory_[i]; dir != kNone) {
+    const ParityColumn& p = dump_[dir]->parity;
+    return p.keys[p.Cell(row_[dir][i], slot)];
+  }
+  const RankedRecord* rec = Record(slot, i);
+  if (rec == nullptr) return std::nullopt;
+  return rec->key;
+}
+
+uint32_t Collation::LengthAt(uint32_t slot, size_t i) const {
+  if (const uint32_t dir = directory_[i]; dir != kNone) {
+    const ParityColumn& p = dump_[dir]->parity;
+    return p.lengths[p.Cell(row_[dir][i], slot)];
+  }
+  const RankedRecord* rec = Record(slot, i);
+  return rec == nullptr ? 0 : static_cast<uint32_t>(rec->value.size());
+}
+
+namespace {
 
 /// Builds the group's one decode plan for the missing data columns. A
 /// progressive task plans from the arrival-order prefix of survivors that
@@ -120,26 +115,26 @@ Result<std::unique_ptr<const parity::DecodePlan>> PlanGroupDecode(
   }
   if (req.progressive) {
     auto decoder = req.coder->NewProgressiveDecoder(missing_data, known_zero);
-    for (const auto& s : req.survivors) {
+    for (const SharedDump& s : req.survivors) {
       if (decoder->Ready()) break;
-      decoder->AddColumn(s.column, BufferView());
+      decoder->AddColumn(s->column, BufferView());
     }
     return decoder->Plan();
   }
   std::vector<uint32_t> columns;
-  for (const auto& s : req.survivors) {
-    if (!s.is_parity(m)) columns.push_back(s.column);
+  for (const SharedDump& s : req.survivors) {
+    if (!s->is_parity(m)) columns.push_back(s->column);
   }
   columns.insert(columns.end(), known_zero.begin(), known_zero.end());
-  for (const auto& s : req.survivors) {
-    if (s.is_parity(m)) columns.push_back(s.column);
+  for (const SharedDump& s : req.survivors) {
+    if (s->is_parity(m)) columns.push_back(s->column);
   }
   return req.coder->PlanDecode(columns, missing_data);
 }
 
 }  // namespace
 
-Result<std::vector<ReconstructedColumn>> ReconstructColumns(
+Result<std::vector<ColumnDump>> ReconstructColumns(
     const ReconstructionRequest& req) {
   const uint32_t m = req.m;
   LHRS_CHECK(req.coder != nullptr);
@@ -157,7 +152,7 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
   // slots) must determine every missing data column. For an MDS code this
   // is the classic >= m columns bound; non-MDS codes rank-check.
   std::vector<uint32_t> have;
-  for (const auto& s : req.survivors) have.push_back(s.column);
+  for (const SharedDump& s : req.survivors) have.push_back(s->column);
   for (uint32_t slot = req.existing_slots; slot < m; ++slot) {
     have.push_back(slot);
   }
@@ -169,8 +164,8 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
                             " empty slots do not determine the lost columns");
   }
   bool have_parity_survivor = false;
-  for (const auto& s : req.survivors) {
-    if (s.is_parity(m)) have_parity_survivor = true;
+  for (const SharedDump& s : req.survivors) {
+    if (s->is_parity(m)) have_parity_survivor = true;
   }
   if (!missing_data.empty() && !have_parity_survivor) {
     return Status::DataLoss(
@@ -192,16 +187,27 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
     }
   }
 
-  const Collation table = Collate(req, k);
+  const Collation table(m, k, req.survivors);
   const size_t n = table.size();
-
-  std::vector<ReconstructedColumn> out;
-  out.reserve(req.missing_columns.size());
-  std::vector<ReconstructedColumn*> out_by_col(m + k, nullptr);
-  for (uint32_t col : req.missing_columns) {
-    out.push_back(ReconstructedColumn{col, {}, {}});
+  // Cross-check data-dump keys against the parity directory.
+  for (const SharedDump& s : req.survivors) {
+    if (s->is_parity(m)) continue;
+    for (size_t i = 0; i < n; ++i) {
+      const RankedRecord* rec = table.Record(s->column, i);
+      if (rec == nullptr || table.DirectoryAt(i) == Collation::kNone) continue;
+      const std::optional<Key> key = table.KeyAt(s->column, i);
+      LHRS_CHECK(key.has_value() && *key == rec->key)
+          << "parity metadata disagrees with data column " << s->column;
+    }
   }
-  for (auto& col : out) out_by_col[col.column] = &col;
+
+  std::vector<ColumnDump> out(req.missing_columns.size());
+  std::vector<ColumnDump*> out_by_col(m + k, nullptr);
+  for (size_t c = 0; c < out.size(); ++c) {
+    out[c].column = req.missing_columns[c];
+    if (out[c].column >= m) out[c].parity = ParityColumn(m);
+    out_by_col[out[c].column] = &out[c];
+  }
 
   // One plan for the whole group: every record group shares the erasure
   // pattern, so the decode matrix (or solver) is built once.
@@ -230,7 +236,7 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
     size_t len = 0;
     if (any_wanted) {
       for (uint32_t col : inputs) {
-        if (const BufferView* p = table.Payload(col, m, i)) {
+        if (const BufferView* p = table.Payload(col, i)) {
           len = std::max(len, p->size());
         }
       }
@@ -246,9 +252,7 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
     out_by_col[missing_data[w]]->records.reserve(member_count[w]);
     if (offset[n] > 0) arena[w] = Buffer::Allocate(offset[n]);
   }
-  for (uint32_t col : missing_parity) {
-    out_by_col[col]->parity_records.reserve(n);
-  }
+  for (uint32_t col : missing_parity) out_by_col[col]->parity.reserve(n);
 
   // Decode in batches of consecutive record groups: each input's payloads
   // are gathered (zero-padded) into a scratch stretch laid out like the
@@ -263,7 +267,7 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
   // Emits record group i once its batch is decoded: checks and adopts
   // the rebuilt records, then re-encodes any missing parity column.
   auto emit_rank = [&](size_t i) {
-    const Rank rank = table.ranks[i];
+    const Rank rank = table.rank(i);
     const size_t len = offset[i + 1] - offset[i];
     for (size_t w = 0; w < missing_data.size(); ++w) {
       decoded[w] = BufferView();
@@ -293,7 +297,7 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
     for (uint32_t slot = 0; slot < req.existing_slots; ++slot) {
       if (!table.KeyAt(slot, i).has_value()) continue;
       any_member = true;
-      if (const BufferView* p = table.Payload(slot, m, i)) {
+      if (const BufferView* p = table.Payload(slot, i)) {
         row[slot] = *p;
         continue;
       }
@@ -304,19 +308,6 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
       row[slot] = decoded[w - missing_data.begin()];
     }
     if (!any_member) return;
-    std::vector<std::optional<Key>> keys;
-    std::vector<uint32_t> lengths;
-    if (table.meta[i] != nullptr) {
-      keys = table.meta[i]->keys;
-      lengths = table.meta[i]->lengths;
-    } else {
-      keys.resize(m);
-      lengths.resize(m, 0);
-      for (uint32_t slot = 0; slot < m; ++slot) {
-        keys[slot] = table.KeyAt(slot, i);
-        lengths[slot] = table.LengthAt(slot, i);
-      }
-    }
     for (uint32_t col : missing_parity) {
       const uint32_t j = col - m;
       BufferView parity;
@@ -324,12 +315,12 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
         if (row[slot].empty()) continue;
         req.coder->ApplyDelta(slot, row[slot], j, &parity);
       }
-      WireParityRecord pr;
-      pr.rank = rank;
-      pr.keys = keys;
-      pr.lengths = lengths;
-      pr.parity = std::move(parity);
-      out_by_col[col]->parity_records.push_back(std::move(pr));
+      ParityColumn& rebuilt = out_by_col[col]->parity;
+      const size_t r = rebuilt.AddRow(rank, std::move(parity));
+      for (uint32_t slot = 0; slot < m; ++slot) {
+        rebuilt.keys[rebuilt.Cell(r, slot)] = table.KeyAt(slot, i);
+        rebuilt.lengths[rebuilt.Cell(r, slot)] = table.LengthAt(slot, i);
+      }
     }
   };
 
@@ -346,7 +337,7 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
           const size_t len = offset[i + 1] - offset[i];
           if (len == 0) continue;  // Nothing to rebuild in this group.
           uint8_t* region = g.data() + (offset[i] - offset[a]);
-          const BufferView* p = table.Payload(inputs[t], m, i);
+          const BufferView* p = table.Payload(inputs[t], i);
           const size_t have = p == nullptr ? 0 : p->size();
           if (have != 0) std::copy(p->begin(), p->end(), region);
           std::fill(region + have, region + len, 0);

@@ -354,34 +354,30 @@ void RsCoordinatorNode::MarkGroupLost(uint32_t g) {
 void RsCoordinatorNode::OnColumnRead(const ColumnReadReplyMsg& reply,
                                      NodeId from) {
   (void)from;
+  LHRS_CHECK(reply.dump != nullptr);
+  const uint32_t column = reply.dump->column;
   if (auto scrub = scrubs_.find(reply.task_id); scrub != scrubs_.end()) {
     ScrubTask& task = scrub->second;
-    if (!task.awaiting_reads.erase(reply.column)) return;
-    ColumnDump dump;
-    dump.column = reply.column;
-    dump.records = reply.records;
-    dump.parity_records = reply.parity_records;
-    task.dumps.push_back(std::move(dump));
+    if (!task.awaiting_reads.erase(column)) return;
+    task.dumps.push_back(reply.dump);
     if (task.awaiting_reads.empty()) FinishScrub(task);
     return;
   }
   auto it = tasks_.find(reply.task_id);
   if (it == tasks_.end()) return;  // Stale task.
   RecoveryTask& task = it->second;
-  if (!task.awaiting_reads.erase(reply.column)) return;
+  if (!task.awaiting_reads.erase(column)) return;
   if (auto* t = net()->telemetry()) {
     t->metrics()
         .GetCounter("recovery.repair_bytes_moved")
         .Add(reply.ByteSize());
   }
-  ColumnDump dump;
-  dump.column = reply.column;
-  dump.records = reply.records;
-  dump.parity_records = reply.parity_records;
-  const bool got_parity = dump.is_parity(lhrs_ctx_->m);
-  task.dumps.push_back(std::move(dump));
+  // Adopt the reply's body: it is immutable and shared with any duplicate
+  // of this reply still in flight, so no record is copied.
+  task.dumps.push_back(reply.dump);
+  const bool got_parity = reply.dump->is_parity(lhrs_ctx_->m);
   if (task.rank_tracker != nullptr) {
-    task.rank_tracker->AddColumn(reply.column, BufferView());
+    task.rank_tracker->AddColumn(column, BufferView());
     task.have_parity_dump |= got_parity;
     // Progressive decode: reconstruction starts on the earliest reply set
     // whose column identities determine the missing data (the key/length
@@ -452,7 +448,7 @@ void RsCoordinatorNode::TryDecodeAndInstall(RecoveryTask& task) {
       install->task_id = task.id;
       install->group = task.group;
       install->parity_index = col.column - lhrs_ctx_->m;
-      install->parity_records = std::move(col.parity_records);
+      install->parity = std::move(col.parity);
       task.awaiting_installs.insert(col.column);
       Send(spare, std::move(install));
     }
@@ -698,25 +694,6 @@ void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
   const GroupInfo& info = groups_[task.group];
   const parity::ParityCode& coder = lhrs_ctx_->coders->ForK(info.k);
 
-  // Ground truth per rank from the data columns.
-  struct Truth {
-    std::vector<std::optional<Key>> keys;
-    std::vector<uint32_t> lengths;
-    std::vector<const BufferView*> values;
-    explicit Truth(uint32_t m) : keys(m), lengths(m, 0), values(m) {}
-  };
-  std::map<Rank, Truth> truth;
-  for (const auto& dump : task.dumps) {
-    if (dump.is_parity(m)) continue;
-    for (const auto& rec : dump.records) {
-      auto [it, unused] = truth.try_emplace(rec.rank, Truth(m));
-      it->second.keys[dump.column] = rec.key;
-      it->second.lengths[dump.column] =
-          static_cast<uint32_t>(rec.value.size());
-      it->second.values[dump.column] = &rec.value;
-    }
-  }
-
   auto equal_mod_padding = [](std::span<const uint8_t> a,
                               std::span<const uint8_t> b) {
     const size_t n = std::min(a.size(), b.size());
@@ -728,46 +705,50 @@ void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
     return true;
   };
 
+  // The data columns are the ground truth: every rank a data column holds
+  // is a record group each parity column must hold, with the members'
+  // keys and lengths and the parity their values encode to. A parity row
+  // at a rank no data column holds is a mismatch too.
+  const Collation table(m, info.k, task.dumps);
   std::set<uint32_t> bad_columns;
-  for (const auto& dump : task.dumps) {
-    if (!dump.is_parity(m)) continue;
-    const uint32_t j = dump.column - m;
-    std::set<Rank> seen;
-    for (const auto& pr : dump.parity_records) {
-      seen.insert(pr.rank);
-      auto it = truth.find(pr.rank);
-      bool ok = it != truth.end();
+  uint64_t record_groups = 0;
+  for (size_t i = 0; i < table.size(); ++i) {
+    bool has_data = false;
+    for (uint32_t slot = 0; slot < m; ++slot) {
+      has_data = has_data || table.Record(slot, i) != nullptr;
+    }
+    if (has_data) ++record_groups;
+    for (uint32_t j = 0; j < info.k; ++j) {
+      const uint32_t col = m + j;
+      const uint32_t row = table.RowAt(col, i);
+      if (row == Collation::kNone && !has_data) continue;
+      bool ok = row != Collation::kNone && has_data;
       if (ok) {
-        const Truth& t = it->second;
+        const ParityColumn& p = table.Parity(col);
         for (uint32_t slot = 0; slot < m && ok; ++slot) {
-          ok = pr.keys[slot] == t.keys[slot] &&
-               (!t.keys[slot].has_value() ||
-                pr.lengths[slot] == t.lengths[slot]);
+          const RankedRecord* rec = table.Record(slot, i);
+          const std::optional<Key>& key = p.keys[p.Cell(row, slot)];
+          ok = rec == nullptr ? !key.has_value()
+                              : key == rec->key && p.lengths[p.Cell(row, slot)] ==
+                                                       rec->value.size();
         }
         if (ok) {
           Bytes expected;
           for (uint32_t slot = 0; slot < m; ++slot) {
-            if (t.values[slot] == nullptr) continue;
-            coder.ApplyDelta(slot, *t.values[slot], j, &expected);
+            const RankedRecord* rec = table.Record(slot, i);
+            if (rec != nullptr) coder.ApplyDelta(slot, rec->value, j, &expected);
           }
-          ok = equal_mod_padding(expected, pr.parity);
+          ok = equal_mod_padding(expected, p.parity[row]);
         }
       }
       if (!ok) {
         ++scrub_report_.mismatched_parity_records;
-        bad_columns.insert(dump.column);
-      }
-    }
-    // Ranks the parity bucket is missing entirely.
-    for (const auto& [rank, t] : truth) {
-      if (!seen.contains(rank)) {
-        ++scrub_report_.mismatched_parity_records;
-        bad_columns.insert(dump.column);
+        bad_columns.insert(col);
       }
     }
   }
   ++scrub_report_.groups_scrubbed;
-  scrub_report_.record_groups_checked += truth.size();
+  scrub_report_.record_groups_checked += record_groups;
 
   if (task.repair && !bad_columns.empty()) {
     // Re-encode the bad columns from the (authoritative) data columns.
@@ -776,8 +757,8 @@ void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
     req.k = info.k;
     req.coder = &coder;
     req.existing_slots = ExistingSlots(task.group);
-    for (const auto& dump : task.dumps) {
-      if (!dump.is_parity(m)) req.survivors.push_back(dump);
+    for (const SharedDump& dump : task.dumps) {
+      if (!dump->is_parity(m)) req.survivors.push_back(dump);
     }
     req.missing_columns.assign(bad_columns.begin(), bad_columns.end());
     auto result = ReconstructColumns(req);
@@ -787,7 +768,7 @@ void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
       install->task_id = task.id;
       install->group = task.group;
       install->parity_index = col.column - m;
-      install->parity_records = std::move(col.parity_records);
+      install->parity = std::move(col.parity);
       Send(info.parity_nodes[col.column - m], std::move(install));
       ++scrub_report_.parity_columns_repaired;
     }

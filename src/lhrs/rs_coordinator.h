@@ -140,7 +140,7 @@ class RsCoordinatorNode : public CoordinatorNode {
     std::map<uint32_t, NodeId> spares;        // column -> spare node.
     std::map<uint32_t, Level> data_levels;    // data column -> level j.
     std::set<uint32_t> awaiting_reads;        // columns not yet dumped.
-    std::vector<ColumnDump> dumps;
+    std::vector<SharedDump> dumps;            // the replies' own bodies.
     std::set<uint32_t> awaiting_installs;
     /// Progressive repair: decode as soon as the received columns' rank
     /// suffices instead of waiting for every requested read.
@@ -160,7 +160,7 @@ class RsCoordinatorNode : public CoordinatorNode {
     uint32_t group = 0;
     bool repair = false;
     std::set<uint32_t> awaiting_reads;
-    std::vector<ColumnDump> dumps;
+    std::vector<SharedDump> dumps;
   };
 
   struct DegradedReadTask {

@@ -177,13 +177,15 @@ void RsDataBucketNode::HandleSubclassMessage(const Message& msg) {
     case LhrsMsg::kColumnReadRequest: {
       const auto& req = static_cast<const ColumnReadRequestMsg&>(*msg.body);
       LHRS_CHECK_EQ(req.group, group());
-      auto reply = std::make_unique<ColumnReadReplyMsg>();
-      reply->task_id = req.task_id;
-      reply->column = slot();
-      reply->level = level();
+      auto dump = std::make_shared<ColumnDump>();
+      dump->column = slot();
+      dump->level = level();
       // Views into the store's segments, in rank order: the whole column
       // dump ships without copying a single payload byte.
-      reply->records = RankedRecords();
+      dump->records = RankedRecords();
+      auto reply = std::make_unique<ColumnReadReplyMsg>();
+      reply->task_id = req.task_id;
+      reply->dump = std::move(dump);
       Send(msg.from, std::move(reply));
       return;
     }

@@ -15,13 +15,19 @@
 //                   or 8-byte integer (little-endian), a BufferView,
 //                   std::string or Bytes (u32 length + bytes), a
 //                   std::optional<T> (presence byte + T, T{} when absent),
-//                   or a nested struct with its own Fields().
+//                   a std::shared_ptr<const T> (T's fields, T{} when
+//                   null; decoding makes a fresh T), or a nested struct
+//                   with its own Fields().
 //   v.Enum(e, max)  an enum sent as one byte; decoding rejects values > max.
 //   v.Pad(n)        n zero bytes.
 //   v.Flag(opt)     the presence byte of an optional whose payload follows
 //                   separately and only when present: `if (opt) v(*opt);`.
 //   v.Count(vs...)  the u32 element count of one or more parallel vectors;
 //                   the elements follow separately: `for (auto& e : vs)`.
+//                   Any type with size(), resize(n) and a value_type of
+//                   the smallest element's wire form counts like a vector;
+//                   one whose size() stays off n after resize(n) has
+//                   refused the count, and the decode fails.
 //
 // A type without Fields() may carry a hand-written field codec instead: a
 // `size_t ByteSize() const` here plus encode/decode overloads in the
@@ -32,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -51,6 +58,14 @@ template <class T>
 struct IsOptional : std::false_type {};
 template <class T>
 struct IsOptional<std::optional<T>> : std::true_type {};
+
+/// A shared, immutable nested struct: `std::shared_ptr<const T>`.
+template <class T>
+struct IsSharedConst : std::false_type {};
+template <class T>
+struct IsSharedConst<std::shared_ptr<const T>> : std::true_type {
+  using element = T;
+};
 
 /// A fixed-width integer field (bool is its own one-byte field).
 template <class T>
@@ -80,6 +95,10 @@ class WireSizer {
       n_ += 1;
       typename T::value_type absent{};
       (*this)(x.has_value() ? *x : absent);
+    } else if constexpr (IsSharedConst<T>::value) {
+      using U = typename IsSharedConst<T>::element;
+      U null{};
+      (*this)(x != nullptr ? const_cast<U&>(*x) : null);
     } else {
       n_ += x.ByteSize();  // Hand-written field codec.
     }

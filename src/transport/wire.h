@@ -153,6 +153,10 @@ class FieldEncoder {
       w_.Bool(x.has_value());
       typename T::value_type value = x.value_or(typename T::value_type{});
       (*this)(value);
+    } else if constexpr (IsSharedConst<T>::value) {
+      using U = typename IsSharedConst<T>::element;
+      U null{};
+      (*this)(x != nullptr ? const_cast<U&>(*x) : null);
     } else {
       ok_ = PutField(w_, x) && ok_;
     }
@@ -216,6 +220,10 @@ class FieldDecoder {
       typename T::value_type value{};
       (*this)(value);
       if (present) x = std::move(value);
+    } else if constexpr (IsSharedConst<T>::value) {
+      auto fresh = std::make_shared<typename IsSharedConst<T>::element>();
+      (*this)(*fresh);
+      x = std::move(fresh);
     } else {
       if (!GetField(r_, &x)) r_.Fail();
     }
@@ -238,7 +246,8 @@ class FieldDecoder {
     if (r_.Bool(&present) && present) opt.emplace();
   }
   // One element of each vector occupies at least the size of a default
-  // element, which bounds the count the remaining bytes can carry.
+  // element, which bounds the count the remaining bytes can carry. A
+  // vector-like field may refuse a count it cannot take (net/fields.h).
   template <class... Vs>
   void Count(Vs&... vectors) {
     uint32_t n = 0;
@@ -249,6 +258,7 @@ class FieldDecoder {
       return;
     }
     (vectors.resize(n), ...);
+    if (((vectors.size() != n) || ...)) r_.Fail();
   }
 
  private:

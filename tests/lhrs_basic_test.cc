@@ -257,10 +257,10 @@ class ReplySink : public Node {
  public:
   void HandleMessage(const Message& msg) override {
     if (msg.body->kind() == LhrsMsg::kColumnReadReply) {
-      dumps.push_back(static_cast<const ColumnReadReplyMsg&>(*msg.body));
+      dumps.push_back(static_cast<const ColumnReadReplyMsg&>(*msg.body).dump);
     }
   }
-  std::vector<ColumnReadReplyMsg> dumps;
+  std::vector<std::shared_ptr<const ColumnDump>> dumps;
 };
 
 /// Delivers `body` to `to` from `from` and runs the network dry.
@@ -280,11 +280,7 @@ std::vector<Rank> DumpRanks(LhrsFile& file, ReplySink* sink, NodeId sink_id,
   auto req = std::make_unique<ColumnReadRequestMsg>();
   req->group = pb->group();
   DeliverFrom(file, sink_id, pb, std::move(req));
-  std::vector<Rank> ranks;
-  for (const auto& pr : sink->dumps.back().parity_records) {
-    ranks.push_back(pr.rank);
-  }
-  return ranks;
+  return sink->dumps.back()->parity.ranks;
 }
 
 TEST(LhrsBasicTest, EmptyGroupVanishesFromRanksAndDumps) {
@@ -325,23 +321,19 @@ TEST(LhrsBasicTest, GappedRankParityInstallRoundTrips) {
   auto install = std::make_unique<InstallParityColumnMsg>();
   install->group = 0;
   install->parity_index = 0;
-  std::vector<WireParityRecord> want;
+  ParityColumn want(4);
   for (Rank rank : {1u, 2u, 7u, 300u}) {
-    WireParityRecord pr;
-    pr.rank = rank;
-    pr.keys.resize(4);
-    pr.lengths.assign(4, 0);
+    const size_t row = want.AddRow(
+        rank, BufferView::FromString("parity-" + std::to_string(rank)));
     // Rank 7 has one member; the others two, at rank-dependent slots.
-    pr.keys[rank % 4] = Key{rank * 1000};
-    pr.lengths[rank % 4] = rank % 5 + 1;
+    want.keys[want.Cell(row, rank % 4)] = Key{rank * 1000};
+    want.lengths[want.Cell(row, rank % 4)] = rank % 5 + 1;
     if (rank != 7) {
-      pr.keys[(rank + 1) % 4] = Key{rank * 1000 + 1};
-      pr.lengths[(rank + 1) % 4] = 3;
+      want.keys[want.Cell(row, (rank + 1) % 4)] = Key{rank * 1000 + 1};
+      want.lengths[want.Cell(row, (rank + 1) % 4)] = 3;
     }
-    pr.parity = BufferView::FromString("parity-" + std::to_string(rank));
-    want.push_back(pr);
   }
-  install->parity_records = want;
+  install->parity = want;
   DeliverFrom(file, sink_id, pb, std::move(install));
 
   EXPECT_EQ(pb->ParityRanks(), (std::vector<Rank>{1, 2, 7, 300}));
@@ -350,14 +342,12 @@ TEST(LhrsBasicTest, GappedRankParityInstallRoundTrips) {
   EXPECT_EQ(pb->StorageBytes(), 4 * 4 * 12 + 3 * 8 + 10);  // m=4 slots each.
   auto req = std::make_unique<ColumnReadRequestMsg>();
   DeliverFrom(file, sink_id, pb, std::move(req));
-  const auto& dumped = sink->dumps.back().parity_records;
-  ASSERT_EQ(dumped.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(dumped[i].rank, want[i].rank);
-    EXPECT_EQ(dumped[i].keys, want[i].keys) << "rank " << want[i].rank;
-    EXPECT_EQ(dumped[i].lengths, want[i].lengths) << "rank " << want[i].rank;
-    EXPECT_EQ(dumped[i].parity, want[i].parity) << "rank " << want[i].rank;
-  }
+  const ParityColumn& dumped = sink->dumps.back()->parity;
+  EXPECT_EQ(dumped.m, want.m);
+  EXPECT_EQ(dumped.ranks, want.ranks);
+  EXPECT_EQ(dumped.keys, want.keys);
+  EXPECT_EQ(dumped.lengths, want.lengths);
+  EXPECT_EQ(dumped.parity, want.parity);
 
   // Clearing rank 7's only member folds its parity to zero: the group
   // leaves the column.

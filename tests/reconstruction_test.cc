@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -16,6 +17,10 @@
 namespace lhrs {
 namespace {
 
+SharedDump Share(ColumnDump dump) {
+  return std::make_shared<const ColumnDump>(std::move(dump));
+}
+
 /// Builds a consistent group over `m` slots, `existing` of which exist,
 /// with one record group per entry of `ranks` (slot `slot` has no member
 /// at rank r when slot + r is even), and returns the data dumps and parity
@@ -23,8 +28,8 @@ namespace {
 struct Fixture {
   uint32_t m, k;
   CoderCache coders;
-  std::vector<ColumnDump> data_dumps;  // One per existing slot.
-  std::vector<ColumnDump> parity_dumps;
+  std::vector<SharedDump> data_dumps;  // One per existing slot.
+  std::vector<SharedDump> parity_dumps;
 
   Fixture(uint32_t m_in, uint32_t k_in, uint32_t existing, uint64_t seed,
           FieldChoice field = FieldChoice::kGf256,
@@ -44,29 +49,30 @@ struct Fixture {
         per_rank[i][slot] = v;
         dump.records.push_back(RankedRecord{r, 1000 * r + slot, v});
       }
-      data_dumps.push_back(std::move(dump));
+      data_dumps.push_back(Share(std::move(dump)));
     }
     for (uint32_t j = 0; j < k; ++j) {
       ColumnDump dump;
       dump.column = m + j;
+      dump.parity = ParityColumn(m);
       for (size_t i = 0; i < ranks.size(); ++i) {
         const Rank r = ranks[i];
-        WireParityRecord pr;
-        pr.rank = r;
-        pr.keys.resize(m);
-        pr.lengths.resize(m, 0);
-        bool any = false;
+        BufferView parity;
+        for (uint32_t slot = 0; slot < m; ++slot) {
+          const Bytes& v = per_rank[i][slot];
+          if (!v.empty()) coder.ApplyDelta(slot, v, j, &parity);
+        }
+        if (parity.empty()) continue;  // No member at this rank.
+        const size_t row = dump.parity.AddRow(r, parity);
         for (uint32_t slot = 0; slot < m; ++slot) {
           const Bytes& v = per_rank[i][slot];
           if (v.empty()) continue;
-          any = true;
-          pr.keys[slot] = 1000 * r + slot;
-          pr.lengths[slot] = static_cast<uint32_t>(v.size());
-          coder.ApplyDelta(slot, v, j, &pr.parity);
+          dump.parity.keys[dump.parity.Cell(row, slot)] = 1000 * r + slot;
+          dump.parity.lengths[dump.parity.Cell(row, slot)] =
+              static_cast<uint32_t>(v.size());
         }
-        if (any) dump.parity_records.push_back(std::move(pr));
       }
-      parity_dumps.push_back(std::move(dump));
+      parity_dumps.push_back(Share(std::move(dump)));
     }
   }
 };
@@ -86,10 +92,10 @@ TEST(ReconstructionTest, SingleDataColumn) {
   ASSERT_EQ(result->size(), 1u);
   // Compare against the original records of slot 0.
   const auto& rebuilt = (*result)[0].records;
-  ASSERT_EQ(rebuilt.size(), fx.data_dumps[0].records.size());
+  ASSERT_EQ(rebuilt.size(), fx.data_dumps[0]->records.size());
   for (size_t i = 0; i < rebuilt.size(); ++i) {
-    EXPECT_EQ(rebuilt[i].key, fx.data_dumps[0].records[i].key);
-    EXPECT_EQ(rebuilt[i].value, fx.data_dumps[0].records[i].value);
+    EXPECT_EQ(rebuilt[i].key, fx.data_dumps[0]->records[i].key);
+    EXPECT_EQ(rebuilt[i].value, fx.data_dumps[0]->records[i].value);
   }
 }
 
@@ -110,19 +116,19 @@ TEST(ReconstructionTest, MixedDataAndParityLoss) {
   ASSERT_EQ(result->size(), 3u);
   for (const auto& col : *result) {
     if (col.column < 4) {
-      const auto& expected = fx.data_dumps[col.column].records;
+      const auto& expected = fx.data_dumps[col.column]->records;
       ASSERT_EQ(col.records.size(), expected.size()) << col.column;
       for (size_t i = 0; i < expected.size(); ++i) {
         EXPECT_EQ(col.records[i].value, expected[i].value);
       }
     } else {
-      const auto& expected = fx.parity_dumps[col.column - 4].parity_records;
-      ASSERT_EQ(col.parity_records.size(), expected.size());
+      const ParityColumn& expected = fx.parity_dumps[col.column - 4]->parity;
+      ASSERT_EQ(col.parity.size(), expected.size());
+      EXPECT_EQ(col.parity.keys, expected.keys);
+      EXPECT_EQ(col.parity.lengths, expected.lengths);
       for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(col.parity_records[i].keys, expected[i].keys);
-        EXPECT_EQ(col.parity_records[i].lengths, expected[i].lengths);
-        const BufferView& a = col.parity_records[i].parity;
-        const BufferView& b = expected[i].parity;
+        const BufferView& a = col.parity.parity[i];
+        const BufferView& b = expected.parity[i];
         const size_t n = std::max(a.size(), b.size());
         EXPECT_EQ(PadTo(a, n), PadTo(b, n));
       }
@@ -144,9 +150,9 @@ TEST(ReconstructionTest, PartialGroupUsesKnownZeroSlots) {
   auto result = ReconstructColumns(req);
   ASSERT_TRUE(result.ok()) << result.status();
   const auto& rebuilt = (*result)[0].records;
-  ASSERT_EQ(rebuilt.size(), fx.data_dumps[1].records.size());
+  ASSERT_EQ(rebuilt.size(), fx.data_dumps[1]->records.size());
   for (size_t i = 0; i < rebuilt.size(); ++i) {
-    EXPECT_EQ(rebuilt[i].value, fx.data_dumps[1].records[i].value);
+    EXPECT_EQ(rebuilt[i].value, fx.data_dumps[1]->records[i].value);
   }
 }
 
@@ -163,7 +169,7 @@ TEST(ReconstructionTest, WorksOverGf65536) {
   auto result = ReconstructColumns(req);
   ASSERT_TRUE(result.ok()) << result.status();
   for (const auto& col : *result) {
-    const auto& expected = fx.data_dumps[col.column].records;
+    const auto& expected = fx.data_dumps[col.column]->records;
     ASSERT_EQ(col.records.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(col.records[i].value, expected[i].value) << col.column;
@@ -185,11 +191,11 @@ TEST(ReconstructionTest, ParityOnlyRebuildNeedsNoParitySurvivor) {
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->size(), 2u);
   for (const auto& col : *result) {
-    const auto& expected = fx.parity_dumps[col.column - 4].parity_records;
-    ASSERT_EQ(col.parity_records.size(), expected.size());
+    const ParityColumn& expected = fx.parity_dumps[col.column - 4]->parity;
+    ASSERT_EQ(col.parity.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
-      const BufferView& a = col.parity_records[i].parity;
-      const BufferView& b = expected[i].parity;
+      const BufferView& a = col.parity.parity[i];
+      const BufferView& b = expected.parity[i];
       const size_t n = std::max(a.size(), b.size());
       EXPECT_EQ(PadTo(a, n), PadTo(b, n)) << "column " << col.column;
     }
@@ -213,7 +219,7 @@ TEST(ReconstructionTest, GappedRanksRebuildInRankOrder) {
   ASSERT_EQ(result->size(), 2u);
   for (const auto& col : *result) {
     if (col.column < 4) {
-      const auto& expected = fx.data_dumps[col.column].records;
+      const auto& expected = fx.data_dumps[col.column]->records;
       ASSERT_EQ(col.records.size(), expected.size()) << col.column;
       for (size_t i = 0; i < expected.size(); ++i) {
         EXPECT_EQ(col.records[i].rank, expected[i].rank);
@@ -221,13 +227,10 @@ TEST(ReconstructionTest, GappedRanksRebuildInRankOrder) {
         EXPECT_EQ(col.records[i].value, expected[i].value);
       }
     } else {
-      const auto& expected = fx.parity_dumps[1].parity_records;
-      ASSERT_EQ(col.parity_records.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(col.parity_records[i].rank, expected[i].rank);
-        EXPECT_EQ(col.parity_records[i].keys, expected[i].keys);
-        EXPECT_EQ(col.parity_records[i].parity, expected[i].parity);
-      }
+      const ParityColumn& expected = fx.parity_dumps[1]->parity;
+      EXPECT_EQ(col.parity.ranks, expected.ranks);
+      EXPECT_EQ(col.parity.keys, expected.keys);
+      EXPECT_EQ(col.parity.parity, expected.parity);
     }
   }
 }
@@ -239,7 +242,7 @@ TEST(ReconstructionTest, GappedRanksRebuildInRankOrder) {
 /// oracle: collate survivors into one map entry per rank, then call
 /// DecodeData (one decode matrix per rank) and re-encode parity rank by
 /// rank.
-Result<std::vector<ReconstructedColumn>> PerRankOracle(
+Result<std::vector<ColumnDump>> PerRankOracle(
     const ReconstructionRequest& req) {
   const uint32_t m = req.m;
   std::vector<uint32_t> missing_data;
@@ -249,9 +252,9 @@ Result<std::vector<ReconstructedColumn>> PerRankOracle(
   }
   std::vector<uint32_t> have;
   bool have_parity_survivor = false;
-  for (const auto& s : req.survivors) {
-    have.push_back(s.column);
-    have_parity_survivor |= s.is_parity(m);
+  for (const SharedDump& s : req.survivors) {
+    have.push_back(s->column);
+    have_parity_survivor |= s->is_parity(m);
   }
   for (uint32_t slot = req.existing_slots; slot < m; ++slot) {
     have.push_back(slot);
@@ -277,35 +280,39 @@ Result<std::vector<ReconstructedColumn>> PerRankOracle(
     }
     return st;
   };
-  for (const auto& s : req.survivors) {
-    for (const auto& pr : s.parity_records) {
-      RankState& st = state(pr.rank);
-      st.parity[s.column] = pr.parity;
+  for (const SharedDump& s : req.survivors) {
+    const ParityColumn& p = s->parity;
+    for (size_t row = 0; row < p.size(); ++row) {
+      RankState& st = state(p.ranks[row]);
+      st.parity[s->column] = p.parity[row];
       if (!st.have_meta) {
-        st.keys = pr.keys;
-        st.lengths = pr.lengths;
+        const auto first = static_cast<long>(p.Cell(row, 0));
+        st.keys.assign(p.keys.begin() + first, p.keys.begin() + first + m);
+        st.lengths.assign(p.lengths.begin() + first,
+                          p.lengths.begin() + first + m);
         st.have_meta = true;
       }
     }
-    for (const auto& rec : s.records) {
-      state(rec.rank).data[s.column] = rec.value;
+    for (const auto& rec : s->records) {
+      state(rec.rank).data[s->column] = rec.value;
     }
   }
-  for (const auto& s : req.survivors) {
-    for (const auto& rec : s.records) {
+  for (const SharedDump& s : req.survivors) {
+    for (const auto& rec : s->records) {
       RankState& st = table.at(rec.rank);
       if (!st.have_meta) {
-        st.keys[s.column] = rec.key;
-        st.lengths[s.column] = static_cast<uint32_t>(rec.value.size());
+        st.keys[s->column] = rec.key;
+        st.lengths[s->column] = static_cast<uint32_t>(rec.value.size());
       }
     }
   }
 
-  std::vector<ReconstructedColumn> out;
-  for (uint32_t col : req.missing_columns) {
-    out.push_back(ReconstructedColumn{col, {}, {}});
+  std::vector<ColumnDump> out(req.missing_columns.size());
+  for (size_t c = 0; c < out.size(); ++c) {
+    out[c].column = req.missing_columns[c];
+    if (out[c].column >= m) out[c].parity = ParityColumn(m);
   }
-  auto out_col = [&](uint32_t col) -> ReconstructedColumn& {
+  auto out_col = [&](uint32_t col) -> ColumnDump& {
     return *std::find_if(out.begin(), out.end(),
                          [&](const auto& c) { return c.column == col; });
   };
@@ -318,19 +325,19 @@ Result<std::vector<ReconstructedColumn>> PerRankOracle(
     std::map<uint32_t, BufferView> values = st.data;
     if (!wanted.empty()) {
       std::vector<std::pair<size_t, BufferView>> available;
-      for (const auto& s : req.survivors) {
-        if (s.is_parity(m)) continue;
-        auto it = st.data.find(s.column);
-        available.emplace_back(s.column,
+      for (const SharedDump& s : req.survivors) {
+        if (s->is_parity(m)) continue;
+        auto it = st.data.find(s->column);
+        available.emplace_back(s->column,
                                it == st.data.end() ? kEmpty : it->second);
       }
       for (uint32_t slot = req.existing_slots; slot < m; ++slot) {
         available.emplace_back(slot, kEmpty);
       }
-      for (const auto& s : req.survivors) {
-        if (!s.is_parity(m)) continue;
-        auto it = st.parity.find(s.column);
-        available.emplace_back(s.column,
+      for (const SharedDump& s : req.survivors) {
+        if (!s->is_parity(m)) continue;
+        auto it = st.parity.find(s->column);
+        available.emplace_back(s->column,
                                it == st.parity.end() ? kEmpty : it->second);
       }
       auto decoded = req.coder->DecodeData(available, wanted);
@@ -354,12 +361,12 @@ Result<std::vector<ReconstructedColumn>> PerRankOracle(
         if (!st.keys[slot].has_value() || values[slot].empty()) continue;
         req.coder->ApplyDelta(slot, values[slot], col - m, &parity);
       }
-      WireParityRecord pr;
-      pr.rank = rank;
-      pr.keys = st.keys;
-      pr.lengths = st.lengths;
-      pr.parity = std::move(parity);
-      out_col(col).parity_records.push_back(std::move(pr));
+      ParityColumn& p = out_col(col).parity;
+      const size_t row = p.AddRow(rank, std::move(parity));
+      for (uint32_t slot = 0; slot < m; ++slot) {
+        p.keys[p.Cell(row, slot)] = st.keys[slot];
+        p.lengths[p.Cell(row, slot)] = st.lengths[slot];
+      }
     }
   }
   return out;
@@ -393,12 +400,13 @@ RandomGroup MakeRandomGroup(const parity::ParityCode& coder, uint32_t existing,
   std::vector<ColumnDump> data(existing);
   std::vector<ColumnDump> parity(coder.k());
   for (uint32_t slot = 0; slot < existing; ++slot) data[slot].column = slot;
-  for (uint32_t j = 0; j < coder.k(); ++j) parity[j].column = m + j;
+  for (uint32_t j = 0; j < coder.k(); ++j) {
+    parity[j].column = m + j;
+    parity[j].parity = ParityColumn(m);
+  }
   for (Rank r : ranks) {
-    WireParityRecord proto;
-    proto.rank = r;
-    proto.keys.resize(m);
-    proto.lengths.resize(m, 0);
+    std::vector<std::optional<Key>> keys(m);
+    std::vector<uint32_t> lengths(m, 0);
     std::vector<Bytes> values(m);
     bool any = false;
     for (uint32_t slot = 0; slot < existing; ++slot) {
@@ -407,19 +415,24 @@ RandomGroup MakeRandomGroup(const parity::ParityCode& coder, uint32_t existing,
       values[slot] = rng.RandomBytes(1 + rng.Uniform(max_len));
       const Key key = 100000 * static_cast<Key>(r) + slot;
       data[slot].records.push_back(RankedRecord{r, key, values[slot]});
-      proto.keys[slot] = key;
-      proto.lengths[slot] = static_cast<uint32_t>(values[slot].size());
+      keys[slot] = key;
+      lengths[slot] = static_cast<uint32_t>(values[slot].size());
       any = true;
     }
     if (!any) continue;
     for (uint32_t j = 0; j < coder.k(); ++j) {
-      WireParityRecord pr = proto;
+      BufferView bytes;
       for (uint32_t slot = 0; slot < existing; ++slot) {
         if (!values[slot].empty()) {
-          coder.ApplyDelta(slot, values[slot], j, &pr.parity);
+          coder.ApplyDelta(slot, values[slot], j, &bytes);
         }
       }
-      parity[j].parity_records.push_back(std::move(pr));
+      ParityColumn& p = parity[j].parity;
+      const size_t row = p.AddRow(r, std::move(bytes));
+      for (uint32_t slot = 0; slot < m; ++slot) {
+        p.keys[p.Cell(row, slot)] = keys[slot];
+        p.lengths[p.Cell(row, slot)] = lengths[slot];
+      }
     }
   }
   g.columns = std::move(data);
@@ -427,8 +440,8 @@ RandomGroup MakeRandomGroup(const parity::ParityCode& coder, uint32_t existing,
   return g;
 }
 
-void ExpectSameColumns(const std::vector<ReconstructedColumn>& got,
-                       const std::vector<ReconstructedColumn>& want,
+void ExpectSameColumns(const std::vector<ColumnDump>& got,
+                       const std::vector<ColumnDump>& want,
                        const std::string& where) {
   ASSERT_EQ(got.size(), want.size()) << where;
   for (size_t c = 0; c < want.size(); ++c) {
@@ -439,16 +452,13 @@ void ExpectSameColumns(const std::vector<ReconstructedColumn>& got,
       EXPECT_EQ(got[c].records[i].key, want[c].records[i].key) << where;
       EXPECT_EQ(got[c].records[i].value, want[c].records[i].value) << where;
     }
-    ASSERT_EQ(got[c].parity_records.size(), want[c].parity_records.size())
-        << where;
-    for (size_t i = 0; i < want[c].parity_records.size(); ++i) {
-      const auto& a = got[c].parity_records[i];
-      const auto& b = want[c].parity_records[i];
-      EXPECT_EQ(a.rank, b.rank) << where;
-      EXPECT_EQ(a.keys, b.keys) << where;
-      EXPECT_EQ(a.lengths, b.lengths) << where;
-      EXPECT_EQ(a.parity, b.parity) << where;
-    }
+    const ParityColumn& a = got[c].parity;
+    const ParityColumn& b = want[c].parity;
+    EXPECT_EQ(a.m, b.m) << where;
+    EXPECT_EQ(a.ranks, b.ranks) << where;
+    EXPECT_EQ(a.keys, b.keys) << where;
+    EXPECT_EQ(a.lengths, b.lengths) << where;
+    EXPECT_EQ(a.parity, b.parity) << where;
   }
 }
 
@@ -485,7 +495,7 @@ TEST_P(ReconstructionOracleTest, MatchesPerRankDecodeByteForByte) {
       if (i < erase) {
         req.missing_columns.push_back(pool[i].column);
       } else {
-        req.survivors.push_back(pool[i]);
+        req.survivors.push_back(Share(pool[i]));
       }
     }
 
@@ -512,13 +522,8 @@ TEST_P(ReconstructionOracleTest, MatchesPerRankDecodeByteForByte) {
           EXPECT_EQ(col.records[i].value, truth.records[i].value) << where;
         }
       } else {
-        ASSERT_EQ(col.parity_records.size(), truth.parity_records.size())
-            << where;
-        for (size_t i = 0; i < truth.parity_records.size(); ++i) {
-          EXPECT_EQ(col.parity_records[i].parity,
-                    truth.parity_records[i].parity)
-              << where;
-        }
+        EXPECT_EQ(col.parity.ranks, truth.parity.ranks) << where;
+        EXPECT_EQ(col.parity.parity, truth.parity.parity) << where;
       }
     }
     ++rebuilt;
@@ -559,23 +564,21 @@ TEST(ReconstructionDeathTest, CorruptSurvivorTripsPaddingCheck) {
   d1.records.push_back(RankedRecord{1, 101, long_value});
   ColumnDump p0;
   p0.column = 4;
-  WireParityRecord pr;
-  pr.rank = 1;
-  pr.keys = {Key{100}, Key{101}, std::nullopt, std::nullopt};
-  pr.lengths = {5, 40, 0, 0};
+  p0.parity = ParityColumn(4);
   Bytes parity;
   coder.ApplyDelta(0, short_value, 0, &parity);
   coder.ApplyDelta(1, long_value, 0, &parity);
   parity[20] ^= 0x5a;  // Beyond slot 0's 5 recorded bytes.
-  pr.parity = parity;
-  p0.parity_records.push_back(pr);
+  p0.parity.AddRow(1, BufferView(parity));
+  p0.parity.keys = {Key{100}, Key{101}, std::nullopt, std::nullopt};
+  p0.parity.lengths = {5, 40, 0, 0};
 
   ReconstructionRequest req;
   req.m = 4;
   req.k = 2;
   req.coder = &coder;
   req.existing_slots = 2;
-  req.survivors = {d1, p0};
+  req.survivors = {Share(d1), Share(p0)};
   req.missing_columns = {0};
   EXPECT_DEATH((void)ReconstructColumns(req), "non-zero padding");
 }
@@ -587,12 +590,12 @@ TEST(ReconstructionDeathTest, ParityMetadataMismatchIsFatal) {
   req.k = 1;
   req.coder = &fx.coders.ForK(1);
   req.existing_slots = 4;
-  ColumnDump parity = fx.parity_dumps[0];
+  ColumnDump parity = *fx.parity_dumps[0];
   // Rank 1's member at slot 2 is listed under a key slot 2 never held.
-  ASSERT_TRUE(parity.parity_records[0].keys[2].has_value());
-  parity.parity_records[0].keys[2] = 424242;
+  ASSERT_TRUE(parity.parity.keys[parity.parity.Cell(0, 2)].has_value());
+  parity.parity.keys[parity.parity.Cell(0, 2)] = 424242;
   req.survivors = {fx.data_dumps[1], fx.data_dumps[2], fx.data_dumps[3],
-                   parity};
+                   Share(parity)};
   req.missing_columns = {0};
   EXPECT_DEATH((void)ReconstructColumns(req),
                "parity metadata disagrees with data column 2");

@@ -26,6 +26,7 @@
 #include "baselines/lhm/lhm_file.h"
 #include "baselines/lhs/lhs_file.h"
 #include "common/rng.h"
+#include "lhrs/lhrs_file.h"
 #include "lhrs/messages.h"
 #include "lhstar/messages.h"
 #include "net/fields.h"
@@ -66,6 +67,10 @@ class FieldFiller {
     } else if constexpr (IsOptional<T>::value) {
       x.reset();
       if (Choose()) (*this)(x.emplace());
+    } else if constexpr (IsSharedConst<T>::value) {
+      auto fresh = std::make_shared<typename IsSharedConst<T>::element>();
+      (*this)(*fresh);
+      x = std::move(fresh);
     } else {
       Fill(x);
     }
@@ -171,7 +176,35 @@ void AddSamples(MessageList<Ms...>, std::vector<Sample>& out) {
   (add(static_cast<Ms*>(nullptr)), ...);
 }
 
-/// Seeded samples of every message kind, baselines included.
+/// A column read reply carrying a live parity bucket's dump: every row has
+/// absent members (only data slot 0 holds records) and deletes left gaps
+/// in the ranks, shapes the seeded samples do not produce.
+Sample LiveParityColumnSample() {
+  LhrsFile::Options opts;
+  opts.file.bucket_capacity = 1000;
+  opts.group_size = 4;
+  opts.policy.base_k = 1;
+  LhrsFile file(opts);
+  for (Key key = 1; key <= 40; ++key) {
+    EXPECT_TRUE(file.Insert(key, BytesFromString("v" + std::to_string(key)))
+                    .ok());
+  }
+  for (Key key : {5, 6, 7, 8, 13}) EXPECT_TRUE(file.Delete(key).ok());
+  auto dump = std::make_shared<ColumnDump>();
+  dump->column = 4;
+  dump->parity = file.parity_bucket(0, 0)->Column();
+  const ParityColumn& column = dump->parity;
+  EXPECT_EQ(column.size(), 35u);
+  EXPECT_GT(column.ranks.back(), column.size()) << "no gap in the ranks";
+  EXPECT_FALSE(column.keys[column.Cell(0, 1)].has_value());
+  auto reply = std::make_unique<ColumnReadReplyMsg>();
+  reply->task_id = 7;
+  reply->dump = std::move(dump);
+  return Sample{std::move(reply), *CodecOf(LhrsMsg::kColumnReadReply)};
+}
+
+/// Seeded samples of every message kind, baselines included, and the live
+/// parity column dump.
 std::vector<Sample> Samples() {
   std::vector<Sample> out;
   AddSamples(LhStarMessages{}, out);
@@ -179,6 +212,7 @@ std::vector<Sample> Samples() {
   AddSamples(lhg::LhgMessages{}, out);
   AddSamples(lhm::LhmMessages{}, out);
   AddSamples(lhs::LhsMessages{}, out);
+  out.push_back(LiveParityColumnSample());
   return out;
 }
 
