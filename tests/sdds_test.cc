@@ -4,6 +4,8 @@
 // equivalence of the N=1/W=1 open-loop schedule with the closed-loop
 // synchronous API, chaos included.
 
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/lhg/lhg_file.h"
 #include "baselines/lhm/lhm_file.h"
 #include "baselines/lhs/lhs_file.h"
 #include "chaos/chaos.h"
@@ -104,6 +107,128 @@ TEST(SddsFacadeTest, SchemesWithoutScanRejectIt) {
   lhs::LhsFile striped(lhs::LhsFile::Options{});
   EXPECT_TRUE(striped.Scan().status().IsInvalidArgument());
 }
+
+// --- The facade contract, on every scheme -----------------------------------
+
+struct SchemeCase {
+  const char* name;
+  std::function<std::unique_ptr<sdds::SddsFile>()> make;
+};
+
+void PrintTo(const SchemeCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<SchemeCase> AllSchemes() {
+  return {
+      {"lhstar",
+       [] {
+         LhStarFile::Options opts;
+         opts.file.bucket_capacity = 8;
+         return std::make_unique<LhStarFile>(opts);
+       }},
+      {"lhrs", [] { return std::make_unique<LhrsFile>(LhrsOpts()); }},
+      {"lhg",
+       [] {
+         lhg::LhgFile::Options opts;
+         opts.file.bucket_capacity = 8;
+         return std::make_unique<lhg::LhgFile>(opts);
+       }},
+      {"lhm",
+       [] {
+         lhm::LhmFile::Options opts;
+         opts.file.bucket_capacity = 8;
+         return std::make_unique<lhm::LhmFile>(opts);
+       }},
+      {"lhs",
+       [] {
+         lhs::LhsFile::Options opts;
+         opts.file.bucket_capacity = 8;
+         return std::make_unique<lhs::LhsFile>(opts);
+       }},
+  };
+}
+
+class FacadeContractTest : public ::testing::TestWithParam<SchemeCase> {};
+
+TEST_P(FacadeContractTest, PollIsFalseUntilTheLoopRunsAndTakeSucceedsOnce) {
+  std::unique_ptr<sdds::SddsFile> file = GetParam().make();
+  const OpToken token = file->Submit(0, OpType::kInsert, 11, Val("eleven"));
+  EXPECT_NE(token, 0u);
+  EXPECT_FALSE(file->Poll(token));
+  // Taking an op still in flight fails and leaves the token live.
+  EXPECT_EQ(file->Take(token).status().code(), StatusCode::kInternal);
+  file->network().RunUntilIdle();
+  ASSERT_TRUE(file->Poll(token));
+  auto out = file->Take(token);
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out->status.ok()) << out->status;
+  EXPECT_FALSE(file->Poll(token));
+  EXPECT_EQ(file->Take(token).status().code(), StatusCode::kInternal);
+  EXPECT_EQ(file->Take(0).status().code(), StatusCode::kInternal);
+}
+
+TEST_P(FacadeContractTest, ListenerMayTakeAndResubmit) {
+  std::unique_ptr<sdds::SddsFile> file = GetParam().make();
+  constexpr int kChain = 40;
+  int completed = 0;
+  std::set<OpToken> seen;
+  file->SetCompletionListener([&](OpToken token) {
+    auto out = file->Take(token);
+    ASSERT_TRUE(out.ok());
+    EXPECT_TRUE(out->status.ok()) << out->status;
+    if (++completed >= kChain) return;
+    // Even steps insert key 100 + step/2, odd steps read it back.
+    const OpToken next =
+        file->Submit(0, completed % 2 == 0 ? OpType::kInsert : OpType::kSearch,
+                     static_cast<Key>(100 + completed / 2), Val("chained"));
+    EXPECT_TRUE(seen.insert(next).second) << "token " << next << " reused";
+  });
+  seen.insert(file->Submit(0, OpType::kInsert, 100, Val("chained")));
+  file->network().RunUntilIdle();
+  file->SetCompletionListener(nullptr);
+  EXPECT_EQ(completed, kChain);
+  EXPECT_EQ(seen.size(), static_cast<size_t>(kChain));
+}
+
+TEST_P(FacadeContractTest, InterleavedCyclesNeverRepeatAToken) {
+  std::unique_ptr<sdds::SddsFile> file = GetParam().make();
+  constexpr Key kKeys = 32;
+  for (Key k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(file->Insert(k, Val("v")).ok());
+  }
+  while (file->session_count() < 3) file->AddSession();
+  std::set<OpToken> handed_out;
+  std::deque<OpToken> open;
+  Rng rng(1729);
+  for (int cycle = 0; cycle < 10000; ++cycle) {
+    const size_t session = rng.Uniform(3);
+    const Key key = rng.Uniform(kKeys);
+    const OpToken token =
+        rng.Uniform(2) == 0
+            ? file->Submit(session, OpType::kSearch, key, {})
+            : file->Submit(session, OpType::kUpdate, key, Val("u"));
+    ASSERT_TRUE(handed_out.insert(token).second)
+        << "token " << token << " handed out twice at cycle " << cycle;
+    open.push_back(token);
+    // Keep one to four ops in flight; take the oldest once it is done.
+    while (open.size() > 1 + rng.Uniform(4)) {
+      const OpToken oldest = open.front();
+      while (!file->Poll(oldest)) ASSERT_TRUE(file->network().Step());
+      auto out = file->Take(oldest);
+      ASSERT_TRUE(out.ok());
+      EXPECT_TRUE(out->status.ok()) << out->status;
+      EXPECT_EQ(file->Take(oldest).status().code(), StatusCode::kInternal);
+      open.pop_front();
+    }
+  }
+  file->network().RunUntilIdle();
+  for (OpToken token : open) EXPECT_TRUE(file->Take(token).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, FacadeContractTest,
+                         ::testing::ValuesIn(AllSchemes()),
+                         [](const ::testing::TestParamInfo<SchemeCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 TEST(SessionPoolTest, WindowIsEnforcedAndLatenciesStamped) {
   LhrsFile file(LhrsOpts());
