@@ -269,10 +269,13 @@ void ParityBucketNode::Dispatch(const Message& msg) {
       return;
     }
     case LhrsMsg::kInstallParityColumn: {
-      InstallColumn(static_cast<const InstallParityColumnMsg&>(*msg.body));
+      const auto& install =
+          static_cast<const InstallParityColumnMsg&>(*msg.body);
+      if (install.task_id == installed_task_) return;
+      installed_task_ = install.task_id;
+      InstallColumn(install);
       auto done = std::make_unique<InstallDoneMsg>();
-      done->task_id =
-          static_cast<const InstallParityColumnMsg&>(*msg.body).task_id;
+      done->task_id = install.task_id;
       done->column = ctx_->m + parity_index_;
       Send(msg.from, std::move(done));
       // Replay deferred traffic in arrival order.

@@ -110,6 +110,11 @@ class ParityBucketNode : public Node {
   uint32_t parity_index_;
   uint32_t k_;
   bool initialized_;
+  /// Task of the last column install applied. The coordinator numbers
+  /// recovery, scrub and find tasks from one counter, so a repeat is a
+  /// duplicated delivery: applying it again would clear the Δs replayed
+  /// since the first copy.
+  std::optional<uint64_t> installed_task_;
   uint32_t m_;  ///< Group size: data slots per record group.
   // Parity records as dense columns indexed by row = rank - 1; a row with
   // no member is free (no parity record). No per-record heap allocation.

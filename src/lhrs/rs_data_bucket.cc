@@ -206,6 +206,8 @@ void RsDataBucketNode::HandleSubclassMessage(const Message& msg) {
     case LhrsMsg::kInstallDataColumn: {
       const auto& install =
           static_cast<const InstallDataColumnMsg&>(*msg.body);
+      if (install.task_id == installed_task_) return;
+      installed_task_ = install.task_id;
       InstallDataColumn(install);
       auto done = std::make_unique<InstallDoneMsg>();
       done->task_id = install.task_id;

@@ -2,6 +2,7 @@
 #define LHRS_LHRS_RS_DATA_BUCKET_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "lhrs/messages.h"
@@ -66,6 +67,10 @@ class RsDataBucketNode : public DataBucketNode {
   std::shared_ptr<LhrsContext> lhrs_ctx_;
   std::vector<NodeId> parity_nodes_;  ///< Local copy, fed by GroupConfig.
   uint32_t k_ = 0;
+  /// Task of the last column install applied; a repeat is a duplicated
+  /// delivery that would roll back the ops replayed since the first copy
+  /// (see ParityBucketNode::installed_task_).
+  std::optional<uint64_t> installed_task_;
   /// Deltas generated before GroupConfig arrived (chaos reorder/drop, or
   /// real-transport retransmit delay); flushed when the configuration
   /// lands. Ranks are bound at generation time, so replay order within a
