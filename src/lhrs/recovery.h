@@ -76,7 +76,6 @@ class Collation {
 /// group); non-existing slots are known-zero columns.
 struct ReconstructionRequest {
   uint32_t m = 0;
-  uint32_t k = 0;
   const parity::ParityCode* coder = nullptr;
   uint32_t existing_slots = 0;
   std::vector<SharedDump> survivors;

@@ -418,7 +418,6 @@ void RsCoordinatorNode::TryDecodeAndInstall(RecoveryTask& task) {
   const GroupInfo& info = groups_[task.group];
   ReconstructionRequest req;
   req.m = lhrs_ctx_->m;
-  req.k = info.k;
   req.coder = &lhrs_ctx_->coders->ForK(info.k);
   req.existing_slots = ExistingSlots(task.group);
   req.survivors = std::move(task.dumps);
@@ -754,7 +753,6 @@ void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
     // Re-encode the bad columns from the (authoritative) data columns.
     ReconstructionRequest req;
     req.m = m;
-    req.k = info.k;
     req.coder = &coder;
     req.existing_slots = ExistingSlots(task.group);
     for (const SharedDump& dump : task.dumps) {

@@ -81,7 +81,6 @@ TEST(ReconstructionTest, SingleDataColumn) {
   Fixture fx(4, 2, 4, 1);
   ReconstructionRequest req;
   req.m = 4;
-  req.k = 2;
   req.coder = &fx.coders.ForK(2);
   req.existing_slots = 4;
   for (uint32_t s = 1; s < 4; ++s) req.survivors.push_back(fx.data_dumps[s]);
@@ -103,7 +102,6 @@ TEST(ReconstructionTest, MixedDataAndParityLoss) {
   Fixture fx(4, 3, 4, 2);
   ReconstructionRequest req;
   req.m = 4;
-  req.k = 3;
   req.coder = &fx.coders.ForK(3);
   req.existing_slots = 4;
   // Lose data slots 0, 2 and parity column 1: survivors are data 1, 3 and
@@ -142,7 +140,6 @@ TEST(ReconstructionTest, PartialGroupUsesKnownZeroSlots) {
   Fixture fx(4, 1, 2, 3);
   ReconstructionRequest req;
   req.m = 4;
-  req.k = 1;
   req.coder = &fx.coders.ForK(1);
   req.existing_slots = 2;
   req.survivors = {fx.data_dumps[0], fx.parity_dumps[0]};
@@ -160,7 +157,6 @@ TEST(ReconstructionTest, WorksOverGf65536) {
   Fixture fx(4, 2, 4, 4, FieldChoice::kGf65536);
   ReconstructionRequest req;
   req.m = 4;
-  req.k = 2;
   req.coder = &fx.coders.ForK(2);
   req.existing_slots = 4;
   req.survivors = {fx.data_dumps[0], fx.data_dumps[3], fx.parity_dumps[0],
@@ -181,7 +177,6 @@ TEST(ReconstructionTest, ParityOnlyRebuildNeedsNoParitySurvivor) {
   Fixture fx(4, 2, 4, 5);
   ReconstructionRequest req;
   req.m = 4;
-  req.k = 2;
   req.coder = &fx.coders.ForK(2);
   req.existing_slots = 4;
   req.survivors = {fx.data_dumps[0], fx.data_dumps[1], fx.data_dumps[2],
@@ -208,7 +203,6 @@ TEST(ReconstructionTest, GappedRanksRebuildInRankOrder) {
   Fixture fx(4, 2, 4, 6, FieldChoice::kGf256, {1, 2, 7, 300});
   ReconstructionRequest req;
   req.m = 4;
-  req.k = 2;
   req.coder = &fx.coders.ForK(2);
   req.existing_slots = 4;
   req.survivors = {fx.data_dumps[3], fx.parity_dumps[0], fx.data_dumps[0],
@@ -377,6 +371,10 @@ struct CodeCase {
   FieldChoice field;
 };
 
+void PrintTo(const CodeCase& c, std::ostream* os) {
+  *os << c.code << " " << FieldChoiceName(c.field);
+}
+
 class ReconstructionOracleTest : public ::testing::TestWithParam<CodeCase> {};
 
 /// One random group: sparse ranks, members of odd lengths (GF(2^16)
@@ -487,7 +485,6 @@ TEST_P(ReconstructionOracleTest, MatchesPerRankDecodeByteForByte) {
     const size_t erase = 1 + rng.Uniform(k);
     ReconstructionRequest req;
     req.m = kM;
-    req.k = k;
     req.coder = &coder;
     req.existing_slots = existing;
     req.progressive = spec->progressive;
@@ -575,7 +572,6 @@ TEST(ReconstructionDeathTest, CorruptSurvivorTripsPaddingCheck) {
 
   ReconstructionRequest req;
   req.m = 4;
-  req.k = 2;
   req.coder = &coder;
   req.existing_slots = 2;
   req.survivors = {Share(d1), Share(p0)};
@@ -587,7 +583,6 @@ TEST(ReconstructionDeathTest, ParityMetadataMismatchIsFatal) {
   Fixture fx(4, 1, 4, 7);
   ReconstructionRequest req;
   req.m = 4;
-  req.k = 1;
   req.coder = &fx.coders.ForK(1);
   req.existing_slots = 4;
   ColumnDump parity = *fx.parity_dumps[0];
