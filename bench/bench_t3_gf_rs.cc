@@ -31,9 +31,9 @@
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
 #include "gf/kernels.h"
+#include "parity/generator.h"
+#include "parity/matrix.h"
 #include "parity/parity_code.h"
-#include "rs/generator.h"
-#include "rs/matrix.h"
 
 namespace lhrs::bench {
 namespace {

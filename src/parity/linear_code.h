@@ -12,8 +12,8 @@
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "parity/linear_decode.h"
+#include "parity/matrix.h"
 #include "parity/parity_code.h"
-#include "rs/matrix.h"
 
 namespace lhrs::parity {
 

@@ -11,8 +11,8 @@
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/result.h"
+#include "parity/matrix.h"
 #include "parity/parity_code.h"
-#include "rs/matrix.h"
 
 namespace lhrs::parity {
 

@@ -8,10 +8,10 @@
 #include <utility>
 #include <vector>
 
+#include "parity/generator.h"
 #include "parity/linear_code.h"
 #include "parity/linear_decode.h"
 #include "parity/parity_code.h"
-#include "rs/generator.h"
 
 namespace lhrs::parity {
 

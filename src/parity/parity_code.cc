@@ -9,9 +9,9 @@
 #include "common/logging.h"
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
+#include "parity/generator.h"
 #include "parity/lrc_code.h"
 #include "parity/rs_code.h"
-#include "rs/generator.h"
 
 namespace lhrs::parity {
 

@@ -15,7 +15,7 @@
 namespace lhrs::parity {
 
 /// The paper's generalized Reed-Solomon code: the Cauchy-derived parity
-/// matrix of rs/generator.h, whose first column is all ones (parity 0 is
+/// matrix of parity/generator.h, whose first column is all ones (parity 0 is
 /// the XOR bucket). The code is MDS, so any m of the m + k columns
 /// reconstruct the group, and a decode plan is one m x m inversion.
 template <GaloisField F>

@@ -15,9 +15,9 @@
 #include "common/rng.h"
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
+#include "parity/generator.h"
+#include "parity/matrix.h"
 #include "parity/parity_code.h"
-#include "rs/generator.h"
-#include "rs/matrix.h"
 
 namespace lhrs {
 namespace {
