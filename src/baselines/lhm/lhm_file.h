@@ -1,6 +1,7 @@
 #ifndef LHRS_BASELINES_LHM_LHM_FILE_H_
 #define LHRS_BASELINES_LHM_LHM_FILE_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -181,10 +182,6 @@ class LhmFile : public sdds::SddsFile {
   }
   sdds::OpToken Submit(size_t session, OpType op, Key key,
                        Bytes value) override;
-  bool Poll(sdds::OpToken token) const override {
-    return done_.contains(token);
-  }
-  Result<OpOutcome> Take(sdds::OpToken token) override;
   Network& network() override { return *network_; }
   StorageStats GetStorageStats() const override;
 
@@ -201,11 +198,10 @@ class LhmFile : public sdds::SddsFile {
   struct Replica {
     std::shared_ptr<SystemContext> ctx;
     std::vector<ClientNode*> clients;  ///< One per session.
-    /// Per session: client op id -> facade token of the logical op.
-    std::vector<std::map<uint64_t, sdds::OpToken>> subops;
   };
 
-  /// State of one logical op between its primary and mirror sub-ops.
+  /// State of one logical op between its primary and mirror sub-ops,
+  /// indexed by the slot of its token.
   struct LogicalOp {
     size_t session = 0;
     OpType op = OpType::kSearch;
@@ -215,17 +211,17 @@ class LhmFile : public sdds::SddsFile {
     OpOutcome primary;
   };
 
-  void StartSubOp(size_t replica, size_t session, sdds::OpToken token,
-                  OpType op, Key key, BufferView value);
-  void OnSubOpComplete(size_t replica, size_t session, uint64_t op_id);
+  /// A finished primary or mirror sub-op steps its logical op; a
+  /// finished logical op goes to the listener.
+  void OnOpComplete(sdds::OpToken token) override;
   void FinishOp(sdds::OpToken token, OpOutcome outcome);
-  ClientNode* AddReplicaClient(size_t replica, size_t session);
+  void AddReplicaClient(size_t replica);
 
   std::unique_ptr<Network> network_;
   Replica replicas_[2];
   LhmCoordinatorNode* coordinators_[2] = {nullptr, nullptr};
-  std::map<sdds::OpToken, LogicalOp> inflight_;
-  std::map<sdds::OpToken, OpOutcome> done_;
+  /// A deque, so growing it leaves the entries in use where they are.
+  std::deque<LogicalOp> logical_;
   /// Typed registry of every bucket node of both replicas.
   sdds::NodeIndex<DataBucketNode> buckets_;
 };

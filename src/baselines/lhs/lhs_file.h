@@ -1,6 +1,7 @@
 #ifndef LHRS_BASELINES_LHS_LHS_FILE_H_
 #define LHRS_BASELINES_LHS_LHS_FILE_H_
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -193,10 +194,6 @@ class LhsFile : public sdds::SddsFile {
   size_t session_count() const override { return files_[0].clients.size(); }
   sdds::OpToken Submit(size_t session, OpType op, Key key,
                        Bytes value) override;
-  bool Poll(sdds::OpToken token) const override {
-    return done_.contains(token);
-  }
-  Result<OpOutcome> Take(sdds::OpToken token) override;
   Network& network() override { return *network_; }
   StorageStats GetStorageStats() const override;
 
@@ -224,11 +221,10 @@ class LhsFile : public sdds::SddsFile {
     std::shared_ptr<SystemContext> ctx;
     CoordinatorNode* coordinator = nullptr;
     std::vector<ClientNode*> clients;  ///< One per session.
-    /// Per session: client op id -> facade token of the logical op.
-    std::vector<std::map<uint64_t, sdds::OpToken>> subops;
   };
 
-  /// State of one logical op across its per-stripe sub-op chain.
+  /// State of one logical op across its per-stripe sub-op chain, indexed
+  /// by the slot of its token.
   struct LogicalOp {
     size_t session = 0;
     OpType op = OpType::kSearch;
@@ -242,7 +238,9 @@ class LhsFile : public sdds::SddsFile {
 
   void StartSubOp(uint32_t file_index, size_t session, sdds::OpToken token,
                   OpType op, Key key, BufferView value);
-  void OnSubOpComplete(uint32_t file_index, size_t session, uint64_t op_id);
+  /// A finished stripe sub-op steps its logical op; a finished logical
+  /// op goes to the listener.
+  void OnOpComplete(sdds::OpToken token) override;
   void AdvanceSearch(sdds::OpToken token, LogicalOp& lop, OpOutcome sub);
   void AdvanceWrite(sdds::OpToken token, LogicalOp& lop, OpOutcome sub);
   void FinishOp(sdds::OpToken token, OpOutcome outcome);
@@ -251,8 +249,8 @@ class LhsFile : public sdds::SddsFile {
   std::unique_ptr<Network> network_;
   uint32_t stripe_count_;
   std::vector<StripeFile> files_;  ///< k stripes + 1 parity.
-  std::map<sdds::OpToken, LogicalOp> inflight_;
-  std::map<sdds::OpToken, OpOutcome> done_;
+  /// A deque, so growing it leaves the entries in use where they are.
+  std::deque<LogicalOp> logical_;
   /// Typed registry of every bucket node of all stripe files.
   sdds::NodeIndex<DataBucketNode> buckets_;
 };

@@ -41,15 +41,11 @@ LhStarFile::LhStarFile(Options options)
 }
 
 size_t LhStarFile::AddClient() {
-  auto client = std::make_unique<ClientNode>(ctx_);
+  auto client = std::make_unique<ClientNode>(ctx_, ops_);
   ClientNode* ptr = client.get();
   network_->AddNode(std::move(client));
   clients_.push_back(ptr);
-  op_tokens_.emplace_back();
-  const size_t session = clients_.size() - 1;
-  ptr->SetOnOpComplete(
-      [this, session](uint64_t op_id) { OnClientOpComplete(session, op_id); });
-  return session;
+  return clients_.size() - 1;
 }
 
 ClientNode& LhStarFile::client(size_t index) {
@@ -59,47 +55,12 @@ ClientNode& LhStarFile::client(size_t index) {
 
 sdds::OpToken LhStarFile::Submit(size_t session, OpType op, Key key,
                                  Bytes value) {
-  ClientNode& c = client(session);
-  const sdds::OpToken token = NextToken();
-  const uint64_t op_id = c.StartOp(op, key, std::move(value));
-  tokens_[token] = TokenEntry{session, op_id};
-  op_tokens_[session][op_id] = token;
-  return token;
+  return client(session).StartOp(op, key, std::move(value));
 }
 
 sdds::OpToken LhStarFile::SubmitBatch(size_t session,
                                       std::vector<WireRecord> records) {
-  ClientNode& c = client(session);
-  const sdds::OpToken token = NextToken();
-  const uint64_t op_id = c.StartInsertBatch(std::move(records));
-  tokens_[token] = TokenEntry{session, op_id};
-  op_tokens_[session][op_id] = token;
-  return token;
-}
-
-bool LhStarFile::Poll(sdds::OpToken token) const {
-  auto it = tokens_.find(token);
-  if (it == tokens_.end()) return false;
-  return clients_[it->second.session]->IsDone(it->second.op_id);
-}
-
-Result<OpOutcome> LhStarFile::Take(sdds::OpToken token) {
-  auto it = tokens_.find(token);
-  if (it == tokens_.end()) {
-    return Status::Internal("unknown operation token");
-  }
-  const TokenEntry entry = it->second;
-  Result<OpOutcome> outcome = clients_[entry.session]->TakeResult(entry.op_id);
-  if (!outcome.ok()) return outcome;  // Still in flight: token stays live.
-  tokens_.erase(it);
-  op_tokens_[entry.session].erase(entry.op_id);
-  return outcome;
-}
-
-void LhStarFile::OnClientOpComplete(size_t session, uint64_t op_id) {
-  auto it = op_tokens_[session].find(op_id);
-  if (it == op_tokens_[session].end()) return;  // Not started via Submit.
-  NotifyComplete(it->second);
+  return client(session).StartInsertBatch(std::move(records));
 }
 
 Status LhStarFile::InsertVia(size_t client_index, Key key, Bytes value) {
@@ -120,17 +81,10 @@ Result<std::vector<WireRecord>> LhStarFile::Scan(ScanPredicate predicate,
                                                  bool deterministic) {
   ClientNode& c = client(0);
   const uint64_t op_id = c.StartScan(std::move(predicate), deterministic);
+  // Probabilistic termination: the simulation going idle is the time-out
+  // after the last received record.
   network_->RunUntilIdle();
-  if (!c.IsDone(op_id)) {
-    if (!deterministic) {
-      // Probabilistic termination: the simulation going idle is the
-      // time-out after the last received record.
-      c.FinishProbabilisticScan(op_id);
-    } else {
-      return Status::Internal("scan did not terminate");
-    }
-  }
-  LHRS_ASSIGN_OR_RETURN(OpOutcome out, c.TakeResult(op_id));
+  LHRS_ASSIGN_OR_RETURN(OpOutcome out, c.TakeScan(op_id));
   if (!out.status.ok()) return out.status;
   return std::move(out.scan_records);
 }

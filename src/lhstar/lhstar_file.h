@@ -1,7 +1,6 @@
 #ifndef LHRS_LHSTAR_LHSTAR_FILE_H_
 #define LHRS_LHSTAR_LHSTAR_FILE_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -42,8 +41,6 @@ class LhStarFile : public sdds::SddsFile {
   size_t session_count() const override { return clients_.size(); }
   sdds::OpToken Submit(size_t session, OpType op, Key key,
                        Bytes value) override;
-  bool Poll(sdds::OpToken token) const override;
-  Result<OpOutcome> Take(sdds::OpToken token) override;
 
   /// Submits one bulk-load batch on `session` (see
   /// ClientNode::StartInsertBatch): the records travel as one message per
@@ -57,7 +54,6 @@ class LhStarFile : public sdds::SddsFile {
   /// Adds another autonomous client; returns its index.
   size_t AddClient();
   ClientNode& client(size_t index = 0);
-  size_t client_count() const { return clients_.size(); }
 
   Status InsertVia(size_t client_index, Key key, Bytes value);
   Result<Bytes> SearchVia(size_t client_index, Key key);
@@ -121,19 +117,6 @@ class LhStarFile : public sdds::SddsFile {
   std::unique_ptr<chaos::ChaosEngine> chaos_;
 
  private:
-  /// ClientNode completion callback: resolves the client op back to its
-  /// facade token (ops started outside Submit — scans, direct client use —
-  /// have none and are ignored) and notifies the listener.
-  void OnClientOpComplete(size_t session, uint64_t op_id);
-
-  struct TokenEntry {
-    size_t session = 0;
-    uint64_t op_id = 0;
-  };
-  std::map<sdds::OpToken, TokenEntry> tokens_;
-  /// Per session: client op id -> token (reverse index for the callback).
-  std::vector<std::map<uint64_t, sdds::OpToken>> op_tokens_;
-
   sdds::NodeIndex<DataBucketNode> data_nodes_;
 };
 

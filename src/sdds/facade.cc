@@ -8,10 +8,7 @@ Result<OpOutcome> SddsFile::RunSync(size_t session, OpType op, Key key,
                                     Bytes value) {
   const OpToken token = Submit(session, op, key, std::move(value));
   network().RunUntilIdle();
-  if (!Poll(token)) {
-    return Status::Internal("operation did not complete");
-  }
-  return Take(token);
+  return Take(token);  // kInternal if the op never completed.
 }
 
 Status SddsFile::Insert(Key key, Bytes value) {

@@ -22,25 +22,26 @@ SessionPool::~SessionPool() { file_.SetCompletionListener(nullptr); }
 OpToken SessionPool::Submit(size_t session, SddsOp op) {
   LHRS_CHECK_LT(session, sessions_);
   LHRS_CHECK(HasCapacity(session)) << "session window exceeded";
-  Inflight entry;
-  entry.session = session;
-  entry.submitted_us = file_.network().now();
-  entry.op = std::move(op);
+  const SimTime now = file_.network().now();
   // Submit sends messages but cannot complete the op before the event
   // loop runs again, so registering the token afterwards is safe.
-  const OpToken token =
-      file_.Submit(session, entry.op.op, entry.op.key, Bytes(entry.op.value));
+  const OpToken token = file_.Submit(session, op.op, op.key, Bytes(op.value));
+  const size_t slot = OpTable::SlotOf(token);
+  if (open_.size() <= slot) open_.resize(slot + 1);
+  open_[slot] = Inflight{token, session, now, std::move(op)};
   ++inflight_per_session_[session];
-  open_.emplace(token, std::move(entry));
+  ++inflight_total_;
   return token;
 }
 
 void SessionPool::OnComplete(OpToken token) {
-  auto it = open_.find(token);
-  if (it == open_.end()) return;  // A sync call outside the pool.
-  Inflight entry = std::move(it->second);
-  open_.erase(it);
+  const size_t slot = OpTable::SlotOf(token);
+  // A sync call outside the pool holds no entry under its token.
+  if (slot >= open_.size() || open_[slot].token != token) return;
+  Inflight entry = std::move(open_[slot]);
+  open_[slot].token = 0;
   --inflight_per_session_[entry.session];
+  --inflight_total_;
   Result<OpOutcome> outcome = file_.Take(token);
   LHRS_CHECK(outcome.ok()) << "listener fired for unfinished op";
   const SimTime latency = file_.network().now() - entry.submitted_us;
@@ -61,13 +62,6 @@ SimTime RunnerReport::LatencyPercentileUs(double p) const {
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto idx = static_cast<size_t>(std::llround(rank));
   return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-double RunnerReport::MeanLatencyUs() const {
-  if (latencies_us.empty()) return 0.0;
-  double sum = 0.0;
-  for (SimTime l : latencies_us) sum += static_cast<double>(l);
-  return sum / static_cast<double>(latencies_us.size());
 }
 
 RunnerReport PipelinedRunner::Run(const OpSource& source,

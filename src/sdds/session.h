@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -41,16 +40,10 @@ class SessionPool {
   SessionPool(const SessionPool&) = delete;
   SessionPool& operator=(const SessionPool&) = delete;
 
-  size_t sessions() const { return sessions_; }
-  size_t window() const { return window_; }
-
   bool HasCapacity(size_t session) const {
     return inflight_per_session_[session] < window_;
   }
-  size_t inflight(size_t session) const {
-    return inflight_per_session_[session];
-  }
-  size_t inflight_total() const { return open_.size(); }
+  size_t inflight_total() const { return inflight_total_; }
 
   /// Submits `op` on `session` (which must have capacity).
   OpToken Submit(size_t session, SddsOp op);
@@ -62,7 +55,9 @@ class SessionPool {
   }
 
  private:
+  /// One op this pool submitted, indexed by the slot of its token.
   struct Inflight {
+    OpToken token = 0;  ///< 0: the slot holds no op of this pool.
     size_t session = 0;
     SimTime submitted_us = 0;
     SddsOp op;
@@ -74,7 +69,8 @@ class SessionPool {
   size_t sessions_;
   size_t window_;
   std::vector<size_t> inflight_per_session_;
-  std::map<OpToken, Inflight> open_;
+  size_t inflight_total_ = 0;
+  std::vector<Inflight> open_;
   CompletionHandler handler_;
 };
 
@@ -105,7 +101,6 @@ struct RunnerReport {
 
   /// Exact nearest-rank percentile of the per-op latencies (p in [0,100]).
   SimTime LatencyPercentileUs(double p) const;
-  double MeanLatencyUs() const;
 };
 
 /// Drives an SddsFile open-loop: N sessions, each refilled from `source`

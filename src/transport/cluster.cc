@@ -667,6 +667,9 @@ int ClusterClient::Run() {
   LHRS_CHECK(client_index >= 0 &&
              client_index < static_cast<int>(layout.client_ranks));
 
+  // The sessions' ops, declared before the member so it outlives the
+  // resident clients.
+  sdds::OpTable ops;
   Member member(options_, rank_, "client", stop_requested_);
   if (const int code = member.Join(); code != 0) return code;
 
@@ -675,7 +678,7 @@ int ClusterClient::Run() {
   // coordinator-escalation machinery is what absorbs it.
   std::vector<ClientNode*> sessions;
   for (uint32_t s = 0; s < layout.sessions_per_client; ++s) {
-    auto client = std::make_unique<ClientNode>(member.contexts.ctx);
+    auto client = std::make_unique<ClientNode>(member.contexts.ctx, ops);
     ClientNode* ptr = client.get();
     ClientRetryPolicy policy;
     policy.enabled = true;

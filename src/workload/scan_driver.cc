@@ -56,19 +56,12 @@ Result<ParallelScanReport> ParallelScan(LhStarFile& file,
   }
   report.partitions = launched.size();
 
+  // The simulation going idle is the probabilistic-mode time-out.
   file.network().RunUntilIdle();
 
   for (const Launched& scan : launched) {
-    ClientNode& client = file.client(scan.session);
-    if (!client.IsDone(scan.op_id)) {
-      if (!options.deterministic) {
-        // The simulation going idle is the probabilistic-mode time-out.
-        client.FinishProbabilisticScan(scan.op_id);
-      } else {
-        return Status::Internal("parallel scan partition did not terminate");
-      }
-    }
-    LHRS_ASSIGN_OR_RETURN(OpOutcome outcome, client.TakeResult(scan.op_id));
+    LHRS_ASSIGN_OR_RETURN(OpOutcome outcome,
+                          file.client(scan.session).TakeScan(scan.op_id));
     if (!outcome.status.ok()) return outcome.status;
     // Per-partition sort; partitions are disjoint and ascending, so the
     // concatenation is globally sorted.
