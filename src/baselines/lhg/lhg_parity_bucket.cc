@@ -7,33 +7,10 @@
 
 namespace lhrs::lhg {
 
-namespace {
-
-std::unique_ptr<MessageBody> CloneBody(const MessageBody& body) {
-  switch (body.kind()) {
-    case LhgMsg::kParityUpdate:
-      return std::make_unique<ParityUpdateMsg>(
-          static_cast<const ParityUpdateMsg&>(body));
-    case LhgMsg::kCollectForData:
-      return std::make_unique<CollectForDataMsg>(
-          static_cast<const CollectForDataMsg&>(body));
-    case LhgMsg::kFindParity:
-      return std::make_unique<FindParityMsg>(
-          static_cast<const FindParityMsg&>(body));
-    default:
-      LHRS_LOG(Fatal) << "lhg parity bucket cannot defer message kind "
-                      << body.kind();
-      return nullptr;
-  }
-}
-
-}  // namespace
-
 LhgParityBucketNode::LhgParityBucketNode(
     std::shared_ptr<SystemContext> f2_ctx, BucketNo bucket_no, Level level,
     bool pre_initialized)
-    : DataBucketNode(std::move(f2_ctx), bucket_no, level, pre_initialized),
-      lhg_initialized_(pre_initialized) {}
+    : DataBucketNode(std::move(f2_ctx), bucket_no, level, pre_initialized) {}
 
 std::vector<std::pair<GroupKey, ParityRecordG>>
 LhgParityBucketNode::DecodedRecords() const {
@@ -45,16 +22,13 @@ LhgParityBucketNode::DecodedRecords() const {
   return out;
 }
 
+bool LhgParityBucketNode::NeedsRecords(int kind) const {
+  return kind == LhgMsg::kParityUpdate || kind == LhgMsg::kCollectForData ||
+         kind == LhgMsg::kFindParity || DataBucketNode::NeedsRecords(kind);
+}
+
 void LhgParityBucketNode::HandleSubclassMessage(const Message& msg) {
-  const int kind = msg.body->kind();
-  if (!lhg_initialized_ && kind != LhgMsg::kInstallParity) {
-    Message& deferred = deferred_.emplace_back();
-    deferred.from = msg.from;
-    deferred.to = msg.to;
-    deferred.body = CloneBody(*msg.body);
-    return;
-  }
-  switch (kind) {
+  switch (msg.body->kind()) {
     case LhgMsg::kParityUpdate:
       ApplyParityUpdate(static_cast<const ParityUpdateMsg&>(*msg.body));
       return;
@@ -175,17 +149,10 @@ void LhgParityBucketNode::HandleInstall(const InstallParityMsg& install,
   LHRS_CHECK_EQ(install.bucket, bucket_no());
   store::BucketStore records;
   for (const auto& r : install.records) records.Put(r.gkey, r.data);
-  InstallRecoveredState(std::move(records), install.level);  // -> OnActivated.
+  InstallRecoveredState(std::move(records), install.level);
   auto ack = std::make_unique<InstallAckMsg>();
   ack->task_id = install.task_id;
   Send(from, std::move(ack));
-}
-
-void LhgParityBucketNode::OnActivated() {
-  lhg_initialized_ = true;
-  std::vector<Message> deferred = std::move(deferred_);
-  deferred_.clear();
-  for (const Message& m : deferred) HandleSubclassMessage(m);
 }
 
 }  // namespace lhrs::lhg

@@ -25,17 +25,16 @@ class LhgParityBucketNode : public DataBucketNode {
   std::vector<std::pair<GroupKey, ParityRecordG>> DecodedRecords() const;
 
  protected:
+  /// An F2 spare or split target also holds parity maintenance and the
+  /// coordinator's parity reads until its records arrive.
+  bool NeedsRecords(int kind) const override;
   void HandleSubclassMessage(const Message& msg) override;
-  void OnActivated() override;
 
  private:
   void ApplyParityUpdate(const ParityUpdateMsg& update);
   void HandleCollectForData(const CollectForDataMsg& req, NodeId from);
   void HandleFindParity(const FindParityMsg& req, NodeId from);
   void HandleInstall(const InstallParityMsg& install, NodeId from);
-
-  bool lhg_initialized_;
-  std::vector<Message> deferred_;
 };
 
 }  // namespace lhrs::lhg

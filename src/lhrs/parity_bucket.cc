@@ -7,36 +7,6 @@
 
 namespace lhrs {
 
-namespace {
-
-/// Copies a message body of any kind the parity bucket understands, for
-/// deferring traffic that arrives before a recovery install.
-std::unique_ptr<MessageBody> CloneBody(const MessageBody& body) {
-  switch (body.kind()) {
-    case LhrsMsg::kParityDelta:
-      return std::make_unique<ParityDeltaMsg>(
-          static_cast<const ParityDeltaMsg&>(body));
-    case LhrsMsg::kParityDeltaBatch:
-      return std::make_unique<ParityDeltaBatchMsg>(
-          static_cast<const ParityDeltaBatchMsg&>(body));
-    case LhrsMsg::kFindRankRequest:
-      return std::make_unique<FindRankRequestMsg>(
-          static_cast<const FindRankRequestMsg&>(body));
-    case LhrsMsg::kColumnReadRequest:
-      return std::make_unique<ColumnReadRequestMsg>(
-          static_cast<const ColumnReadRequestMsg&>(body));
-    case LhrsMsg::kParityRecordRequest:
-      return std::make_unique<ParityRecordRequestMsg>(
-          static_cast<const ParityRecordRequestMsg&>(body));
-    default:
-      LHRS_LOG(Fatal) << "parity bucket cannot defer message kind "
-                      << body.kind();
-      return nullptr;
-  }
-}
-
-}  // namespace
-
 ParityBucketNode::ParityBucketNode(std::shared_ptr<LhrsContext> ctx,
                                    uint32_t group, uint32_t parity_index,
                                    uint32_t k, bool pre_initialized)
@@ -155,10 +125,7 @@ void ParityBucketNode::HandleMessage(const Message& msg) {
   if (!initialized_ && msg.body->kind() != LhrsMsg::kInstallParityColumn &&
       msg.body->kind() != LhrsMsg::kPingRequest &&
       msg.body->kind() != LhStarMsg::kSurveyRequest) {
-    Message& deferred = queued_.emplace_back();
-    deferred.from = msg.from;
-    deferred.to = msg.to;
-    deferred.body = CloneBody(*msg.body);
+    held_.Hold(msg);
     return;
   }
   Dispatch(msg);
@@ -170,26 +137,13 @@ void ParityBucketNode::HandleDeliveryFailure(const Message& msg) {
   // so re-send a bounded number of times. Everything else stays ignored:
   // degraded-read replies are re-driven by client retries.
   if (!network()->fault_injection_active()) return;
-  constexpr uint32_t kMaxReplyAttempts = 4;
   switch (msg.body->kind()) {
-    case LhrsMsg::kColumnReadReply: {
-      const auto& reply = static_cast<const ColumnReadReplyMsg&>(*msg.body);
-      if (reply.attempt + 1 < kMaxReplyAttempts) {
-        auto resend = std::make_unique<ColumnReadReplyMsg>(reply);
-        ++resend->attempt;
-        Send(msg.to, std::move(resend));
-      }
+    case LhrsMsg::kColumnReadReply:
+      Resend<ColumnReadReplyMsg>(msg);
       return;
-    }
-    case LhrsMsg::kInstallDone: {
-      const auto& done = static_cast<const InstallDoneMsg&>(*msg.body);
-      if (done.attempt + 1 < kMaxReplyAttempts) {
-        auto resend = std::make_unique<InstallDoneMsg>(done);
-        ++resend->attempt;
-        Send(msg.to, std::move(resend));
-      }
+    case LhrsMsg::kInstallDone:
+      Resend<InstallDoneMsg>(msg);
       return;
-    }
     default:
       return;
   }
@@ -278,10 +232,7 @@ void ParityBucketNode::Dispatch(const Message& msg) {
       done->task_id = install.task_id;
       done->column = ctx_->m + parity_index_;
       Send(msg.from, std::move(done));
-      // Replay deferred traffic in arrival order.
-      std::vector<Message> queued = std::move(queued_);
-      queued_.clear();
-      for (const Message& m : queued) Dispatch(m);
+      held_.Replay([this](const Message& m) { Dispatch(m); });
       return;
     }
     case LhStarMsg::kSurveyRequest: {

@@ -12,6 +12,7 @@
 #include "lhrs/messages.h"
 #include "lhrs/shared.h"
 #include "net/dedup.h"
+#include "net/held.h"
 #include "net/node.h"
 #include "store/key_index.h"
 
@@ -36,7 +37,7 @@ struct ParityRecord {
 /// column during bucket recovery.
 class ParityBucketNode : public Node {
  public:
-  /// `pre_initialized` is false for recovery spares, which buffer deltas
+  /// `pre_initialized` is false for recovery spares, which hold deltas
   /// and reads until the reconstructed column is installed.
   ParityBucketNode(std::shared_ptr<LhrsContext> ctx, uint32_t group,
                    uint32_t parity_index, uint32_t k, bool pre_initialized);
@@ -130,7 +131,9 @@ class ParityBucketNode : public Node {
   /// Degraded-read index: key -> cell of keys_ (keys are unique across the
   /// group; the rank is cell / m + 1).
   store::KeyIndex key_index_;
-  std::vector<Message> queued_;  // Pre-install traffic.
+  /// Deltas and reads that reached a spare before its install; replayed
+  /// into Dispatch, in arrival order, once the column is installed.
+  HeldMessages held_;
   /// Deltas that overtook the registration they depend on (chaos reorder
   /// only). The XOR parity bytes commute, but the key/length metadata does
   /// not — so an early arrival waits here, per (rank, slot), and drains in

@@ -1291,15 +1291,9 @@ void RsCoordinatorNode::HandleSubclassDeliveryFailure(const Message& msg) {
       // records forever — under fault injection a bounce can mean a
       // *dropped* message, so re-send a bounded number of times before
       // treating it as a node death.
-      if (network()->fault_injection_active()) {
-        const auto& cfg = static_cast<const GroupConfigMsg&>(*msg.body);
-        constexpr uint32_t kMaxGroupConfigAttempts = 4;
-        if (cfg.attempt + 1 < kMaxGroupConfigAttempts) {
-          auto resend = std::make_unique<GroupConfigMsg>(cfg);
-          ++resend->attempt;
-          Send(msg.to, std::move(resend));
-          return;
-        }
+      if (network()->fault_injection_active() &&
+          Resend<GroupConfigMsg>(msg)) {
+        return;
       }
       NotifyUnavailable(msg.to);
       return;

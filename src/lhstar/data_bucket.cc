@@ -30,6 +30,26 @@ void DataBucketNode::HandleMessage(const Message& msg) {
       network()->fault_injection_active() && dedup_.SeenBefore(msg.id)) {
     return;  // Duplicated restructuring/batch message (not idempotent).
   }
+  if (!initialized_ && !decommissioned_ && NeedsRecords(k)) {
+    // Mid-split or mid-recovery: the records are still on their way, and
+    // answering now would miss them (models the parent serving until
+    // handover).
+    held_.Hold(msg);
+    return;
+  }
+  Dispatch(msg);
+}
+
+bool DataBucketNode::NeedsRecords(int kind) const {
+  return kind == LhStarMsg::kOpRequest || kind == LhStarMsg::kScanRequest ||
+         kind == LhStarMsg::kInsertBatch;
+}
+
+void DataBucketNode::ReplayHeld() {
+  held_.Replay([this](const Message& msg) { Dispatch(msg); });
+}
+
+void DataBucketNode::Dispatch(const Message& msg) {
   switch (msg.body->kind()) {
     case LhStarMsg::kOpRequest:
       HandleOpRequest(msg);
@@ -78,36 +98,9 @@ void DataBucketNode::HandleMessage(const Message& msg) {
       if (!reply.still_owner && !decommissioned_) {
         decommissioned_ = true;
         records_.Clear();
-        // Traffic buffered while waiting for an installation that will
-        // never come goes back to the coordinator / clients.
-        std::vector<std::unique_ptr<OpRequestMsg>> queued =
-            std::move(queued_ops_);
-        queued_ops_.clear();
-        for (const auto& op : queued) BounceToCoordinator(*op);
-        std::vector<std::unique_ptr<ScanRequestMsg>> scans =
-            std::move(queued_scans_);
-        queued_scans_.clear();
-        for (const auto& scan : scans) {
-          auto fail = std::make_unique<ScanReplyMsg>();
-          fail->op_id = scan->op_id;
-          fail->bucket = bucket_no_;
-          fail->level = level_;
-          fail->coverage_failed = true;
-          Send(scan->client, std::move(fail));
-        }
-        std::vector<std::unique_ptr<InsertBatchMsg>> batches =
-            std::move(queued_batches_);
-        queued_batches_.clear();
-        for (const auto& batch : batches) {
-          auto bounce = std::make_unique<InsertBatchReplyMsg>();
-          bounce->op_id = batch->op_id;
-          bounce->seq = batch->seq;
-          bounce->bucket = bucket_no_;
-          bounce->level = level_;
-          bounce->bounced = true;
-          bounce->rejected = batch->records;
-          Send(batch->client, std::move(bounce));
-        }
+        // Traffic held for an installation that will never come is
+        // answered as any displaced bucket answers it.
+        ReplayHeld();
         OnDecommissioned();
       }
       return;
@@ -138,14 +131,6 @@ void DataBucketNode::HandleOpRequest(const Message& msg) {
     return;
   }
 
-  if (!initialized_) {
-    // Mid-split: the record move from the parent has not arrived yet.
-    // Buffer and replay (models the parent serving until handover).
-    auto copy = std::make_unique<OpRequestMsg>(req);
-    queued_ops_.push_back(std::move(copy));
-    return;
-  }
-
   // Algorithm (A2): verify the address, forward at most twice.
   const BucketNo target =
       ForwardAddress(bucket_no_, level_, req.key, ctx_->config.initial_buckets);
@@ -169,13 +154,6 @@ void DataBucketNode::HandleOpRequest(const Message& msg) {
 }
 
 void DataBucketNode::HandleInsertBatch(const InsertBatchMsg& batch) {
-  if (!initialized_) {
-    // Mid-split: buffer and replay after the record move lands, exactly
-    // like single ops.
-    queued_batches_.push_back(std::make_unique<InsertBatchMsg>(batch));
-    return;
-  }
-
   auto reply = std::make_unique<InsertBatchReplyMsg>();
   reply->op_id = batch.op_id;
   reply->seq = batch.seq;
@@ -386,28 +364,7 @@ void DataBucketNode::HandleMoveRecords(const MoveRecordsMsg& move) {
   done->bucket = bucket_no_;
   Send(ctx_->coordinator, std::move(done));
 
-  OnActivated();
-  FlushQueuedTraffic();
-}
-
-void DataBucketNode::FlushQueuedTraffic() {
-  std::vector<std::unique_ptr<OpRequestMsg>> queued = std::move(queued_ops_);
-  queued_ops_.clear();
-  for (auto& op : queued) {
-    Message replay;
-    replay.from = op->client;
-    replay.to = id();
-    replay.body = std::move(op);
-    HandleOpRequest(replay);
-  }
-  std::vector<std::unique_ptr<ScanRequestMsg>> scans =
-      std::move(queued_scans_);
-  queued_scans_.clear();
-  for (auto& scan : scans) HandleScanRequest(*scan);
-  std::vector<std::unique_ptr<InsertBatchMsg>> batches =
-      std::move(queued_batches_);
-  queued_batches_.clear();
-  for (auto& batch : batches) HandleInsertBatch(*batch);
+  ReplayHeld();
 }
 
 void DataBucketNode::HandleMergeOut(const MergeOutMsg& order) {
@@ -454,9 +411,9 @@ void DataBucketNode::HandleMergeRecords(const MergeRecordsMsg& merge) {
 
 void DataBucketNode::HandleScanRequest(const ScanRequestMsg& scan) {
   if (!initialized_) {
-    // Mid-split: records destined for this bucket are still in flight;
-    // answering now would silently miss them.
-    queued_scans_.push_back(std::make_unique<ScanRequestMsg>(scan));
+    // A spare stood down before its records arrived: it can never cover
+    // its bucket. (A merged-away bucket is initialized and answers below.)
+    FailScanCoverage(scan);
     return;
   }
   // Exactly-once coverage: forward one copy to each child this bucket
@@ -487,6 +444,15 @@ void DataBucketNode::HandleScanRequest(const ScanRequestMsg& scan) {
     reply->records = std::move(matches);
     Send(scan.client, std::move(reply));
   }
+}
+
+void DataBucketNode::FailScanCoverage(const ScanRequestMsg& scan) {
+  auto reply = std::make_unique<ScanReplyMsg>();
+  reply->op_id = scan.op_id;
+  reply->bucket = bucket_no_;
+  reply->level = level_;
+  reply->coverage_failed = true;
+  Send(scan.client, std::move(reply));
 }
 
 void DataBucketNode::HandleDeliveryFailure(const Message& msg) {
@@ -527,22 +493,15 @@ void DataBucketNode::HandleDeliveryFailure(const Message& msg) {
     case LhStarMsg::kInsertBatchReply: {
       // A lossy network ate the reply; resend a bounded number of times so
       // the client's batch can complete (it dedups by sub-batch seq).
-      if (!network()->fault_injection_active()) return;
-      const auto& reply = static_cast<const InsertBatchReplyMsg&>(*msg.body);
-      if (++batch_reply_resends_[reply.seq] > 3) return;
-      Send(msg.to, std::make_unique<InsertBatchReplyMsg>(reply));
+      if (network()->fault_injection_active()) {
+        Resend<InsertBatchReplyMsg>(msg);
+      }
       return;
     }
     case LhStarMsg::kScanRequest: {
       // Coverage forwarding hit a dead bucket: the deterministic scan
       // cannot terminate normally; tell the client.
-      const auto& scan = static_cast<const ScanRequestMsg&>(*msg.body);
-      auto reply = std::make_unique<ScanReplyMsg>();
-      reply->op_id = scan.op_id;
-      reply->bucket = bucket_no_;
-      reply->level = level_;
-      reply->coverage_failed = true;
-      Send(scan.client, std::move(reply));
+      FailScanCoverage(static_cast<const ScanRequestMsg&>(*msg.body));
       return;
     }
     default:
@@ -562,8 +521,7 @@ void DataBucketNode::InstallRecoveredState(store::BucketStore records,
   records_ = std::move(records);
   level_ = level;
   initialized_ = true;
-  OnActivated();
-  FlushQueuedTraffic();
+  ReplayHeld();
 }
 
 void DataBucketNode::OnInsertCommitted(Key, const BufferView&) {}
@@ -575,6 +533,5 @@ void DataBucketNode::OnRecordsMovedIn(const std::vector<WireRecord>&) {}
 void DataBucketNode::OnDecommissioned() {}
 void DataBucketNode::OnBatchCommitBegin() {}
 void DataBucketNode::OnBatchCommitEnd() {}
-void DataBucketNode::OnActivated() {}
 
 }  // namespace lhrs

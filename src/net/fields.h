@@ -140,11 +140,11 @@ size_t WireSize(const T& x) {
 ///     template <class V> void Fields(V& v) { v(probe_id); }
 ///   };
 ///
-/// kind() and ByteSize() follow from those, and kName becomes the kind's
-/// MessageKindName() in stats and reports. The name is registered during
-/// static initialization of any program that constructs an `M`, so it is
-/// in place before the first message is counted and before any thread
-/// starts.
+/// kind(), ByteSize() and Clone() follow from those, and kName becomes
+/// the kind's MessageKindName() in stats and reports. The name is
+/// registered during static initialization of any program that constructs
+/// an `M`, so it is in place before the first message is counted and
+/// before any thread starts.
 template <class M>
 class WireMessage : public MessageBody {
  public:
@@ -153,6 +153,9 @@ class WireMessage : public MessageBody {
   int kind() const final { return M::kKind; }
   size_t ByteSize() const final {
     return WireSize(static_cast<const M&>(*this));
+  }
+  std::unique_ptr<MessageBody> Clone() const final {
+    return std::make_unique<M>(static_cast<const M&>(*this));
   }
 
  private:

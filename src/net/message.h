@@ -36,6 +36,11 @@ class MessageBody {
 
   /// Short human-readable tag for logs, e.g. "InsertRequest".
   virtual std::string Describe() const;
+
+  /// A copy of this body, for a node that keeps a message to serve later
+  /// (net/held.h). WireMessage implements it for every protocol message;
+  /// a body without a copy CHECK-fails here.
+  virtual std::unique_ptr<MessageBody> Clone() const;
 };
 
 /// Reserved kind ranges per layer, so statistics can attribute traffic.

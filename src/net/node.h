@@ -45,6 +45,23 @@ class Node {
   /// Arms HandleTimer(timer_id) to fire after `delay` simulated us.
   void ScheduleTimer(SimTime delay, uint64_t timer_id);
 
+  /// Sends of one message, the first included, that Resend allows.
+  static constexpr uint32_t kMaxSendAttempts = 4;
+
+  /// Bounded resend of a bounced message whose body `M` counts its sends
+  /// in an off-wire `attempt` field (0 on the first send): sends a copy
+  /// with the count bumped to the same destination, or returns false when
+  /// the message has been sent kMaxSendAttempts times.
+  template <class M>
+  bool Resend(const Message& bounced) {
+    const auto& body = static_cast<const M&>(*bounced.body);
+    if (body.attempt + 1 >= kMaxSendAttempts) return false;
+    auto copy = std::make_unique<M>(body);
+    ++copy->attempt;
+    Send(bounced.to, std::move(copy));
+    return true;
+  }
+
   Network* network() const { return network_; }
 
  private:
