@@ -572,9 +572,11 @@ std::vector<std::vector<ScriptOp>> VerifyScript(Key base, uint32_t keys) {
 }
 
 /// Runs scripted passes across this process's sessions, open-loop with a
-/// bounded per-session window. `service` keeps the control plane alive
-/// mid-phase (allocation updates, crash notices); returning false aborts.
-PhaseResult RunPasses(ClusterRuntime& runtime,
+/// bounded per-session window. The sessions' ops live in `ops`, whose
+/// completion listener tallies each op as the pump delivers its reply.
+/// `service` keeps the control plane alive mid-phase (allocation updates,
+/// crash notices); returning false aborts.
+PhaseResult RunPasses(ClusterRuntime& runtime, sdds::OpTable& ops,
                       std::vector<ClientNode*>& sessions,
                       const std::vector<std::vector<ScriptOp>>& passes,
                       size_t window, uint64_t deadline,
@@ -582,68 +584,68 @@ PhaseResult RunPasses(ClusterRuntime& runtime,
   PhaseResult result;
   std::vector<uint64_t> latencies;
   const uint64_t phase_start = NowUs();
+  // The ops in flight, indexed by the slot of their token.
+  struct Inflight {
+    sdds::OpToken token = 0;  ///< 0: the slot holds no op in flight.
+    const ScriptOp* op = nullptr;
+    size_t session = 0;
+    uint64_t start_us = 0;
+  };
+  std::vector<Inflight> open;
+  std::vector<size_t> inflight(sessions.size(), 0);
+  ops.SetCompletionListener([&](sdds::OpToken token) {
+    const size_t slot = sdds::OpTable::SlotOf(token);
+    if (slot >= open.size() || open[slot].token != token) return;
+    const Inflight done = open[slot];
+    open[slot].token = 0;
+    --inflight[done.session];
+    Result<OpOutcome> outcome = ops.Take(token);
+    ++result.ops;
+    latencies.push_back(NowUs() - done.start_us);
+    if (!outcome.ok() || !OutcomeMatches(*done.op, outcome.value())) {
+      ++result.failures;
+    }
+  });
+  const auto give_up = [&] {
+    ops.SetCompletionListener(nullptr);
+    result.ok = false;
+    return result;
+  };
   for (const std::vector<ScriptOp>& pass : passes) {
     // Deal the pass round-robin across sessions.
-    struct SessionState {
-      std::vector<const ScriptOp*> ops;
-      size_t next = 0;
-      struct Inflight {
-        const ScriptOp* op;
-        uint64_t start_us;
-      };
-      std::map<uint64_t, Inflight> inflight;
-    };
-    std::vector<SessionState> state(sessions.size());
+    std::vector<std::vector<const ScriptOp*>> dealt(sessions.size());
+    std::vector<size_t> next(sessions.size(), 0);
     for (size_t i = 0; i < pass.size(); ++i) {
-      state[i % sessions.size()].ops.push_back(&pass[i]);
+      dealt[i % sessions.size()].push_back(&pass[i]);
     }
-    bool done = false;
-    while (!done) {
+    while (true) {
       if (NowUs() > deadline) {
-        result.ok = false;
         result.failures += pass.size();
-        return result;
+        return give_up();
       }
-      done = true;
+      bool done = true;
       for (size_t s = 0; s < sessions.size(); ++s) {
-        SessionState& ss = state[s];
-        while (ss.inflight.size() < window && ss.next < ss.ops.size()) {
-          const ScriptOp* op = ss.ops[ss.next++];
+        while (inflight[s] < window && next[s] < dealt[s].size()) {
+          const ScriptOp* op = dealt[s][next[s]++];
           BufferView value;
           if (op->op == OpType::kInsert || op->op == OpType::kUpdate) {
             value = BufferView(ValueFor(op->key, op->version));
           }
-          const uint64_t op_id =
+          const sdds::OpToken token =
               sessions[s]->StartOp(op->op, op->key, std::move(value));
-          ss.inflight.emplace(op_id,
-                              SessionState::Inflight{op, NowUs()});
+          const size_t slot = sdds::OpTable::SlotOf(token);
+          if (open.size() <= slot) open.resize(slot + 1);
+          open[slot] = Inflight{token, op, s, NowUs()};
+          ++inflight[s];
         }
-        if (ss.next < ss.ops.size() || !ss.inflight.empty()) done = false;
+        if (next[s] < dealt[s].size() || inflight[s] > 0) done = false;
       }
+      if (done) break;
       runtime.Pump(1);
-      if (service && !service()) {
-        result.ok = false;
-        return result;
-      }
-      for (size_t s = 0; s < sessions.size(); ++s) {
-        SessionState& ss = state[s];
-        for (auto it = ss.inflight.begin(); it != ss.inflight.end();) {
-          if (!sessions[s]->IsDone(it->first)) {
-            ++it;
-            continue;
-          }
-          Result<OpOutcome> outcome = sessions[s]->TakeResult(it->first);
-          ++result.ops;
-          latencies.push_back(NowUs() - it->second.start_us);
-          if (!outcome.ok() ||
-              !OutcomeMatches(*it->second.op, outcome.value())) {
-            ++result.failures;
-          }
-          it = ss.inflight.erase(it);
-        }
-      }
+      if (service && !service()) return give_up();
     }
   }
+  ops.SetCompletionListener(nullptr);
   result.elapsed_us = NowUs() - phase_start;
   std::sort(latencies.begin(), latencies.end());
   result.p50_us = Percentile(latencies, 50);
@@ -707,7 +709,7 @@ int ClusterClient::Run() {
     // Mid-phase upkeep serves the shared messages only, so a Stop or a
     // lost coordinator aborts the phase.
     const PhaseResult result =
-        RunPasses(member.runtime, sessions, passes, /*window=*/4,
+        RunPasses(member.runtime, ops, sessions, passes, /*window=*/4,
                   member.deadline(), [&] { return member.Service(); });
     member.ctrl.SendMsg(
         {.type = CtrlType::kPhaseDone, .phase = msg.phase, .result = result});

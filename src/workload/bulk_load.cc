@@ -1,8 +1,8 @@
 #include "workload/bulk_load.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -40,13 +40,20 @@ BulkLoadReport BulkLoad(LhStarFile& file,
 
   size_t next = 0;
   size_t outstanding = 0;
-  std::map<sdds::OpToken, size_t> token_session;
+  // Our batches in flight, indexed by the slot of their token.
+  struct Inflight {
+    sdds::OpToken token = 0;  ///< 0: the slot holds no batch of ours.
+    size_t session = 0;
+  };
+  std::vector<Inflight> open;
 
   auto submit_on = [&](size_t session) {
     if (next >= batches.size()) return false;
     const sdds::OpToken token =
         file.SubmitBatch(session, std::move(batches[next++]));
-    token_session[token] = session;
+    const size_t slot = sdds::OpTable::SlotOf(token);
+    if (open.size() <= slot) open.resize(slot + 1);
+    open[slot] = Inflight{token, session};
     ++outstanding;
     return true;
   };
@@ -54,10 +61,10 @@ BulkLoadReport BulkLoad(LhStarFile& file,
   // Completion-driven refill: the listener fires inside event processing,
   // keeping each session's window full until the batch queue drains.
   file.SetCompletionListener([&](sdds::OpToken token) {
-    auto it = token_session.find(token);
-    if (it == token_session.end()) return;  // Not one of ours.
-    const size_t session = it->second;
-    token_session.erase(it);
+    const size_t slot = sdds::OpTable::SlotOf(token);
+    if (slot >= open.size() || open[slot].token != token) return;  // Not ours.
+    const size_t session = open[slot].session;
+    open[slot].token = 0;
     --outstanding;
     Result<OpOutcome> outcome = file.Take(token);
     LHRS_CHECK(outcome.ok()) << "bulk-load take failed";
