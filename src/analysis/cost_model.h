@@ -17,8 +17,6 @@ struct CostModel {
 
   /// LH*RS insert: data request + reply + k parity deltas (unacknowledged).
   static double LhrsInsert(uint32_t k) { return 2.0 + k; }
-  /// LH*RS update: same shape as insert.
-  static double LhrsUpdate(uint32_t k) { return 2.0 + k; }
   /// LH*RS failure-free search: identical to LH*.
   static constexpr double kLhrsSearch = kLhStarSearch;
 
@@ -45,20 +43,6 @@ struct CostModel {
   static double LhgRecordRecovery(uint32_t parity_buckets,
                                   uint32_t group_size) {
     return 1.0 + parity_buckets + 2.0 * (group_size - 1) + 1.0;
-  }
-
-  /// LH*RS bucket recovery: m column reads + m dumps + f installs + f acks
-  /// (dump/install sizes scale with b, captured by simulated time).
-  static double LhrsBucketRecovery(uint32_t m, uint32_t failed) {
-    return 2.0 * m + 2.0 * failed;
-  }
-  /// LH*g bucket recovery (A4): F2 scan (1 + M2) + 2 searches per lost
-  /// record per surviving group member + install + ack.
-  static double LhgBucketRecovery(uint32_t parity_buckets,
-                                  double lost_records,
-                                  double avg_group_fill) {
-    return 1.0 + parity_buckets + 2.0 * lost_records * (avg_group_fill - 1) +
-           2.0;
   }
 };
 

@@ -64,18 +64,6 @@ FaultPlan& FaultPlan::DropMessages(double p, SimTime begin, SimTime end) {
   return AddRule(rule);
 }
 
-FaultPlan& FaultPlan::DropKindRange(double p, int kind_min, int kind_max,
-                                    SimTime begin, SimTime end) {
-  MessageFaultRule rule;
-  rule.kind = FaultKind::kDrop;
-  rule.p = p;
-  rule.kind_min = kind_min;
-  rule.kind_max = kind_max;
-  rule.window_begin = begin;
-  rule.window_end = end;
-  return AddRule(rule);
-}
-
 FaultPlan& FaultPlan::DuplicateMessages(double p, SimTime begin,
                                         SimTime end) {
   MessageFaultRule rule;

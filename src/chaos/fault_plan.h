@@ -89,8 +89,6 @@ struct FaultPlan {
   FaultPlan& CrashGroupAt(SimTime at, uint32_t group, uint32_t count);
 
   FaultPlan& DropMessages(double p, SimTime begin = 0, SimTime end = kAlways);
-  FaultPlan& DropKindRange(double p, int kind_min, int kind_max,
-                           SimTime begin = 0, SimTime end = kAlways);
   FaultPlan& DuplicateMessages(double p, SimTime begin = 0,
                                SimTime end = kAlways);
   FaultPlan& DelayMessages(double p, SimTime delay_us, SimTime jitter_us,

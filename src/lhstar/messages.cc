@@ -4,20 +4,6 @@
 
 namespace lhrs {
 
-const char* OpTypeName(OpType op) {
-  switch (op) {
-    case OpType::kInsert:
-      return "Insert";
-    case OpType::kSearch:
-      return "Search";
-    case OpType::kUpdate:
-      return "Update";
-    case OpType::kDelete:
-      return "Delete";
-  }
-  return "?";
-}
-
 bool ScanPredicate::Matches(Key key, std::span<const uint8_t> value) const {
   if (has_key_range && (key < key_min || key > key_max)) return false;
   if (custom) return custom(key, value);
