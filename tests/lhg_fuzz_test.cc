@@ -3,6 +3,7 @@
 // recoveries, checked against a shadow model and the XOR parity invariant.
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -19,6 +20,12 @@ struct FuzzParams {
   uint32_t k;
   bool g1;
 };
+
+// Without it gtest prints the struct's raw bytes, padding included, and the
+// ctest names change from build to build.
+void PrintTo(const FuzzParams& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " k=" << p.k << (p.g1 ? " g1" : " basic");
+}
 
 class LhgFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 
