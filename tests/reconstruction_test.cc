@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/rng.h"
@@ -380,19 +382,21 @@ class ReconstructionOracleTest : public ::testing::TestWithParam<CodeCase> {};
 /// One random group: sparse ranks, members of odd lengths (GF(2^16)
 /// pads them) from a few bytes to several KiB (so a rebuild spans more
 /// than one decode batch), a partial last group, and every parity column
-/// encoded.
+/// encoded. `rank_count` record groups; with `empty_members`, about one
+/// member in ten has a zero-length value.
 struct RandomGroup {
   std::vector<ColumnDump> columns;  // Data slots < existing, then parity.
   uint32_t existing = 0;
 };
 
 RandomGroup MakeRandomGroup(const parity::ParityCode& coder, uint32_t existing,
-                            Rng& rng) {
+                            Rng& rng, size_t rank_count = 64,
+                            bool empty_members = false) {
   const uint32_t m = coder.m();
   RandomGroup g;
   g.existing = existing;
   std::vector<Rank> ranks;
-  for (Rank r = 1; ranks.size() < 64; r += 1 + rng.Uniform(40)) {
+  for (Rank r = 1; ranks.size() < rank_count; r += 1 + rng.Uniform(40)) {
     ranks.push_back(r);
   }
   std::vector<ColumnDump> data(existing);
@@ -409,8 +413,10 @@ RandomGroup MakeRandomGroup(const parity::ParityCode& coder, uint32_t existing,
     bool any = false;
     for (uint32_t slot = 0; slot < existing; ++slot) {
       if (rng.Uniform(10) < 3) continue;  // ~30% holes.
-      const size_t max_len = rng.Uniform(3) == 0 ? 8191 : 61;
-      values[slot] = rng.RandomBytes(1 + rng.Uniform(max_len));
+      if (!empty_members || rng.Uniform(10) != 0) {
+        const size_t max_len = rng.Uniform(3) == 0 ? 8191 : 61;
+        values[slot] = rng.RandomBytes(1 + rng.Uniform(max_len));
+      }
       const Key key = 100000 * static_cast<Key>(r) + slot;
       data[slot].records.push_back(RankedRecord{r, key, values[slot]});
       keys[slot] = key;
@@ -546,6 +552,116 @@ INSTANTIATE_TEST_SUITE_P(
       return name + (info.param.field == FieldChoice::kGf256 ? "_gf8"
                                                             : "_gf16");
     });
+
+// ---------------------------------------------------------------------------
+// Large rebuilds: enough bytes that the decode splits across workers on a
+// multi-core host.
+
+/// Two data columns of a full m = 4, k = 2 group lost, rebuilt from the
+/// other two and both parity columns.
+ReconstructionRequest LargeRequest(const parity::ParityCode& coder,
+                                   const RandomGroup& g) {
+  ReconstructionRequest req;
+  req.m = coder.m();
+  req.coder = &coder;
+  req.existing_slots = g.existing;
+  req.progressive = coder.spec().progressive;
+  for (const ColumnDump& col : g.columns) {
+    if (col.column == 1 || col.column == 2) {
+      req.missing_columns.push_back(col.column);
+    } else {
+      req.survivors.push_back(Share(col));
+    }
+  }
+  return req;
+}
+
+/// About 1600 record groups over gapped ranks, with members from empty to
+/// several KiB: over 2 MiB rebuilt, ending in a partial decode batch.
+RandomGroup MakeLargeGroup(const parity::ParityCode& coder, uint64_t seed) {
+  Rng rng(seed);
+  return MakeRandomGroup(coder, coder.m(), rng, 1600,
+                         /*empty_members=*/true);
+}
+
+class ReconstructionWorkersTest : public ::testing::TestWithParam<CodeCase> {};
+
+TEST_P(ReconstructionWorkersTest, LargeRebuildMatchesPerRankDecode) {
+  const auto [code_name, field] = GetParam();
+  auto spec = parity::CodeSpec::Parse(code_name);
+  ASSERT_TRUE(spec.ok());
+  CoderCache coders(4, field, *spec);
+  const parity::ParityCode& coder = coders.ForK(2);
+  const RandomGroup g = MakeLargeGroup(coder, 2024);
+  const ReconstructionRequest req = LargeRequest(coder, g);
+  auto got = ReconstructColumns(req);
+  auto want = PerRankOracle(req);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(want.ok()) << want.status();
+  size_t rebuilt_bytes = 0;
+  size_t empty_values = 0;
+  for (const ColumnDump& col : *got) {
+    for (const RankedRecord& rec : col.records) {
+      rebuilt_bytes += rec.value.size();
+      if (rec.value.empty()) ++empty_values;
+    }
+  }
+  EXPECT_GE(rebuilt_bytes, size_t{2} << 20);
+  EXPECT_GT(empty_values, 0u);
+  ExpectSameColumns(*got, *want, code_name);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Codes, ReconstructionWorkersTest,
+    ::testing::Values(CodeCase{"rs", FieldChoice::kGf256},
+                      CodeCase{"rs", FieldChoice::kGf65536},
+                      CodeCase{"lrc2", FieldChoice::kGf256},
+                      CodeCase{"lrc2", FieldChoice::kGf65536}),
+    [](const auto& info) {
+      return std::string(info.param.code) +
+             (info.param.field == FieldChoice::kGf256 ? "_gf8" : "_gf16");
+    });
+
+TEST(ReconstructionTest, ConcurrentCallersMatchThePerRankDecode) {
+  // Two coordinators of one process may rebuild at the same time; each
+  // call's result must not depend on the other.
+  auto rs = parity::CodeSpec::Parse("rs");
+  auto lrc = parity::CodeSpec::Parse("lrc2");
+  ASSERT_TRUE(rs.ok() && lrc.ok());
+  CoderCache rs_coders(4, FieldChoice::kGf256, *rs);
+  CoderCache lrc_coders(4, FieldChoice::kGf65536, *lrc);
+  const RandomGroup groups[2] = {MakeLargeGroup(rs_coders.ForK(2), 11),
+                                 MakeLargeGroup(lrc_coders.ForK(2), 12)};
+  const ReconstructionRequest reqs[2] = {
+      LargeRequest(rs_coders.ForK(2), groups[0]),
+      LargeRequest(lrc_coders.ForK(2), groups[1])};
+  std::vector<std::vector<ColumnDump>> wants;
+  for (const ReconstructionRequest& req : reqs) {
+    auto want = PerRankOracle(req);
+    ASSERT_TRUE(want.ok()) << want.status();
+    wants.push_back(std::move(want).value());
+  }
+  for (int round = 0; round < 4; ++round) {
+    std::optional<Result<std::vector<ColumnDump>>> got[2];
+    std::atomic<int> ready{0};
+    auto run = [&](int which) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      got[which] = ReconstructColumns(reqs[which]);
+    };
+    std::thread first(run, 0);
+    std::thread second(run, 1);
+    first.join();
+    second.join();
+    for (int which = 0; which < 2; ++which) {
+      const std::string where =
+          "round " + std::to_string(round) + " caller " +
+          std::to_string(which);
+      ASSERT_TRUE(got[which]->ok()) << where << ": " << got[which]->status();
+      ExpectSameColumns(got[which]->value(), wants[which], where);
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Loud failures: a corrupted survivor must stop the rebuild, not install
