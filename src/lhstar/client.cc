@@ -1,6 +1,7 @@
 #include "lhstar/client.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -170,6 +171,7 @@ uint64_t ClientNode::StartInsertBatch(std::vector<WireRecord> records) {
   OpSlot& batch = ops_.Open(sdds::OpKind::kBatch, network()->now());
   batch.batch_total = records.size();
   batch.outstanding_children = 0;
+  batch.batch_lost = 0;
 
   // Group per target bucket under the image (algorithm A1 per record);
   // map order makes the sub-batch sequence deterministic.
@@ -287,6 +289,7 @@ void ClientNode::HandleBatchChildReply(OpSlot& child,
     ++batch->outcome.batch_exists;
   } else {
     ++batch->outcome.batch_failed;
+    if (reply.code == StatusCode::kDataLoss) ++batch->batch_lost;
   }
   if (batch->outstanding_children > 0) --batch->outstanding_children;
   MaybeCompleteBatch(*batch);
@@ -301,10 +304,16 @@ void ClientNode::MaybeCompleteBatch(OpSlot& batch) {
     // completed batch always accounts for every record.
     out.batch_failed += static_cast<uint32_t>(batch.batch_total - settled);
   }
-  out.status = out.batch_failed == 0
-                   ? Status::OK()
-                   : Status::Internal(std::to_string(out.batch_failed) +
-                                      " batch records failed");
+  const std::string failed =
+      std::to_string(out.batch_failed) + " batch records failed";
+  if (out.batch_failed == 0) {
+    out.status = Status::OK();
+  } else if (out.batch_failed == batch.batch_lost) {
+    // Every failure is a record whose bucket group is lost beyond k.
+    out.status = Status::DataLoss(failed);
+  } else {
+    out.status = Status::Internal(failed);
+  }
   CompleteOp(batch, std::move(out));
 }
 

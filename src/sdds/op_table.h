@@ -75,6 +75,7 @@ struct OpSlot {
   size_t batch_total = 0;
   std::map<uint64_t, SubBatch> outstanding;  ///< In flight, by seq.
   size_t outstanding_children = 0;           ///< Records via coordinator.
+  uint32_t batch_lost = 0;  ///< Failed records whose reply was kDataLoss.
 
   /// Scans gather records and batches tally here while in flight.
   OpOutcome outcome;

@@ -337,7 +337,7 @@ TEST(StandDownTest, LostGroupFailsScansAndBatchesAimedAtTheSpare) {
   ASSERT_TRUE(batched.ok()) << batched.status();
   EXPECT_EQ(batched->batch_failed, records.size());
   EXPECT_EQ(batched->batch_applied, 0u);
-  EXPECT_FALSE(batched->status.ok());
+  EXPECT_TRUE(batched->status.IsDataLoss()) << batched->status;
 
   std::vector<WireRecord> load;
   for (Key key = 2000; load.size() < 40; ++key) {
