@@ -26,6 +26,11 @@ struct FuzzParams {
   FieldChoice field = FieldChoice::kGf256;
 };
 
+void PrintTo(const FuzzParams& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " m=" << p.m << " k=" << p.k
+      << (p.enable_merge ? " merge " : " ") << FieldChoiceName(p.field);
+}
+
 class LhrsFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 
 void RunFuzzScenario(const FuzzParams& params) {
