@@ -15,10 +15,15 @@ size_t RoundUpToLine(size_t n) {
 }  // namespace
 
 std::shared_ptr<Buffer> Buffer::Allocate(size_t capacity) {
+  std::shared_ptr<Buffer> buffer = AllocateUninitialized(capacity);
+  std::memset(buffer->data(), 0, buffer->capacity());
+  return buffer;
+}
+
+std::shared_ptr<Buffer> Buffer::AllocateUninitialized(size_t capacity) {
   const size_t rounded = std::max(RoundUpToLine(capacity), kAlignment);
   auto* raw = static_cast<uint8_t*>(
       ::operator new(rounded, std::align_val_t{kAlignment}));
-  std::memset(raw, 0, rounded);
   return std::shared_ptr<Buffer>(new Buffer(raw, rounded));
 }
 

@@ -26,6 +26,13 @@ class Buffer {
   /// Allocates a zeroed buffer of at least `capacity` bytes.
   static std::shared_ptr<Buffer> Allocate(size_t capacity);
 
+  /// Allocates a buffer of at least `capacity` bytes whose contents are
+  /// unspecified: the caller must write every byte of capacity() (zeros
+  /// where it has nothing else) before any view of the buffer exists, so
+  /// the zero-initialized invariant above holds again. For a caller that
+  /// fills a large buffer in parts on several threads.
+  static std::shared_ptr<Buffer> AllocateUninitialized(size_t capacity);
+
   ~Buffer();
   Buffer(const Buffer&) = delete;
   Buffer& operator=(const Buffer&) = delete;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/buffer.h"
+#include "common/fork_join.h"
 #include "common/logging.h"
 
 namespace lhrs {
@@ -245,28 +246,103 @@ Result<std::vector<ColumnDump>> ReconstructColumns(
     offset[i + 1] = offset[i] + len;
   }
 
-  // Each rebuilt data column decodes into one zeroed arena; its records
-  // are views of it, which the spare's install adopts as they are.
-  std::vector<std::shared_ptr<Buffer>> arena(missing_data.size());
-  for (size_t w = 0; w < missing_data.size(); ++w) {
-    out_by_col[missing_data[w]]->records.reserve(member_count[w]);
-    if (offset[n] > 0) arena[w] = Buffer::Allocate(offset[n]);
-  }
-  for (uint32_t col : missing_parity) out_by_col[col]->parity.reserve(n);
-
   // Decode in batches of consecutive record groups: each input's payloads
   // are gathered (zero-padded) into a scratch stretch laid out like the
   // arena, and each wanted column takes one fused MulAddRow over the whole
   // batch, so the kernel's per-call coefficient set-up is paid per batch,
   // not per record.
   constexpr size_t kBatchBytes = 64 * 1024;
-  std::vector<Bytes> gathered(inputs.size());
-  std::vector<const uint8_t*> srcs(inputs.size(), nullptr);
+  // The batches split into contiguous runs, one per decode worker, with at
+  // least this much arena each. Handing a run to a parked worker and
+  // joining it costs about 20-40 us on a 4-vCPU VM, while one core
+  // zero-fills, gathers and decodes about 1 GB/s of arena: 256 KiB is some
+  // 250 us of work, so the hand-off costs at most a sixth of what a worker
+  // saves. It also keeps small rebuilds on the caller's thread, so a
+  // process that only ever rebuilds small groups never starts a thread
+  // (glibc malloc leaves its single-thread fast path for good once one
+  // exists).
+  constexpr size_t kMinWorkerBytes = 256 * 1024;
+  std::vector<size_t> batch_start;  // Each batch's first group, then n.
+  for (size_t a = 0; a < n;) {
+    batch_start.push_back(a);
+    size_t b = a + 1;
+    while (b < n && offset[b + 1] - offset[a] <= kBatchBytes) ++b;
+    a = b;
+  }
+  batch_start.push_back(n);
+  const size_t batches = batch_start.size() - 1;
+  const size_t parts = std::max<size_t>(
+      1, std::min({ForkJoinWidth(), batches,
+                   offset[n] * missing_data.size() / kMinWorkerBytes}));
+  // part_start[p]: part p's first batch, so parts carry equal arena bytes
+  // to within a batch.
+  std::vector<size_t> part_start(parts + 1, batches);
+  part_start[0] = 0;
+  for (size_t p = 1, batch = 0; p < parts; ++p) {
+    while (batch < batches &&
+           offset[batch_start[batch]] * parts < p * offset[n]) {
+      ++batch;
+    }
+    part_start[p] = batch;
+  }
+
+  // Each rebuilt data column decodes into one arena; its records are
+  // views of it, which the spare's install adopts as they are. The
+  // workers zero-fill the arena batch by batch, each its own stretch, so
+  // the first touch of its pages happens on the core that decodes them.
+  std::vector<std::shared_ptr<Buffer>> arena(missing_data.size());
+  std::vector<uint8_t*> arena_bytes(missing_data.size(), nullptr);
+  for (size_t w = 0; w < missing_data.size(); ++w) {
+    out_by_col[missing_data[w]]->records.reserve(member_count[w]);
+    if (offset[n] == 0) continue;
+    arena[w] = Buffer::AllocateUninitialized(offset[n]);
+    arena_bytes[w] = arena[w]->data();
+    std::fill(arena_bytes[w] + offset[n],
+              arena_bytes[w] + arena[w]->capacity(), 0);
+  }
+  for (uint32_t col : missing_parity) out_by_col[col]->parity.reserve(n);
+
+  // One part: the batches [part_start[p], part_start[p + 1]). A worker
+  // reads survivor bytes and writes its own arena stretches and scratch:
+  // it copies no view and touches no shared state.
+  auto decode_part = [&](size_t p) {
+    std::vector<Bytes> gathered(inputs.size());
+    std::vector<const uint8_t*> srcs(inputs.size(), nullptr);
+    for (size_t batch = part_start[p]; batch < part_start[p + 1]; ++batch) {
+      const size_t a = batch_start[batch];
+      const size_t b = batch_start[batch + 1];
+      const size_t stretch = offset[b] - offset[a];
+      if (stretch == 0) continue;
+      for (size_t t = 0; t < inputs.size(); ++t) {
+        Bytes& g = gathered[t];
+        if (g.size() < stretch) g.resize(stretch);
+        bool any = false;
+        for (size_t i = a; i < b; ++i) {
+          const size_t len = offset[i + 1] - offset[i];
+          if (len == 0) continue;  // Nothing to rebuild in this group.
+          uint8_t* region = g.data() + (offset[i] - offset[a]);
+          const BufferView* v = table.Payload(inputs[t], i);
+          const size_t have = v == nullptr ? 0 : v->size();
+          if (have != 0) std::copy(v->begin(), v->end(), region);
+          std::fill(region + have, region + len, 0);
+          any = any || have != 0;
+        }
+        srcs[t] = any ? g.data() : nullptr;
+      }
+      for (size_t w = 0; w < missing_data.size(); ++w) {
+        uint8_t* dst = arena_bytes[w] + offset[a];
+        std::fill(dst, dst + stretch, 0);  // MulAddRow accumulates.
+        plan->MulAddRow(w, srcs.data(), stretch, dst);
+      }
+    }
+  };
+  ForkJoin(parts, decode_part);
+
+  // Emits every record group in rank order: checks and adopts the rebuilt
+  // records, then re-encodes any missing parity column.
   std::vector<BufferView> decoded(missing_data.size());
   std::vector<std::span<const uint8_t>> row(m);
-  // Emits record group i once its batch is decoded: checks and adopts
-  // the rebuilt records, then re-encodes any missing parity column.
-  auto emit_rank = [&](size_t i) {
+  for (size_t i = 0; i < n; ++i) {
     const Rank rank = table.rank(i);
     const size_t len = offset[i + 1] - offset[i];
     for (size_t w = 0; w < missing_data.size(); ++w) {
@@ -279,7 +355,7 @@ Result<std::vector<ColumnDump>> ReconstructColumns(
       if (len != 0) {
         // The padding beyond the recorded length must decode to zero: a
         // strong end-to-end check of the survivors and the plan.
-        const uint8_t* value = arena[w]->data() + offset[i];
+        const uint8_t* value = arena_bytes[w] + offset[i];
         LHRS_CHECK(AllZero({value + value_len, len - value_len}))
             << "decode produced non-zero padding";
       }
@@ -288,7 +364,7 @@ Result<std::vector<ColumnDump>> ReconstructColumns(
       }
       out_by_col[col]->records.push_back(RankedRecord{rank, *key, decoded[w]});
     }
-    if (missing_parity.empty()) return;
+    if (missing_parity.empty()) continue;
 
     // Assemble the full data row (survivor values + freshly decoded) and
     // re-encode the missing parity columns.
@@ -307,7 +383,7 @@ Result<std::vector<ColumnDump>> ReconstructColumns(
           << "nor reconstructible";
       row[slot] = decoded[w - missing_data.begin()];
     }
-    if (!any_member) return;
+    if (!any_member) continue;
     for (uint32_t col : missing_parity) {
       const uint32_t j = col - m;
       BufferView parity;
@@ -322,36 +398,6 @@ Result<std::vector<ColumnDump>> ReconstructColumns(
         rebuilt.lengths[rebuilt.Cell(r, slot)] = table.LengthAt(slot, i);
       }
     }
-  };
-
-  for (size_t a = 0; a < n;) {
-    size_t b = a + 1;
-    while (b < n && offset[b + 1] - offset[a] <= kBatchBytes) ++b;
-    const size_t stretch = offset[b] - offset[a];
-    if (stretch != 0) {
-      for (size_t t = 0; t < inputs.size(); ++t) {
-        Bytes& g = gathered[t];
-        if (g.size() < stretch) g.resize(stretch);
-        bool any = false;
-        for (size_t i = a; i < b; ++i) {
-          const size_t len = offset[i + 1] - offset[i];
-          if (len == 0) continue;  // Nothing to rebuild in this group.
-          uint8_t* region = g.data() + (offset[i] - offset[a]);
-          const BufferView* p = table.Payload(inputs[t], i);
-          const size_t have = p == nullptr ? 0 : p->size();
-          if (have != 0) std::copy(p->begin(), p->end(), region);
-          std::fill(region + have, region + len, 0);
-          any = any || have != 0;
-        }
-        srcs[t] = any ? g.data() : nullptr;
-      }
-      for (size_t w = 0; w < missing_data.size(); ++w) {
-        plan->MulAddRow(w, srcs.data(), stretch,
-                        arena[w]->data() + offset[a]);
-      }
-    }
-    for (size_t i = a; i < b; ++i) emit_rank(i);
-    a = b;
   }
   return out;
 }
