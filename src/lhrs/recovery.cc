@@ -304,9 +304,12 @@ Result<std::vector<ColumnDump>> ReconstructColumns(
 
   // One part: the batches [part_start[p], part_start[p + 1]). A worker
   // reads survivor bytes and writes its own arena stretches and scratch:
-  // it copies no view and touches no shared state.
+  // it copies no view and touches no shared state. The scratch stays with
+  // its thread, so later rounds reuse it without allocating, zero-filling
+  // or faulting it in again.
   auto decode_part = [&](size_t p) {
-    std::vector<Bytes> gathered(inputs.size());
+    thread_local std::vector<Bytes> gathered;
+    if (gathered.size() < inputs.size()) gathered.resize(inputs.size());
     std::vector<const uint8_t*> srcs(inputs.size(), nullptr);
     for (size_t batch = part_start[p]; batch < part_start[p + 1]; ++batch) {
       const size_t a = batch_start[batch];
