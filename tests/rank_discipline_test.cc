@@ -117,10 +117,6 @@ struct Params {
   uint64_t seed;
 };
 
-void PrintTo(const Params& p, std::ostream* os) {
-  *os << (p.reuse ? "reuse" : "monotone") << " seed=" << p.seed;
-}
-
 class RankDisciplineTest : public ::testing::TestWithParam<Params> {};
 
 /// Every live bucket's (rank, key) pairs equal its model's.
