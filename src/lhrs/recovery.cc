@@ -290,15 +290,14 @@ Result<std::vector<ColumnDump>> ReconstructColumns(
   // views of it, which the spare's install adopts as they are. The
   // workers zero-fill the arena batch by batch, each its own stretch, so
   // the first touch of its pages happens on the core that decodes them.
-  std::vector<std::shared_ptr<Buffer>> arena(missing_data.size());
+  std::vector<BufferRef> arena(missing_data.size());
   std::vector<uint8_t*> arena_bytes(missing_data.size(), nullptr);
   for (size_t w = 0; w < missing_data.size(); ++w) {
     out_by_col[missing_data[w]]->records.reserve(member_count[w]);
     if (offset[n] == 0) continue;
     arena[w] = Buffer::AllocateUninitialized(offset[n]);
     arena_bytes[w] = arena[w]->data();
-    std::fill(arena_bytes[w] + offset[n],
-              arena_bytes[w] + arena[w]->capacity(), 0);
+    arena[w]->ZeroFrom(offset[n]);
   }
   for (uint32_t col : missing_parity) out_by_col[col]->parity.reserve(n);
 

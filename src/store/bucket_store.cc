@@ -27,13 +27,11 @@ BufferView BucketStore::Intern(std::span<const uint8_t> value) {
   if (value.size() > segment_capacity_) {
     // Oversized record: dedicated segment, so the common segments stay
     // uniform and a huge record never strands half a segment of slack.
-    auto seg = Buffer::Allocate(value.size());
-    std::memcpy(seg->data(), value.data(), value.size());
-    BufferView view(seg, 0, value.size());
+    BufferView view(value.data(), value.size());
     // Marking the head full steers the next small record into a fresh
     // uniform segment instead of bump-allocating over this one.
-    head_used_ = seg->capacity();
-    segments_.push_back(std::move(seg));
+    head_used_ = view.buffer()->capacity();
+    segments_.push_back(view.buffer());
     return view;
   }
   const size_t need = AlignPayload(value.size());
@@ -133,7 +131,7 @@ void BucketStore::MaybeCompact() {
 }
 
 void BucketStore::Compact() {
-  std::vector<std::shared_ptr<Buffer>> old_segments;
+  std::vector<BufferRef> old_segments;
   old_segments.swap(segments_);
   head_used_ = 0;
   live_bytes_ = 0;

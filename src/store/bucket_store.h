@@ -62,6 +62,7 @@ class BucketStore {
     uint64_t key = 0;
     BufferView value;
   };
+  static_assert(sizeof(Entry) == 24);
 
   explicit BucketStore(size_t segment_capacity = kDefaultSegmentCapacity)
       : segment_capacity_(std::max<size_t>(segment_capacity, 64)) {}
@@ -198,7 +199,7 @@ class BucketStore {
 
   size_t segment_capacity_;
   bool reuse_slots_ = true;
-  std::vector<std::shared_ptr<Buffer>> segments_;
+  std::vector<BufferRef> segments_;
   size_t head_used_ = 0;  ///< Bytes bump-allocated in segments_.back().
   KeyIndex index_;  ///< key -> slot.
   std::vector<Entry> slots_;  ///< Free slots hold an empty view.

@@ -1,8 +1,12 @@
 // Unit tests for the ref-counted aligned Buffer and the copy-on-write
-// BufferView: ownership, slicing, detach-on-shared-mutation, and the
-// one-pass padded XOR delta builder.
+// BufferView: ownership, slicing, detach-on-shared-mutation, the buffer's
+// one count, and the one-pass padded XOR delta builder.
 
 #include <cstdint>
+#include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +140,103 @@ TEST(MakeXorDeltaTest, DeltaIsItsOwnInverse) {
   Bytes padded_new = new_value;
   padded_new.resize(old_value.size(), 0);
   EXPECT_EQ(check, padded_new);
+}
+
+TEST(BufferCountTest, CopiesMovesSelfAssignmentAndSlicesShareOneCount) {
+  BufferView a(Bytes{1, 2, 3, 4});
+  EXPECT_EQ(a.buffer().use_count(), 1u);
+  BufferView b = a;
+  EXPECT_EQ(a.buffer().use_count(), 2u);
+  BufferView c = std::move(b);  // A move hands the count over.
+  EXPECT_EQ(a.buffer().use_count(), 2u);
+  EXPECT_EQ(c.buffer(), a.buffer());
+  BufferView& alias = c;
+  c = alias;
+  EXPECT_EQ(a.buffer().use_count(), 2u);
+  c = std::move(alias);
+  EXPECT_EQ(a.buffer().use_count(), 2u);
+  EXPECT_EQ(c.ToBytes(), (Bytes{1, 2, 3, 4}));
+  {
+    const BufferView slice = a.Slice(1, 2);
+    EXPECT_EQ(a.buffer().use_count(), 3u);
+    EXPECT_EQ(slice.buffer(), a.buffer());
+    BufferRef handle = slice.buffer();
+    EXPECT_EQ(a.buffer().use_count(), 4u);
+  }
+  EXPECT_EQ(a.buffer().use_count(), 2u);
+  c = BufferView();
+  EXPECT_EQ(a.buffer().use_count(), 1u);
+  EXPECT_EQ(BufferView().buffer().use_count(), 0u);
+}
+
+TEST(BufferCountTest, WritesInPlaceOnlyAtCountOne) {
+  BufferView v(Bytes{7, 7, 7});
+  const uint8_t* home = v.data();
+  EXPECT_EQ(v.MutableData(), home);
+  // A recovery dump is shared behind a shared_ptr, and a message on the
+  // simulated wire holds its own copy of the view: either one makes a
+  // write detach.
+  auto dump = std::make_shared<const std::vector<BufferView>>(1, v);
+  EXPECT_EQ(v.buffer().use_count(), 2u);
+  uint8_t* p = v.MutableData();
+  EXPECT_NE(p, home);
+  p[0] = 1;
+  EXPECT_EQ((*dump)[0].ToBytes(), (Bytes{7, 7, 7}));
+  EXPECT_EQ(v.buffer().use_count(), 1u);
+  EXPECT_EQ((*dump)[0].buffer().use_count(), 1u);
+
+  struct Message {
+    BufferView payload;
+  };
+  const uint8_t* detached = v.data();
+  const Message in_flight{v};
+  v.MutableResized(2)[1] = 9;
+  EXPECT_NE(v.data(), detached);
+  EXPECT_EQ(in_flight.payload.ToBytes(), (Bytes{1, 7, 7}));
+  EXPECT_EQ(v.ToBytes(), (Bytes{1, 9}));
+  EXPECT_EQ(v.MutableData(), v.data());  // Sole owner again.
+}
+
+TEST(BufferCountTest, BytesLiveUntilTheLastRelease) {
+  // Under ASan a read of freed bytes fails the test, and the leak check
+  // at exit fails it if the last release does not free them.
+  std::vector<BufferView> views(4, BufferView(Bytes(5000, 0xAB)));
+  BufferView slice = views[0].Slice(4000, 1000);
+  views.clear();
+  EXPECT_EQ(slice.buffer().use_count(), 1u);
+  for (uint8_t byte : slice) ASSERT_EQ(byte, 0xAB);
+  BufferRef arena = Buffer::Allocate(1 << 20);
+  BufferView record(arena, 4096, 64);
+  arena = BufferRef();
+  EXPECT_EQ(record.buffer().use_count(), 1u);
+  for (uint8_t byte : record) ASSERT_EQ(byte, 0);
+}
+
+TEST(BufferCountDeathTest, OffsetsAndSizesAreBelowFourGiB) {
+  constexpr size_t k4G = size_t{1} << 32;
+  EXPECT_DEATH((void)Buffer::Allocate(k4G), "buffer of 4294967296 bytes");
+  EXPECT_DEATH((void)Buffer::AllocateUninitialized(k4G + 64), "buffer of");
+  const BufferRef buffer = Buffer::Allocate(64);
+  EXPECT_DEATH(BufferView(buffer, k4G, 0), "outside its buffer");
+  EXPECT_DEATH(BufferView(buffer, 0, k4G), "outside its buffer");
+  EXPECT_DEATH(BufferView(buffer, 32, 64), "outside its buffer");
+  BufferView v(Bytes{1});
+  EXPECT_DEATH(v.MutableResized(k4G), "buffer of");
+}
+
+TEST(BufferCountDeathTest, CountChangeOnAForeignThreadFails) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the owner thread is stamped and checked in Debug builds";
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const BufferView v(Bytes{1, 2, 3});
+  EXPECT_DEATH(
+      {
+        std::thread foreign([&v] { BufferView copy = v; });
+        foreign.join();
+      },
+      "views must stay on their thread");
+#endif
 }
 
 }  // namespace

@@ -642,24 +642,24 @@ TEST(ReconstructionTest, ConcurrentCallersMatchThePerRankDecode) {
     wants.push_back(std::move(want).value());
   }
   for (int round = 0; round < 4; ++round) {
-    std::optional<Result<std::vector<ColumnDump>>> got[2];
     std::atomic<int> ready{0};
+    // A rebuilt column's views belong to the thread that rebuilt it, so
+    // each caller checks and drops its own result.
     auto run = [&](int which) {
       ready.fetch_add(1);
       while (ready.load() < 2) std::this_thread::yield();
-      got[which] = ReconstructColumns(reqs[which]);
+      const Result<std::vector<ColumnDump>> got =
+          ReconstructColumns(reqs[which]);
+      const std::string where =
+          "round " + std::to_string(round) + " caller " +
+          std::to_string(which);
+      ASSERT_TRUE(got.ok()) << where << ": " << got.status();
+      ExpectSameColumns(got.value(), wants[which], where);
     };
     std::thread first(run, 0);
     std::thread second(run, 1);
     first.join();
     second.join();
-    for (int which = 0; which < 2; ++which) {
-      const std::string where =
-          "round " + std::to_string(round) + " caller " +
-          std::to_string(which);
-      ASSERT_TRUE(got[which]->ok()) << where << ": " << got[which]->status();
-      ExpectSameColumns(got[which]->value(), wants[which], where);
-    }
   }
 }
 
